@@ -122,8 +122,7 @@ def build_scenario(cfg_dict, seed_override=None, out_override=None):
     opts = maxdet.SolverOptions(**ssec) if ssec else None
     try:
         scen = hybrid.ScenarioConfig(
-            plant_kind=kind, plant_params=psec, mode=mode, seed=seed,
-            x0=x0, solver_options=opts,
+            mode=mode, seed=seed, x0=x0, solver_options=opts,
             **{k: v for k, v in rsec.items()})
         scen.validate(plant)
     except Exception as exc:

@@ -47,12 +47,6 @@ def sigma(a1, c_sigma=0.1):
     return 1.0 - c_sigma * (1.0 - a1)
 
 
-@dataclass(frozen=True)
-class HybridTime:
-    k: int
-    j: int
-
-
 @dataclass
 class HybridState:
     x: np.ndarray
@@ -104,8 +98,6 @@ class Trajectory:
 
 @dataclass
 class ScenarioConfig:
-    plant_kind: str = "constant"
-    plant_params: dict = field(default_factory=dict)
     mode: str = EVENT_TRIGGERED
     horizon: int = 100
     T: int | None = None  # default nx + nu

@@ -4,6 +4,16 @@ Problems are affine symmetric-matrix functions of a real decision vector;
 every constraint block must be positive definite. Feasibility is decided by
 a phase-I max-margin barrier solve, and log-det maximization by the classic
 MAXDET log-barrier path following scheme with damped Newton steps.
+
+Both phases stack their blocks into one block-diagonal affine map, built
+once per solve, with one barrier weight per row: phase I adds the margin
+variable t as a -t I column over every block and its cap t < t_cap as one
+more 1x1 block, phase II a copy of the determinant block. A path stage only
+changes the weights, and one Newton routine minimizes every stage. A stage
+has converged when its Newton decrement reaches `newton_tol` or when an
+accepted step decreases the objective only at float-noise level; the
+maximization is Optimal when the path reached mu_max and its last stage
+converged.
 """
 
 import csv
@@ -119,73 +129,117 @@ def _logdet_from_chol(l):
 
 
 class _Trace:
-    def __init__(self, path):
+    """Stage rows of one solve: phase I starts the file, phase II appends."""
+
+    def __init__(self, path, phase):
         self.rows = []
         self.path = path
+        self.phase = phase
+        if path is not None and phase == "I":
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerow(
+                    ["phase", "iteration", "mu", "min_margin", "logdet"])
 
     def add(self, iteration, mu, margin, logdet):
         if self.path is not None:
-            self.rows.append((iteration, mu, margin, logdet))
+            self.rows.append((self.phase, iteration, mu, margin, logdet))
 
     def flush(self):
         if self.path is None or not self.rows:
             return
-        with open(self.path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["iteration", "mu", "min_margin", "logdet"])
-            w.writerows(self.rows)
+        with open(self.path, "a", newline="") as fh:
+            csv.writer(fh).writerows(self.rows)
 
 
-def _barrier_terms(fn, x, shift, weight):
-    """Value, gradient and Hessian of -weight*logdet(F(x) - shift*I).
+def _block_diag(fns):
+    """Constant and coefficient stack of the blocks placed on one diagonal."""
+    dim = sum(f.dim for f in fns)
+    constant = np.zeros((dim, dim))
+    coeffs = np.zeros((fns[0].coeffs.shape[0], dim, dim))
+    pos = 0
+    for f in fns:
+        s = slice(pos, pos + f.dim)
+        constant[s, s] = f.constant
+        coeffs[:, s, s] = f.coeffs
+        pos += f.dim
+    return constant, coeffs
 
-    Returns None when the shifted block is not positive definite.
+
+class _Barrier:
+    """phi(x) = lin.x - sum_j w_j logdet F_j(x) over block-diagonal F(x).
+
+    F(x) = constant + sum_k x_k coeffs[k] holds every constraint block on
+    its diagonal, and `weights` has one entry per row of F, equal within a
+    block. With F = L L^T the barrier is -2 sum_i w_i log L_ii; with
+    P_k = F^-1 C_k the gradient is lin_k - tr(W P_k) and the Hessian
+    tr(W P_k P_l), W = diag(weights).
     """
-    f = fn(x) - shift * np.eye(fn.dim)
-    l = _chol(f)
-    if l is None:
-        return None
-    finv = np.linalg.inv(f)
-    p = np.einsum("ab,kbc->kac", finv, fn.coeffs)
-    grad = -weight * np.einsum("kaa->k", p)
-    hess = weight * np.einsum("kab,lba->kl", p, p)
-    val = -weight * _logdet_from_chol(l)
-    return val, grad, hess
 
+    def __init__(self, constant, coeffs, lin):
+        self.constant = constant
+        self.coeffs = coeffs
+        self.flat = coeffs.reshape(len(coeffs), -1)
+        self.lin = lin
+        self.weights = np.ones(len(constant))
 
-def _phi(blocks, x):
-    """(value, grad, hess) of the weighted barrier sum; None if infeasible."""
-    m = x.size
-    val = 0.0
-    grad = np.zeros(m)
-    hess = np.zeros((m, m))
-    for fn, shift, weight in blocks:
-        terms = _barrier_terms(fn, x, shift, weight)
-        if terms is None:
-            return None
-        v, g, h = terms
-        val += v
-        grad += g
-        hess += h
-    return val, grad, hess
+    def _matrix(self, x):
+        return self.constant + (x @ self.flat).reshape(self.constant.shape)
 
+    def _value(self, x, l):
+        return -2.0 * float(self.weights @ np.log(np.diag(l))) + \
+            float(self.lin @ x)
 
-def _value_only(blocks, x):
-    val = 0.0
-    for fn, shift, weight in blocks:
-        l = _chol(fn(x) - shift * np.eye(fn.dim))
+    def value(self, x):
+        """phi(x), or None where F(x) is not positive definite."""
+        l = _chol(self._matrix(x))
+        return None if l is None else self._value(x, l)
+
+    def terms(self, x):
+        """(value, gradient, Hessian) at x, or None outside the domain."""
+        f = self._matrix(x)
+        l = _chol(f)
         if l is None:
             return None
-        val -= weight * _logdet_from_chol(l)
-    return val
+        p = np.linalg.inv(f) @ self.coeffs
+        wp = self.weights[:, None] * p
+        grad = self.lin - np.einsum("kaa->k", wp)
+        hess = wp.reshape(len(p), -1) @ \
+            p.transpose(0, 2, 1).reshape(len(p), -1).T
+        return self._value(x, l), grad, hess
 
 
-def _newton_stage(blocks, x, max_steps, tol, early_stop=None):
-    """Damped Newton on the barrier sum.  Returns (x, steps, decrement)."""
+def _phase1_barrier(problem, t_cap):
+    """-t plus the barrier of every F_i(x) - t I > 0 and of t_cap - t > 0
+    over z = (x, t); all blocks, the cap included, share the -t I column."""
+    m = problem.num_vars
+    cap = AffineMatFn(np.array([[t_cap]]), np.zeros((m, 1, 1)))
+    constant, coeffs = _block_diag(problem.constraints + [cap])
+    coeffs = np.concatenate([coeffs, -np.eye(len(constant))[None]])
+    return _Barrier(constant, coeffs, lin=-np.eye(m + 1)[m])
+
+
+def _phase2_barrier(problem, shift):
+    """Barrier of every F_i(x) - shift I > 0 plus an unshifted copy of the
+    det block at the end of the stack; returns it with that copy's rows."""
+    det_fn = problem.constraints[problem.det_block]
+    constant, coeffs = _block_diag(problem.constraints + [det_fn])
+    det_rows = np.arange(len(constant)) >= len(constant) - det_fn.dim
+    barrier = _Barrier(constant - shift * np.diag(~det_rows), coeffs,
+                       np.zeros(problem.num_vars))
+    return barrier, det_rows
+
+
+def _newton(barrier, x, max_steps, tol, early_stop=None):
+    """Damped Newton on the barrier.
+
+    Returns (x, steps, decrement, converged). The stage converges when the
+    Newton decrement reaches tol or when the accepted decrease is at
+    float-noise level, so that no further progress is representable.
+    """
     steps = 0
     residual = np.inf
     while steps < max_steps:
-        terms = _phi(blocks, x)
+        terms = barrier.terms(x)
         if terms is None:
             raise SolverBreakdown("iterate left the barrier domain")
         val, grad, hess = terms
@@ -198,12 +252,11 @@ def _newton_stage(blocks, x, max_steps, tol, early_stop=None):
         decrement = float(-grad @ d)
         residual = np.sqrt(max(decrement, 0.0))
         if residual <= tol:
-            break
+            return x, steps, residual, True
         alpha = 1.0
         gd = float(grad @ d)
         while alpha > 1e-14:
-            xn = x + alpha * d
-            vn = _value_only(blocks, xn)
+            vn = barrier.value(x + alpha * d)
             if vn is not None and vn <= val + 1e-4 * alpha * gd:
                 break
             alpha *= 0.5
@@ -213,11 +266,9 @@ def _newton_stage(blocks, x, max_steps, tol, early_stop=None):
         steps += 1
         if early_stop is not None and early_stop(x):
             break
-        # accepted decrease at float-noise level: no further progress is
-        # representable, treat the stage as converged
         if val - vn <= 4.0 * np.finfo(float).eps * (1.0 + abs(val)):
-            break
-    return x, steps, residual
+            return x, steps, residual, True
+    return x, steps, residual, False
 
 
 def solve_feasibility(problem, opts=None, x0=None, interior_target=None):
@@ -232,7 +283,7 @@ def solve_feasibility(problem, opts=None, x0=None, interior_target=None):
         raise linalg.InvalidInput("constraints must be non-empty")
     sm = opts.strict_margin
     target = interior_target if interior_target is not None else sm
-    trace = _Trace(opts.trace_path)
+    trace = _Trace(opts.trace_path, "I")
 
     # exact decision for constant problems
     if problem.num_vars == 0 or all(
@@ -253,44 +304,23 @@ def solve_feasibility(problem, opts=None, x0=None, interior_target=None):
     t0 = min(float(np.min(margins)) - 1.0, t_cap - 1.0)
     z = np.concatenate([x, [t0]])
 
-    # extended blocks over (x, t): F_i(x) - t I > 0 plus the cap t < t_cap
-    ext = []
-    for f in problem.constraints:
-        coeffs = np.concatenate(
-            [f.coeffs, -np.eye(f.dim)[None, :, :]], axis=0
-        )
-        ext.append(AffineMatFn(f.constant, coeffs))
-    cap_coeffs = np.zeros((m + 1, 1, 1))
-    cap_coeffs[m, 0, 0] = -1.0
-    cap = AffineMatFn(np.array([[t_cap]]), cap_coeffs)
+    barrier = _phase1_barrier(problem, t_cap)
 
-    def margins_ok(zv):
+    def reached(zv):
         return float(np.min(check_point(problem, zv[:m]))) >= target
 
     total = 0
     mu = opts.mu_init
-    found = [False]
-
-    def early(zv):
-        if margins_ok(zv):
-            found[0] = True
-            return True
-        return False
-
-    while mu <= opts.mu_max and total < opts.max_newton and not found[0]:
+    margin = -np.inf
+    while mu <= opts.mu_max and total < opts.max_newton and margin < target:
         # objective normalized by mu: minimize -t + (1/mu) * barriers, so
         # line-search decreases stay well above float rounding of the value
-        blocks = [(g, 0.0, 1.0 / mu) for g in ext] + [(cap, 0.0, 1.0 / mu)]
-
-        def phi_lin(zv):
-            return -zv[m]
-
-        z, steps, _ = _newton_linear(
-            blocks, phi_lin, np.concatenate([np.zeros(m), [-1.0]]), z,
-            opts.max_newton - total, opts.newton_tol, early,
-        )
+        barrier.weights = np.full(len(barrier.constant), 1.0 / mu)
+        z, steps, _, _ = _newton(barrier, z, opts.max_newton - total,
+                                 opts.newton_tol, reached)
         total += max(steps, 1)
-        trace.add(total, mu, float(np.min(check_point(problem, z[:m]))), None)
+        margin = float(np.min(check_point(problem, z[:m])))
+        trace.add(total, mu, margin, None)
         mu *= opts.mu_factor
     trace.flush()
 
@@ -306,47 +336,6 @@ def solve_feasibility(problem, opts=None, x0=None, interior_target=None):
                        iterations=total)
 
 
-def _newton_linear(blocks, lin_value, lin_grad, x, max_steps, tol, early):
-    """Damped Newton on lin(x) + barrier(x); lin is affine in x."""
-    steps = 0
-    residual = np.inf
-    while steps < max_steps:
-        terms = _phi(blocks, x)
-        if terms is None:
-            raise SolverBreakdown("iterate left the barrier domain")
-        val, grad, hess = terms
-        val += lin_value(x)
-        grad = grad + lin_grad
-        if float(np.linalg.eigvalsh(hess)[0]) < 1e-12:
-            hess = hess + 1e-10 * np.eye(hess.shape[0])
-        try:
-            d = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError as exc:
-            raise SolverBreakdown("singular Newton system") from exc
-        decrement = float(-grad @ d)
-        residual = np.sqrt(max(decrement, 0.0))
-        if residual <= tol:
-            break
-        alpha = 1.0
-        gd = float(grad @ d)
-        while alpha > 1e-14:
-            xn = x + alpha * d
-            vn = _value_only(blocks, xn)
-            if vn is not None and vn + lin_value(xn) <= val + 1e-4 * alpha * gd:
-                break
-            alpha *= 0.5
-        if alpha <= 1e-14:
-            break
-        x = x + alpha * d
-        steps += 1
-        if early is not None and early(x):
-            break
-        if (val - vn - lin_value(x)) <= 4.0 * np.finfo(float).eps * (
-                1.0 + abs(val)):
-            break
-    return x, steps, residual
-
-
 def solve_maxdet(problem, opts=None, x0=None):
     """Maximize log det of the designated block over the LMI constraints."""
     opts = opts or SolverOptions()
@@ -357,21 +346,22 @@ def solve_maxdet(problem, opts=None, x0=None):
     if phase1.status != FEASIBLE:
         return phase1
 
-    trace = _Trace(opts.trace_path)
+    trace = _Trace(opts.trace_path, "II")
     det_fn = problem.constraints[problem.det_block]
     x = phase1.x.copy()
     total = phase1.iterations
     mu = opts.mu_init
     residual = np.inf
+    converged = False
     # Barrier constraints are shifted by strict_margin/2 so accepted points
     # keep at least that margin. The stage objective is normalized by mu
     # (barrier weight 1/mu, unit det term), making the returned gradient
     # norm the KKT residual directly.
+    barrier, det_rows = _phase2_barrier(problem, 0.5 * sm)
     while mu <= opts.mu_max and total < opts.max_newton:
-        blocks = [(f, 0.5 * sm, 1.0 / mu) for f in problem.constraints]
-        blocks.append((det_fn, 0.0, 1.0))
-        x, steps, residual = _newton_stage(
-            blocks, x, opts.max_newton - total, opts.newton_tol
+        barrier.weights = np.where(det_rows, 1.0, 1.0 / mu)
+        x, steps, residual, converged = _newton(
+            barrier, x, opts.max_newton - total, opts.newton_tol
         )
         total += max(steps, 1)
         l = _chol(det_fn(x))
@@ -383,9 +373,8 @@ def solve_maxdet(problem, opts=None, x0=None):
     margins = check_point(problem, x)
     l = _chol(det_fn(x))
     logdet = _logdet_from_chol(l) if l is not None else None
-    kkt = residual
     finished = mu > opts.mu_max
-    status = OPTIMAL if finished and kkt <= 1e-7 else MAXITER
+    status = OPTIMAL if finished and converged else MAXITER
     return SdpSolution(x=x, status=status, min_margins=margins,
                        logdet_value=logdet, iterations=total,
-                       kkt_residual=kkt)
+                       kkt_residual=residual)

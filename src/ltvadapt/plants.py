@@ -192,7 +192,7 @@ class PiecewiseFilePlant(LtvPlant):
 
 
 _FACTORIES = {
-    "constant": lambda kw: ConstantLti(),
+    "constant": lambda kw: ConstantLti(a=kw.get("a"), b=kw.get("b")),
     "switching": lambda kw: SwitchingPlant(
         p=int(kw.get("p", 12)), ell=float(kw.get("ell", 1.0))
     ),

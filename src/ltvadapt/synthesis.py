@@ -358,55 +358,3 @@ def verify_property(bundle, num_samples=500, rng_seed=0, eps_values=None,
         vacuous=vacuous,
     )
 
-
-class GainSynthesizer:
-    """Estimator-style wrapper: fit on a data window, predict control inputs.
-
-    Parameters mirror the functional interface; after a successful fit the
-    attributes K_, S_, F_, a1_, a2_ and bundle_ are populated.
-    """
-
-    def __init__(self, eps_F=DEFAULT_EPS_F, strict_margin=1e-6,
-                 max_newton=200):
-        self.eps_F = eps_F
-        self.strict_margin = strict_margin
-        self.max_newton = max_newton
-
-    def get_params(self, deep=True):
-        return {
-            "eps_F": self.eps_F,
-            "strict_margin": self.strict_margin,
-            "max_newton": self.max_newton,
-        }
-
-    def set_params(self, **params):
-        for key, value in params.items():
-            if key not in self.get_params():
-                raise linalg.InvalidInput("unknown parameter %r" % (key,))
-            setattr(self, key, value)
-        return self
-
-    def fit(self, w):
-        opts = maxdet.SolverOptions(
-            strict_margin=self.strict_margin, max_newton=self.max_newton
-        )
-        bundle = synthesize(w, eps_F=self.eps_F, opts=opts)
-        if bundle is None:
-            raise linalg.NotPositiveDefinite(
-                "no feasible design for this window"
-            )
-        self.bundle_ = bundle
-        self.K_ = bundle.K
-        self.S_ = bundle.S
-        self.F_ = bundle.F
-        self.a1_ = bundle.a1
-        self.a2_ = bundle.a2
-        return self
-
-    def predict(self, x):
-        if not hasattr(self, "K_"):
-            raise linalg.InvalidInput("fit must be called before predict")
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return self.K_ @ x
-        return x @ self.K_.T

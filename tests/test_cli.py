@@ -50,6 +50,23 @@ def test_parse_config_errors(tmp_path):
         cli.parse_config(write_cfg(tmp_path, "seed = 1\n"))
 
 
+def test_constant_plant_matrices_from_config(tmp_path):
+    cfg = cli.parse_config(write_cfg(tmp_path, """
+[plant]
+kind = constant
+a = 0.5, 0; 0.2, 0.9
+b = 1; 0
+[run]
+mode = fixed
+horizon = 10
+"""))
+    plant, scen, _, _ = cli.build_scenario(cfg)
+    a, b = plant.eval(3)
+    assert np.array_equal(a, [[0.5, 0.0], [0.2, 0.9]])
+    assert np.array_equal(b, [[1.0], [0.0]])
+    assert scen.mode == "fixed"
+
+
 def test_simulate_writes_artifacts(tmp_path):
     cfg = write_cfg(tmp_path, SWITCHING_CFG)
     out = str(tmp_path / "out")

@@ -1,7 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 
-from ltvadapt import linalg, maxdet
+from ltvadapt import hybrid, linalg, maxdet, plants, synthesis, verification
+from test_synthesis import exploration_window
 
 
 def one_var_det_problem():
@@ -103,10 +106,17 @@ def test_var_bounds_become_blocks():
 def test_solver_trace(tmp_path):
     path = tmp_path / "trace.csv"
     opts = maxdet.SolverOptions(trace_path=str(path))
+    # phase I takes steps from x = 0, where the bound x > 0 has no margin
     maxdet.solve_maxdet(one_var_det_problem(), opts)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("iteration")
-    assert len(lines) > 1
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    phases = [r["phase"] for r in rows]
+    assert "I" in phases and "II" in phases
+    assert phases == sorted(phases)
+    iterations = [int(r["iteration"]) for r in rows]
+    assert iterations == sorted(iterations)
+    assert all(r["logdet"] == "" for r in rows if r["phase"] == "I")
+    assert all(r["logdet"] != "" for r in rows if r["phase"] == "II")
 
 
 def test_infeasible_reported_from_maxdet():
@@ -114,3 +124,119 @@ def test_infeasible_reported_from_maxdet():
     hi = maxdet.AffineMatFn(np.array([[0.0]]), np.array([[[-1.0]]]))
     p = maxdet.SdpProblem(1, [det, hi], det_block=0)
     assert maxdet.solve_maxdet(p).status == maxdet.INFEASIBLE
+
+
+def design_problem():
+    # blocks of sizes 4, 6, 2 and the 1x1 bound on varsigma, 11 variables
+    return synthesis.build_design_problem(
+        exploration_window(plants.ConstantLti())).problem
+
+
+def per_block_terms(blocks, z, lin):
+    """lin.z - sum w logdet G(z) block by block, G affine in z."""
+    val, grad, hess = float(lin @ z), lin.copy(), 0.0
+    for g, w in blocks:
+        f = g(z)
+        p = np.einsum("ab,kbc->kac", np.linalg.inv(f), g.coeffs)
+        val -= w * np.linalg.slogdet(f)[1]
+        grad = grad - w * np.einsum("kaa->k", p)
+        hess = hess + w * np.einsum("kab,lba->kl", p, p)
+    return val, grad, hess
+
+
+def assert_terms_match(barrier, blocks, z, lin):
+    val, grad, hess = barrier.terms(z)
+    ref = per_block_terms(blocks, z, lin)
+    assert abs(val - ref[0]) <= 1e-10 * (1.0 + abs(ref[0]))
+    assert np.allclose(grad, ref[1], rtol=1e-9, atol=1e-9)
+    assert np.allclose(hess, ref[2], rtol=1e-9, atol=1e-9)
+    assert barrier.value(z) == val
+    # central differences of the value and of the gradient
+    h = 1e-6
+    for k in range(z.size):
+        e = h * np.eye(z.size)[k]
+        fd = (barrier.value(z + e) - barrier.value(z - e)) / (2 * h)
+        assert abs(fd - grad[k]) <= 1e-5 * (1.0 + abs(grad[k]))
+        fd = (barrier.terms(z + e)[1] - barrier.terms(z - e)[1]) / (2 * h)
+        assert np.allclose(fd, hess[k], rtol=1e-5, atol=1e-5)
+
+
+def test_stacked_barrier_phase1():
+    p = design_problem()
+    m = p.num_vars
+    x = 0.1 * np.random.default_rng(1).standard_normal(m)
+    t_cap = 1.0
+    z = np.append(x, min(np.min(maxdet.check_point(p, x)), t_cap) - 0.5)
+    barrier = maxdet._phase1_barrier(p, t_cap)
+    barrier.weights = np.full(len(barrier.constant), 0.1)
+    ext = [maxdet.AffineMatFn(
+        f.constant, np.concatenate([f.coeffs, -np.eye(f.dim)[None]]))
+        for f in p.constraints]
+    lin = -np.eye(m + 1)[m]
+    cap = maxdet.AffineMatFn(np.array([[t_cap]]), lin[:, None, None])
+    assert_terms_match(barrier, [(g, 0.1) for g in ext] + [(cap, 0.1)],
+                       z, lin)
+    # the cap is part of the stack: t at the cap leaves the domain
+    assert barrier.value(np.append(x, t_cap)) is None
+
+
+def test_stacked_barrier_phase2():
+    p = design_problem()
+    x = maxdet.solve_feasibility(p, interior_target=0.05).x
+    shift, mu = 0.01, 100.0
+    barrier, det_rows = maxdet._phase2_barrier(p, shift)
+    barrier.weights = np.where(det_rows, 1.0, 1.0 / mu)
+    shifted = [maxdet.AffineMatFn(f.constant - shift * np.eye(f.dim),
+                                  f.coeffs) for f in p.constraints]
+    blocks = [(g, 1.0 / mu) for g in shifted]
+    blocks.append((p.constraints[p.det_block], 1.0))
+    assert_terms_match(barrier, blocks, x, np.zeros(x.size))
+
+
+def test_newton_stage_converges_at_float_noise():
+    # phi(x) = 1e3 x - 1e12 log x has its minimum 1e9 where |phi| is about
+    # 2e13, so steps stop decreasing it representably while the Newton
+    # decrement is still far above the tolerance
+    barrier = maxdet._Barrier(np.zeros((1, 1)), np.ones((1, 1, 1)),
+                              np.array([1e3]))
+    barrier.weights = np.array([1e12])
+    x, steps, decrement, converged = maxdet._newton(
+        barrier, np.array([0.5e9]), 500, 1e-8)
+    assert converged and steps < 500
+    assert decrement > 1e-7
+    assert abs(x[0] - 1e9) <= 1e-6 * 1e9
+
+
+def test_maxdet_status_follows_last_stage(monkeypatch):
+    # Optimal when the path finished and its last stage converged, whatever
+    # decrement that stage reports
+    newton = maxdet._newton
+    for converged, status in [(True, maxdet.OPTIMAL),
+                              (False, maxdet.MAXITER)]:
+        monkeypatch.setattr(
+            maxdet, "_newton",
+            lambda *a, c=converged, **k: newton(*a, **k)[:2] + (1e-3, c))
+        sol = maxdet.solve_maxdet(one_var_det_problem())
+        assert sol.status == status
+        assert sol.kkt_residual == 1e-3
+
+
+def test_no_maxiter_below_cap_on_canonical_designs(monkeypatch):
+    # a final stage that stalls at float noise has converged and must not
+    # read MaxIter; with a per-block barrier the k = 32 window of this run
+    # stalled after 72 steps at decrement 2.05e-7
+    name, plant, cfg = next(s for s in verification.canonical_scenarios()
+                            if s[0] == "time-np12-s1")
+    solve = maxdet.solve_maxdet
+    sols = []
+
+    def recording_solve(*args, **kwargs):
+        sols.append(solve(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(maxdet, "solve_maxdet", recording_solve)
+    hybrid.run(plant, cfg)
+    cap = maxdet.SolverOptions().max_newton
+    assert sum(s.status == maxdet.OPTIMAL for s in sols) > 0
+    assert [(s.iterations, s.kkt_residual) for s in sols
+            if s.status == maxdet.MAXITER and s.iterations < cap] == []

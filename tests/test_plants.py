@@ -105,3 +105,15 @@ def test_make_plant_factory():
     assert isinstance(p, plants.SwitchingPlant)
     with pytest.raises(linalg.InvalidInput):
         plants.make_plant("no-such-kind", {})
+
+
+def test_make_plant_constant_uses_given_matrices():
+    a = np.array([[0.5, 0.0], [0.2, 0.9]])
+    b = np.array([[1.0], [0.0]])
+    p = plants.make_plant("constant", {"a": a, "b": b})
+    pa, pb = p.eval(7)
+    assert np.array_equal(pa, a) and np.array_equal(pb, b)
+    assert (p.nx, p.nu) == (2, 1)
+    na, nb = plants.make_plant("constant").eval(0)
+    assert np.array_equal(na, plants.A_NOMINAL)
+    assert np.array_equal(nb, plants.B_NOMINAL)

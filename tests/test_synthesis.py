@@ -109,21 +109,3 @@ def test_decay_rate_bound(bundle):
     assert abs(synthesis.decay_rate_bound(b, eps)
                - (b.a1 + b.a2 * eps)) < 1e-15
 
-
-def test_gain_synthesizer_estimator_api():
-    est = synthesis.GainSynthesizer(eps_F=0.2)
-    params = est.get_params()
-    assert params["eps_F"] == 0.2
-    est.set_params(eps_F=0.1)
-    assert est.get_params()["eps_F"] == 0.1
-    w = exploration_window()
-    est.fit(w)
-    assert est.K_.shape == (2, 2)
-    x = np.array([1.0, -1.0])
-    assert np.allclose(est.predict(x), est.K_ @ x)
-
-
-def test_gain_synthesizer_unfit_predict():
-    est = synthesis.GainSynthesizer()
-    with pytest.raises(Exception):
-        est.predict(np.ones(2))
