@@ -28,12 +28,19 @@ class ConfigError(Exception):
     pass
 
 
+def _parse_bool(text):
+    try:
+        return {"true": True, "false": False, "1": True, "0": False}[text]
+    except KeyError:
+        raise ValueError("expected true, false, 1 or 0, got %r" % text)
+
+
 _PLANT_KEYS = {"kind": str, "p": int, "ell": float, "delta_a": float,
                "t_delta": int, "path": str, "a": str, "b": str}
 _RUN_KEYS = {"mode": str, "horizon": int, "seed": int, "T": int,
              "eps_F": float, "c_sigma": float, "n_p": int, "x0": str}
 _SOLVER_KEYS = {"strict_margin": float, "max_newton": int}
-_OUTPUT_KEYS = {"dir": str, "svg": int}
+_OUTPUT_KEYS = {"dir": str, "svg": _parse_bool}
 _SECTIONS = {"plant": _PLANT_KEYS, "run": _RUN_KEYS, "solver": _SOLVER_KEYS,
              "output": _OUTPUT_KEYS}
 
@@ -129,7 +136,7 @@ def build_scenario(cfg_dict, seed_override=None, out_override=None):
         raise ConfigError("bad run config: %s" % exc)
     osec = cfg_dict["output"]
     out_dir = out_override or osec.get("dir", "out")
-    return plant, scen, out_dir, bool(osec.get("svg", 0))
+    return plant, scen, out_dir, osec.get("svg", False)
 
 
 def write_norm_svg(traj, path, width=640, height=360):

@@ -1,9 +1,11 @@
 """Dense small-matrix kernels used across the package.
 
-Everything here assumes tiny matrices (dimension well below 100): a cyclic
-Jacobi eigensolver, pseudoinverse built on it, generalized-eigenvalue
-extremes, the block-diagonal column stacking map, and sliding-window column
-shifts.
+Everything here assumes tiny matrices (dimension well below 100). The
+symmetric eigendecomposition is LAPACK's, through numpy.linalg.eigh; the
+pseudoinverse, spectral norm, positive definite inverse and inverse square
+root, and the generalized-eigenvalue extremes are built on it. The module
+also holds input validation, the block-diagonal column stacking map, and
+sliding-window column shifts.
 """
 
 import numpy as np
@@ -52,52 +54,14 @@ def symmetrize(a):
     return 0.5 * (a + a.T)
 
 
-def sym_eig(s, max_sweeps=60):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def sym_eig(s):
+    """Eigendecomposition of a symmetric matrix by LAPACK (numpy.linalg.eigh).
 
     Returns (eigenvalues ascending, eigenvectors as columns). The input is
     symmetrized first; non-finite entries raise InvalidInput.
     """
-    a = symmetrize(s).copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return a[0].copy(), v
-    scale = np.max(np.abs(a)) + 1.0
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= n * _EPS * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 0.5 * _EPS * (abs(a[p, p]) + abs(a[q, q])):
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                sn = t * c
-                # rotate rows/cols p and q
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - sn * rq
-                a[q, :] = sn * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - sn * cq
-                a[:, q] = sn * cp + c * cq
-                a[p, q] = a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - sn * vq
-                v[:, q] = sn * vp + c * vq
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    w, v = np.linalg.eigh(symmetrize(s))
+    return w, v
 
 
 def spectral_norm(m):
@@ -155,7 +119,9 @@ def pinv(m, tol=None):
     return (v * inv2) @ v.T @ m.T
 
 
-def _inv_sqrt_pd(b, rel_tol=1e-12):
+def inv_sqrt_pd(b, rel_tol=1e-12):
+    """B^(-1/2) of a symmetric positive definite B; raises
+    NotPositiveDefinite when lambda_min <= rel_tol * lambda_max."""
     w, v = sym_eig(b)
     if w[0] <= rel_tol * max(float(w[-1]), rel_tol):
         raise NotPositiveDefinite("matrix is not positive definite")
@@ -168,7 +134,7 @@ def gen_eig_max(a, b):
     Equals lambda_max(B^{-1/2} A B^{-1/2}) = min{t : A <= t B}.
     """
     a = symmetrize(a)
-    bmh = _inv_sqrt_pd(as_matrix(b))
+    bmh = inv_sqrt_pd(as_matrix(b))
     w, _ = sym_eig(bmh @ a @ bmh)
     return float(w[-1])
 
@@ -176,7 +142,7 @@ def gen_eig_max(a, b):
 def gen_eig_min(a, b):
     """Smallest generalized eigenvalue of (A, B) with B > 0."""
     a = symmetrize(a)
-    bmh = _inv_sqrt_pd(as_matrix(b))
+    bmh = inv_sqrt_pd(as_matrix(b))
     w, _ = sym_eig(bmh @ a @ bmh)
     return float(w[0])
 

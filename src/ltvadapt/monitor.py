@@ -114,7 +114,11 @@ def pi_product(traj, plant, mode=EXACT, c_sigma=0.1):
     if mode not in (EXACT, DATABASED):
         raise linalg.InvalidInput("unknown pi mode %r" % (mode,))
     walk = _walk(traj, plant, c_sigma)
-    thetas = walk.th_exact if mode == EXACT else walk.th_databased
+    return _pi_from_walk(walk, walk.th_exact if mode == EXACT
+                         else walk.th_databased, c_sigma)
+
+
+def _pi_from_walk(walk, thetas, c_sigma):
     nus = dict(walk.nu_events)
     pi = np.ones(len(walk.records))
     with np.errstate(over="ignore"):
@@ -126,7 +130,7 @@ def pi_product(traj, plant, mode=EXACT, c_sigma=0.1):
     return pi
 
 
-def check_bound(traj, pi_seq, c_sigma=0.1, plant=None):
+def check_bound(traj, pi_seq):
     """Per-record flag: V(x,S) <= pi * V at the first certified record."""
     recs = traj.records[traj.monitor_start:]
     if len(pi_seq) != len(recs):
@@ -247,12 +251,11 @@ def thm_diagnostics(traj, lambda_c, lambda_d, plant=None, c_sigma=0.1):
                     cor1 = False
                     break
 
-    pi_e = pi_product(traj, plant, EXACT, c_sigma)
-    pi_d = pi_product(traj, plant, DATABASED, c_sigma)
+    pi_e = _pi_from_walk(walk, walk.th_exact, c_sigma)
     return DiagnosticsReport(
         pi_exact=pi_e,
-        pi_databased=pi_d,
-        bound_ok=check_bound(traj, pi_e, c_sigma),
+        pi_databased=_pi_from_walk(walk, walk.th_databased, c_sigma),
+        bound_ok=check_bound(traj, pi_e),
         T1_membership=list(walk.in_T1),
         lambda_c=lambda_c,
         lambda_d=lambda_d,

@@ -110,21 +110,24 @@ def sample_members(params, num_samples, rng, boundary_bias=True):
     construction. Directions in the kernel of M are pinned to the center.
     With boundary_bias the radius is drawn as u^(1/4), concentrating
     samples near the boundary where violations would show up first.
+    Returns an array of shape (num_samples, rows, cols).
     """
     _, m_pinv_sqrt = _psd_sqrt_and_pinv_sqrt(params.M)
     d_sqrt, _ = _psd_sqrt_and_pinv_sqrt(params.Delta)
     rows, cols = params.Zc.shape
-    out = []
-    for _ in range(num_samples):
-        g = rng.standard_normal((rows, cols))
-        s = linalg.spectral_norm(g)
-        if s == 0.0:
-            v = g
-        else:
-            r = float(rng.uniform()) ** 0.25 if boundary_bias else float(
-                rng.uniform()
-            )
-            v = (r / s) * g
-        zhat = params.Zc + m_pinv_sqrt @ v @ d_sqrt
-        out.append(zhat)
-    return out
+    g = np.empty((num_samples, rows, cols))
+    r = np.zeros(num_samples)
+    # each sample draws its normal block, then its radius only when the
+    # block is non-zero: this order fixes the sampled set for a given rng
+    for i in range(num_samples):
+        g[i] = rng.standard_normal((rows, cols))
+        if g[i].any():
+            r[i] = rng.uniform()
+    if boundary_bias:
+        r = r ** 0.25
+    gt = np.swapaxes(g, 1, 2)
+    gram = g @ gt if rows <= cols else gt @ g
+    s = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+    # a zero block stays zero, as the radius scaling would leave it
+    scale = np.divide(r, s, out=np.zeros(num_samples), where=s > 0.0)
+    return params.Zc + m_pinv_sqrt @ (scale[:, None, None] * g) @ d_sqrt

@@ -1,4 +1,5 @@
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -48,6 +49,33 @@ def test_parse_config_errors(tmp_path):
         cli.parse_config(write_cfg(tmp_path, "[run]\nseed = abc\n"))
     with pytest.raises(cli.ConfigError):
         cli.parse_config(write_cfg(tmp_path, "seed = 1\n"))
+
+
+def test_svg_flag_values(tmp_path):
+    for text, want in (("true", True), ("false", False), ("1", True),
+                       ("0", False)):
+        cfg = cli.parse_config(write_cfg(tmp_path, "[output]\nsvg = %s\n"
+                                         % text))
+        assert cfg["output"]["svg"] is want
+    path = write_cfg(tmp_path, "[output]\ndir = x\nsvg = yes\n")
+    with pytest.raises(cli.ConfigError, match=r"scen\.cfg:3: .*svg"):
+        cli.parse_config(path)
+
+
+def test_readme_config_example(tmp_path):
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text().split("### Config format", 1)[1]
+    example = text.split("```", 2)[1]
+    cfg = cli.parse_config(write_cfg(tmp_path, example))
+    plant, scen, out_dir, svg = cli.build_scenario(cfg)
+    assert cfg["plant"]["kind"] == "switching"
+    assert (plant.nx, plant.nu) == (2, 2)
+    assert (scen.mode, scen.horizon, scen.seed, scen.T) == ("event", 100,
+                                                            53, 4)
+    assert scen.solver_options.max_newton == 500
+    assert np.array_equal(scen.x0, [1.0, 1.0])
+    assert out_dir == "out/run1"
+    assert svg is True
 
 
 def test_constant_plant_matrices_from_config(tmp_path):

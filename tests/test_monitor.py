@@ -22,28 +22,30 @@ def test_theta_databased_formula():
         monitor.theta_databased(-0.1, 0.9, 5.0)
 
 
-def _switching_run(seed=53):
+@pytest.fixture(scope="module")
+def switching_run():
+    """One switching-plant event run shared by the read-only tests."""
     plant = plants.SwitchingPlant()
-    cfg = hybrid.ScenarioConfig(mode="event", horizon=100, seed=seed)
+    cfg = hybrid.ScenarioConfig(mode="event", horizon=100, seed=53)
     return plant, hybrid.run(plant, cfg)
 
 
-def test_pi_starts_at_one():
-    plant, traj = _switching_run()
+def test_pi_starts_at_one(switching_run):
+    plant, traj = switching_run
     pi = monitor.pi_product(traj, plant)
     assert pi[0] == 1.0
     assert len(pi) == len(traj.records) - traj.monitor_start
 
 
-def test_bound_holds_both_modes():
-    plant, traj = _switching_run()
+def test_bound_holds_both_modes(switching_run):
+    plant, traj = switching_run
     for mode in (monitor.EXACT, monitor.DATABASED):
         pi = monitor.pi_product(traj, plant, mode)
         assert all(monitor.check_bound(traj, pi))
 
 
-def test_databased_dominates_exact():
-    plant, traj = _switching_run()
+def test_databased_dominates_exact(switching_run):
+    plant, traj = switching_run
     pi_e = monitor.pi_product(traj, plant, monitor.EXACT)
     pi_d = monitor.pi_product(traj, plant, monitor.DATABASED)
     assert all(d >= e * (1 - 1e-9) for e, d in zip(pi_e, pi_d))
@@ -63,26 +65,32 @@ def test_pi_matches_decrease_factor_on_quiet_steps():
     assert np.allclose(pi[:10], [s ** i for i in range(10)], rtol=1e-9)
 
 
-def test_check_bound_length_mismatch():
-    plant, traj = _switching_run()
+def test_check_bound_length_mismatch(switching_run):
+    plant, traj = switching_run
     with pytest.raises(linalg.InvalidInput):
         monitor.check_bound(traj, np.ones(3))
 
 
-def test_default_rates_dominate():
-    plant, traj = _switching_run()
+def test_default_rates_dominate(switching_run):
+    plant, traj = switching_run
     lam_c, lam_d = monitor.default_rates(traj, plant)
     assert 0.0 < lam_c <= 1.0
     assert lam_d >= lam_c
 
 
-def test_thm_diagnostics_fields():
-    plant, traj = _switching_run()
+def test_thm_diagnostics_fields(switching_run):
+    plant, traj = switching_run
     lam_c, lam_d = monitor.default_rates(traj, plant)
     rep = monitor.thm_diagnostics(traj, lam_c, lam_d, plant)
     assert all(rep.bound_ok)
     assert rep.m2 >= 0.0
     assert len(rep.thm4_lhs) == len(rep.records)
+    # both products come from the diagnostics' own walk, exactly as
+    # pi_product computes them
+    assert np.array_equal(rep.pi_exact,
+                          monitor.pi_product(traj, plant, monitor.EXACT))
+    assert np.array_equal(rep.pi_databased,
+                          monitor.pi_product(traj, plant, monitor.DATABASED))
 
 
 def test_cor1_membership_on_vanishing_perturbation():
@@ -95,17 +103,18 @@ def test_cor1_membership_on_vanishing_perturbation():
     assert rep.Tstar_estimate is not None
 
 
-def test_theta_databased_upper_bounds_exact_on_worked_instance():
+def test_theta_databased_upper_bounds_exact_on_worked_instance(
+        switching_run):
     # scheduled excitation aside, the data-based factor built from the
     # minimal inflation can never undercut the exact factor
-    plant, traj = _switching_run()
+    plant, traj = switching_run
     walk = monitor._walk(traj, plant)
     for te, td in zip(walk.th_exact, walk.th_databased):
         assert td >= te * (1 - 1e-9)
 
 
-def test_diagnostics_csv(tmp_path):
-    plant, traj = _switching_run()
+def test_diagnostics_csv(switching_run, tmp_path):
+    plant, traj = switching_run
     lam_c, lam_d = monitor.default_rates(traj, plant)
     rep = monitor.thm_diagnostics(traj, lam_c, lam_d, plant)
     path = tmp_path / "diag.csv"

@@ -111,3 +111,41 @@ def test_membership_quadratic_center():
     par = proximity.ellipsoid_params(hand_window(), np.array([[0.01]]))
     gap = proximity.membership_quadratic(par, par.Zc)
     assert np.allclose(gap, par.Delta)
+
+
+def _sample_members_loop(par, num_samples, rng):
+    # per-sample reference: normal block, then the radius uniform only for
+    # a non-zero block, then one member at a time
+    w_m, v_m = np.linalg.eigh(par.M)
+    tol_m = max(par.M.shape) * np.finfo(float).eps * max(w_m[-1], 0.0)
+    w_m = np.clip(w_m, 0.0, None)
+    m_pinv_sqrt = (v_m * np.where(w_m > tol_m, 1.0 / np.sqrt(
+        np.maximum(w_m, 1e-300)), 0.0)) @ v_m.T
+    w_d, v_d = np.linalg.eigh(par.Delta)
+    d_sqrt = (v_d * np.sqrt(np.clip(w_d, 0.0, None))) @ v_d.T
+    out = []
+    for _ in range(num_samples):
+        g = rng.standard_normal(par.Zc.shape)
+        s = np.linalg.norm(g, 2)
+        v = g if s == 0.0 else (rng.uniform() ** 0.25 / s) * g
+        out.append(par.Zc + m_pinv_sqrt @ v @ d_sqrt)
+    return np.array(out)
+
+
+def test_sample_members_matches_per_sample_loop():
+    rng = np.random.default_rng(8)
+    w = _random_full_rank_window(rng, nx=3, nu=2, width=6)
+    # a rank-deficient regressor as well: directions pinned to the center
+    w_def = DataWindow(kappa=2, Xhat=np.array([[1.0, 0.5]]),
+                       X=np.array([[0.5, 0.25]]), U=np.array([[0.0, 0.0]]))
+    for win in (w, w_def):
+        par = proximity.ellipsoid_params(win, 0.05 * np.eye(win.nx))
+        rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
+        got = proximity.sample_members(par, 64, rng_a)
+        want = _sample_members_loop(par, 64, rng_b)
+        assert got.shape == (64,) + par.Zc.shape
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-13)
+        # both consumed the same draws
+        assert rng_a.uniform() == rng_b.uniform()
+    assert proximity.sample_members(par, 0, rng).shape == (0,) + \
+        par.Zc.shape

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ltvadapt import linalg, plants, synthesis
+from ltvadapt import linalg, plants, proximity, synthesis
 from ltvadapt.window import DataWindow
 
 
@@ -109,3 +109,55 @@ def test_decay_rate_bound(bundle):
     assert abs(synthesis.decay_rate_bound(b, eps)
                - (b.a1 + b.a2 * eps)) < 1e-15
 
+
+
+def _verify_property_loop(b, num_samples, rng_seed, rel_tol):
+    # per-sample reference with the draw order of sample_members and
+    # numpy.linalg throughout; returns (worst excess, violations, vacuous)
+    rng = np.random.default_rng(rng_seed)
+    w = b.window
+    nx = w.nx
+    chol_inv = np.linalg.inv(np.linalg.cholesky(b.S))
+    worst, violations, vacuous = -np.inf, 0, True
+    for eps in (0.0, b.a / (2.0 * b.a2), 2.0 * b.a / b.a2):
+        par = proximity.ellipsoid_params(
+            w, b.F + eps * np.linalg.inv(b.S))
+        w_d, v_d = np.linalg.eigh(par.Delta)
+        if w_d[0] < -1e-9 * (1.0 + max(w_d[-1], 0.0)):
+            continue
+        vacuous = False
+        rate = b.a1 + b.a2 * eps
+        w_m, v_m = np.linalg.eigh(par.M)
+        keep = w_m > max(par.M.shape) * np.finfo(float).eps * w_m[-1]
+        m_pinv_sqrt = (v_m * np.where(keep, 1.0 / np.sqrt(
+            np.where(keep, w_m, 1.0)), 0.0)) @ v_m.T
+        d_sqrt = (v_d * np.sqrt(np.clip(w_d, 0.0, None))) @ v_d.T
+        for _ in range(num_samples):
+            g = rng.standard_normal(par.Zc.shape)
+            s = np.linalg.norm(g, 2)
+            v = g if s == 0.0 else (rng.uniform() ** 0.25 / s) * g
+            zhat = par.Zc + m_pinv_sqrt @ v @ d_sqrt
+            acl = zhat[:nx].T + zhat[nx:].T @ b.K
+            lhs = np.linalg.eigvalsh(chol_inv @ acl.T @ b.S @ acl
+                                     @ chol_inv.T)[-1]
+            excess = (lhs - rate) / max(abs(rate), 1.0)
+            worst = max(worst, excess)
+            violations += int(excess > rel_tol)
+    return worst, violations, vacuous
+
+
+def test_verify_property_matches_per_sample_reference(bundle):
+    b = bundle
+    worst, violations, vacuous = _verify_property_loop(b, 300, 5, 1e-7)
+    rep = synthesis.verify_property(b, num_samples=300, rng_seed=5)
+    assert rep.vacuous == vacuous is False
+    assert rep.num_violations == violations
+    assert abs(rep.max_relative_excess - worst) <= 1e-12
+    # a tolerance inside the range of excesses makes the violation count
+    # depend on every sample lining up with its reference
+    mid = worst - 0.05
+    _, violations, _ = _verify_property_loop(b, 300, 5, mid)
+    rep = synthesis.verify_property(b, num_samples=300, rng_seed=5,
+                                    rel_tol=mid)
+    assert 0 < violations < 900
+    assert rep.num_violations == violations
