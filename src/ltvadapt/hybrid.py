@@ -1,12 +1,14 @@
 """Closed-loop hybrid simulation of the event-triggered adaptive scheme.
 
 The plant runs in physical time k; controller updates are episode jumps
-counted by j. A run starts with an exploration phase of T open-loop
-steps, performs a forced design at k = T, and then flows under state
-feedback, re-designing the gain whenever the trigger rule fires (event
-mode), never (fixed mode), or on a fixed schedule (time-triggered mode).
-Each trajectory record summarizes one physical step; a jump at step k is
-folded into that step's record and marked by tau = 0.
+counted by j. `run` is one step loop: a step decides whether a design is
+due (the forced design at k = T after T open-loop exploration steps; then
+a failed certified decrease in event mode, the end of the T re-excitation
+steps after each n_p-periodic tick in time mode, never in fixed mode),
+makes that one design call and adopts a feasible result as an episode
+jump, applies an exploration input or the feedback K x, records itself
+and advances the plant and the data window. A jump at step k is folded
+into that step's record and marked by tau = 0.
 """
 
 import csv
@@ -30,13 +32,6 @@ TIME_TRIGGERED = "time"
 DIVERGENCE_NORM = 1e6
 TIE_TOL = 1e-12
 
-IN_C = "InC"
-IN_D = "InD"
-
-
-class InternalError(RuntimeError):
-    pass
-
 
 def sigma(a1, c_sigma=0.1):
     """Trigger threshold factor on the certified decrease rate."""
@@ -45,16 +40,6 @@ def sigma(a1, c_sigma=0.1):
     if not 0.0 < c_sigma <= 1.0:
         raise linalg.InvalidInput("c_sigma must lie in (0, 1]")
     return 1.0 - c_sigma * (1.0 - a1)
-
-
-@dataclass
-class HybridState:
-    x: np.ndarray
-    kappa: int
-    window: DataWindow
-    bundle: synthesis.ControllerBundle
-    xhat: np.ndarray
-    tau: int
 
 
 @dataclass
@@ -68,7 +53,6 @@ class StepRecord:
     a1: float | None
     trigger: bool
     synth_feasible: bool | None
-    kappa: int
     tau: int
 
 
@@ -76,7 +60,6 @@ class StepRecord:
 class Episode:
     k: int
     j: int
-    old_bundle: synthesis.ControllerBundle | None
     new_bundle: synthesis.ControllerBundle
 
 
@@ -112,8 +95,9 @@ class ScenarioConfig:
         t = self.T if self.T is not None else plant.nx + plant.nu
         if t < 1:
             raise linalg.InvalidInput("window width must be positive")
-        if self.horizon < t:
-            raise linalg.InvalidInput("horizon must be at least T")
+        # the forced design at k = T needs a step of its own to be recorded
+        if self.horizon <= t:
+            raise linalg.InvalidInput("horizon must exceed T")
         if not 0.0 < self.eps_F < 1.0:
             raise linalg.InvalidInput("eps_F must lie in (0, 1)")
         if self.mode not in (EVENT_TRIGGERED, FIXED_GAIN, TIME_TRIGGERED):
@@ -128,50 +112,17 @@ def _diverged(x):
         DIVERGENCE_NORM
 
 
-def classify(q, c_sigma, eps_F, opts):
-    """Trigger decision with a lazy design attempt.
-
-    Returns (mode, cached_bundle, synth_attempted). The SDP is solved
-    only when the decrease test fails and the toggle allows a jump; ties
-    in the decrease test resolve to flow.
-    """
-    b = q.bundle
-    thr = sigma(b.a1, c_sigma)
-    v_now = b.lyapunov(q.x)
-    v_ref = b.lyapunov(q.xhat)
-    decrease_violated = v_now > thr * v_ref * (1.0 + TIE_TOL)
-    if not decrease_violated or q.tau != 1:
-        return IN_C, None, False
-    cand = synthesis.synthesize(q.window, eps_F=eps_F, opts=opts)
-    if cand is None:
-        return IN_C, None, True
-    return IN_D, cand, True
-
-
-def flow_step(q, plant, u):
-    """One physical step: advance the plant, slide the data window."""
-    x_next = plant.step(q.kappa, q.x, u)
-    return HybridState(
-        x=x_next,
-        kappa=q.kappa + 1,
-        window=q.window.push(q.x, u, x_next),
-        bundle=q.bundle,
-        xhat=q.x.copy(),
-        tau=1,
-    )
-
-
-def jump_step(q, new_bundle):
-    """Episode: adopt a fresh design, block immediate re-triggering."""
-    if new_bundle is None:
-        raise InternalError("jump without a synthesized bundle")
-    return HybridState(
-        x=q.x,
-        kappa=q.kappa,
-        window=q.window,
-        bundle=new_bundle,
-        xhat=q.xhat,
-        tau=0,
+def _record(k, j, x, u, bundle, c_sigma, trigger=False, synth_feasible=None,
+            tau=1):
+    """Record of step k; no certificate fields before the first design."""
+    certified = bundle is not None
+    return StepRecord(
+        k=k, j=j, x=x.copy(), u=u,
+        V=bundle.lyapunov(x) if certified and np.all(np.isfinite(x))
+        else None,
+        sigma_a1=sigma(bundle.a1, c_sigma) if certified else None,
+        a1=bundle.a1 if certified else None,
+        trigger=trigger, synth_feasible=synth_feasible, tau=tau,
     )
 
 
@@ -182,124 +133,80 @@ def run(plant, cfg):
     rng = np.random.default_rng(cfg.seed)
     x = (np.ones(plant.nx) if cfg.x0 is None
          else linalg.as_vector(cfg.x0, plant.nx))
-    traj = Trajectory()
-
-    # exploration: open-loop i.i.d. uniform inputs, no certificates yet
+    x_prev = None
     w = DataWindow.empty(plant.nx, plant.nu, t_width)
-    kappa = 0
-    for k in range(t_width):
-        u = rng.uniform(-1.0, 1.0, plant.nu)
-        x_next = plant.step(kappa, x, u)
-        traj.records.append(StepRecord(
-            k=k, j=0, x=x.copy(), u=u.copy(), V=None, sigma_a1=None,
-            a1=None, trigger=False, synth_feasible=None, kappa=kappa,
-            tau=1,
-        ))
-        w = w.push(x, u, x_next)
-        x = x_next
-        kappa += 1
-        if _diverged(x):
-            traj.status = DIVERGED
-            traj.records.append(StepRecord(
-                k=k + 1, j=0, x=x.copy(), u=None, V=None, sigma_a1=None,
-                a1=None, trigger=False, synth_feasible=None, kappa=kappa,
-                tau=1,
-            ))
-            traj.monitor_start = len(traj.records)
-            return traj
+    traj = Trajectory()
+    bundle = None
+    j = 0
+    explore_left = t_width  # open-loop i.i.d. uniform inputs still to apply
+    design_pending = True   # a design waits for the exploration to end
 
-    # forced design at k = T; fall back to the open-loop zero gain when
-    # no feasible design exists
-    bundle = synthesis.synthesize(w, eps_F=cfg.eps_F, opts=opts)
-    first_feasible = bundle is not None
-    if bundle is None:
-        logger.warning("initial design infeasible at k=%d; "
-                       "running with zero fallback gain", t_width)
-        bundle = synthesis.fallback_bundle(w)
-    q = HybridState(x=x, kappa=kappa, window=w, bundle=bundle,
-                    xhat=x.copy(), tau=0)
-    traj.initial_bundle = bundle
-    j = 1 if first_feasible else 0
-    if first_feasible:
-        traj.episodes.append(Episode(k=t_width, j=j, old_bundle=None,
-                                     new_bundle=bundle))
-    traj.monitor_start = len(traj.records)
-
-    k = t_width
-    explore_left = 0
-    design_pending = False
+    k = 0
     while k < cfg.horizon:
-        jumped = (k == t_width and first_feasible)
-        synth_flag = first_feasible if k == t_width else None
-        scheduled = (cfg.mode == TIME_TRIGGERED and k == t_width
-                     and first_feasible)
+        # 1. is a design due? The forced design at k = T and each
+        # scheduled one wait for the end of the exploration before them.
+        if cfg.mode == EVENT_TRIGGERED and k > t_width:
+            # ties in the decrease test resolve to no design
+            due = bundle.lyapunov(x) > sigma(bundle.a1, cfg.c_sigma) * \
+                bundle.lyapunov(x_prev) * (1.0 + TIE_TOL)
+        else:
+            due = design_pending and explore_left == 0
+            design_pending = design_pending and not due
+        # a time-mode tick re-excites the plant for T steps so that the
+        # design window is not rank-deficient closed-loop data
+        scheduled = (cfg.mode == TIME_TRIGGERED and k > t_width
+                     and (k - t_width) % cfg.n_p == 0)
+        if scheduled:
+            explore_left = t_width
+            design_pending = True
 
-        if k > t_width:
-            if cfg.mode == EVENT_TRIGGERED:
-                mode, cand, attempted = classify(q, cfg.c_sigma, cfg.eps_F,
-                                                 opts)
-                if attempted:
-                    synth_flag = cand is not None
-                if mode == IN_D:
-                    old = q.bundle
-                    q = jump_step(q, cand)
-                    j += 1
-                    jumped = True
-                    traj.episodes.append(Episode(k=k, j=j, old_bundle=old,
-                                                 new_bundle=q.bundle))
+        # 2. design; adopt a feasible gain, else keep the current one or,
+        # at the forced design, fall back to the open-loop zero gain
+        jumped = False
+        synth_feasible = None
+        if due:
+            cand = synthesis.synthesize(w, eps_F=cfg.eps_F, opts=opts)
+            synth_feasible = cand is not None
+            if cand is not None:
+                bundle = cand
+                j += 1
+                jumped = True
+                traj.episodes.append(Episode(k=k, j=j, new_bundle=bundle))
+            elif bundle is None:
+                logger.warning("initial design infeasible at k=%d; "
+                               "running with zero fallback gain", k)
+                bundle = synthesis.fallback_bundle(w)
             elif cfg.mode == TIME_TRIGGERED:
-                # a scheduled episode re-excites the plant for T steps so
-                # that the design window is not rank-deficient closed-loop
-                # data, then adopts the new gain when feasible
-                if design_pending and explore_left == 0:
-                    cand = synthesis.synthesize(q.window, eps_F=cfg.eps_F,
-                                                opts=opts)
-                    synth_flag = cand is not None
-                    design_pending = False
-                    if cand is not None:
-                        old = q.bundle
-                        q = jump_step(q, cand)
-                        j += 1
-                        jumped = True
-                        traj.episodes.append(Episode(
-                            k=k, j=j, old_bundle=old, new_bundle=q.bundle))
-                    else:
-                        logger.info("scheduled design infeasible at k=%d; "
-                                    "keeping previous gain", k)
-                if (k - t_width) % cfg.n_p == 0:
-                    scheduled = True
-                    explore_left = t_width
-                    design_pending = True
+                logger.info("scheduled design infeasible at k=%d; "
+                            "keeping previous gain", k)
+            if k == t_width:
+                traj.initial_bundle = bundle
+                traj.monitor_start = len(traj.records)
 
+        # 3. input: exploration or state feedback
         if explore_left > 0:
             u = rng.uniform(-1.0, 1.0, plant.nu)
             explore_left -= 1
         else:
-            u = q.bundle.K @ q.x
-        traj.records.append(StepRecord(
-            k=k, j=j, x=q.x.copy(), u=u.copy(),
-            V=q.bundle.lyapunov(q.x),
-            sigma_a1=sigma(q.bundle.a1, cfg.c_sigma),
-            a1=q.bundle.a1,
-            trigger=scheduled if cfg.mode == TIME_TRIGGERED
-            else (jumped and k > t_width),
-            synth_feasible=synth_flag,
-            kappa=q.kappa,
-            tau=0 if jumped else 1,
-        ))
-        q = flow_step(q, plant, u)
+            u = bundle.K @ x
+
+        # 4. record, then step the plant and the data window
+        trigger = (scheduled or (jumped and k == t_width)
+                   if cfg.mode == TIME_TRIGGERED else jumped and k > t_width)
+        traj.records.append(_record(
+            k, j, x, u, bundle, cfg.c_sigma, trigger=trigger,
+            synth_feasible=synth_feasible, tau=0 if jumped else 1))
+        x_next = plant.step(k, x, u)
+        w = w.push(x, u, x_next)
+        x_prev, x = x, x_next
         k += 1
-        if _diverged(q.x):
+        if _diverged(x):
             traj.status = DIVERGED
             break
 
-    traj.records.append(StepRecord(
-        k=k, j=j, x=q.x.copy(), u=None,
-        V=q.bundle.lyapunov(q.x) if np.all(np.isfinite(q.x)) else None,
-        sigma_a1=sigma(q.bundle.a1, cfg.c_sigma),
-        a1=q.bundle.a1,
-        trigger=False, synth_feasible=None, kappa=q.kappa, tau=1,
-    ))
+    traj.records.append(_record(k, j, x, None, bundle, cfg.c_sigma))
+    if bundle is None:  # diverged while exploring: nothing is certified
+        traj.monitor_start = len(traj.records)
     return traj
 
 
@@ -328,5 +235,5 @@ def write_trajectory_csv(traj, path, nx, nu):
             else:
                 row += [_fmt(float(v)) for v in r.u]
             row += [_fmt(r.V), _fmt(r.sigma_a1), _fmt(r.a1),
-                    _fmt(bool(r.trigger)), _fmt(r.synth_feasible), r.kappa]
+                    _fmt(bool(r.trigger)), _fmt(r.synth_feasible), r.k]
             wtr.writerow(row)

@@ -10,9 +10,9 @@ once per solve, with one barrier weight per row: phase I adds the margin
 variable t as a -t I column over every block and its cap t < t_cap as one
 more 1x1 block, phase II a copy of the determinant block. A path stage only
 changes the weights, and one Newton routine minimizes every stage. A stage
-has converged when its Newton decrement reaches `newton_tol` or when an
+has converged when its Newton decrement reaches NEWTON_TOL or when an
 accepted step decreases the objective only at float-noise level; the
-maximization is Optimal when the path reached mu_max and its last stage
+maximization is Optimal when the path reached MU_MAX and its last stage
 converged.
 """
 
@@ -32,6 +32,14 @@ FEASIBLE = "Feasible"
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
 MAXITER = "MaxIter"
+
+# barrier path: weights 1/mu for mu = MU_INIT, MU_INIT * MU_FACTOR, ...,
+# MU_MAX; a stage stops when the Newton decrement (affine-invariant
+# residual of the barrier subproblem) drops below NEWTON_TOL
+MU_INIT = 1.0
+MU_MAX = 1e6
+MU_FACTOR = 10.0
+NEWTON_TOL = 1e-8
 
 
 @dataclass
@@ -98,11 +106,6 @@ class SdpSolution:
 class SolverOptions:
     strict_margin: float = 1e-6
     max_newton: int = 500
-    mu_init: float = 1.0
-    mu_max: float = 1e6
-    mu_factor: float = 10.0
-    newton_tol: float = 1e-8  # stop a stage when the Newton decrement
-    # (affine-invariant residual of the barrier subproblem) drops below this
     trace_path: str | None = None
 
 
@@ -271,7 +274,7 @@ def _newton(barrier, x, max_steps, tol, early_stop=None):
     return x, steps, residual, False
 
 
-def solve_feasibility(problem, opts=None, x0=None, interior_target=None):
+def solve_feasibility(problem, opts=None, interior_target=None):
     """Decide strict feasibility of all constraint blocks.
 
     Phase-I scheme: maximize t subject to F_i(x) - t*I > 0 (t capped above)
@@ -295,7 +298,7 @@ def solve_feasibility(problem, opts=None, x0=None, interior_target=None):
         return SdpSolution(x=x, status=status, min_margins=margins)
 
     m = problem.num_vars
-    x = np.zeros(m) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(m)
     margins = check_point(problem, x)
     if np.min(margins) >= target:
         return SdpSolution(x=x, status=FEASIBLE, min_margins=margins)
@@ -310,18 +313,18 @@ def solve_feasibility(problem, opts=None, x0=None, interior_target=None):
         return float(np.min(check_point(problem, zv[:m]))) >= target
 
     total = 0
-    mu = opts.mu_init
+    mu = MU_INIT
     margin = -np.inf
-    while mu <= opts.mu_max and total < opts.max_newton and margin < target:
+    while mu <= MU_MAX and total < opts.max_newton and margin < target:
         # objective normalized by mu: minimize -t + (1/mu) * barriers, so
         # line-search decreases stay well above float rounding of the value
         barrier.weights = np.full(len(barrier.constant), 1.0 / mu)
         z, steps, _, _ = _newton(barrier, z, opts.max_newton - total,
-                                 opts.newton_tol, reached)
+                                 NEWTON_TOL, reached)
         total += max(steps, 1)
         margin = float(np.min(check_point(problem, z[:m])))
         trace.add(total, mu, margin, None)
-        mu *= opts.mu_factor
+        mu *= MU_FACTOR
     trace.flush()
 
     x = z[:m]
@@ -336,13 +339,12 @@ def solve_feasibility(problem, opts=None, x0=None, interior_target=None):
                        iterations=total)
 
 
-def solve_maxdet(problem, opts=None, x0=None):
+def solve_maxdet(problem, opts=None):
     """Maximize log det of the designated block over the LMI constraints."""
     opts = opts or SolverOptions()
     if problem.det_block is None:
         raise linalg.InvalidInput("det_block must be set for solve_maxdet")
-    sm = opts.strict_margin
-    phase1 = solve_feasibility(problem, opts, x0=x0, interior_target=sm)
+    phase1 = solve_feasibility(problem, opts)
     if phase1.status != FEASIBLE:
         return phase1
 
@@ -350,30 +352,30 @@ def solve_maxdet(problem, opts=None, x0=None):
     det_fn = problem.constraints[problem.det_block]
     x = phase1.x.copy()
     total = phase1.iterations
-    mu = opts.mu_init
+    mu = MU_INIT
     residual = np.inf
     converged = False
     # Barrier constraints are shifted by strict_margin/2 so accepted points
     # keep at least that margin. The stage objective is normalized by mu
     # (barrier weight 1/mu, unit det term), making the returned gradient
     # norm the KKT residual directly.
-    barrier, det_rows = _phase2_barrier(problem, 0.5 * sm)
-    while mu <= opts.mu_max and total < opts.max_newton:
+    barrier, det_rows = _phase2_barrier(problem, 0.5 * opts.strict_margin)
+    while mu <= MU_MAX and total < opts.max_newton:
         barrier.weights = np.where(det_rows, 1.0, 1.0 / mu)
         x, steps, residual, converged = _newton(
-            barrier, x, opts.max_newton - total, opts.newton_tol
+            barrier, x, opts.max_newton - total, NEWTON_TOL
         )
         total += max(steps, 1)
         l = _chol(det_fn(x))
         logdet = _logdet_from_chol(l) if l is not None else np.nan
         trace.add(total, mu, float(np.min(check_point(problem, x))), logdet)
-        mu *= opts.mu_factor
+        mu *= MU_FACTOR
     trace.flush()
 
     margins = check_point(problem, x)
     l = _chol(det_fn(x))
     logdet = _logdet_from_chol(l) if l is not None else None
-    finished = mu > opts.mu_max
+    finished = mu > MU_MAX
     status = OPTIMAL if finished and converged else MAXITER
     return SdpSolution(x=x, status=status, min_margins=margins,
                        logdet_value=logdet, iterations=total,

@@ -76,7 +76,7 @@ def _walk(traj, plant, c_sigma=0.1):
         v_next = b.lyapunov(rn.x) if np.all(np.isfinite(rn.x)) else np.inf
         thr = sigma(b.a1, c_sigma)
         in_t1.append(v_next <= thr * b.lyapunov(r.x) * (1.0 + BOUND_TOL))
-        a_mat, b_mat = plant.eval(r.kappa)
+        a_mat, b_mat = plant.eval(r.k)
         fb = b.K @ r.x
         if r.u is not None and not np.allclose(r.u, fb, rtol=1e-9,
                                                atol=1e-12):
@@ -187,12 +187,7 @@ def _rebuild_window(traj, idx, width):
     nu_dim = next(r.u.size for r in recs if r.u is not None)
     w = DataWindow.empty(nx, nu_dim, width)
     for i in range(idx - width, idx):
-        w = DataWindow(
-            kappa=recs[i + 1].kappa,
-            Xhat=linalg.shift_append(w.Xhat, recs[i].x),
-            X=linalg.shift_append(w.X, recs[i + 1].x),
-            U=linalg.shift_append(w.U, recs[i].u),
-        )
+        w = w.push(recs[i].x, recs[i].u, recs[i + 1].x)
     return w
 
 
@@ -246,7 +241,7 @@ def thm_diagnostics(traj, lambda_c, lambda_d, plant=None, c_sigma=0.1):
         if w_star is not None:
             cor1 = True
             for r in recs[last_out + 1:]:
-                a_mat, b_mat = plant.eval(r.kappa)
+                a_mat, b_mat = plant.eval(r.k)
                 if not proximity.contains(w_star, b.F, a_mat, b_mat):
                     cor1 = False
                     break

@@ -191,28 +191,37 @@ class PiecewiseFilePlant(LtvPlant):
         raise AssertionError("unreachable")
 
 
+# kind -> (the parameter keys it takes, factory)
 _FACTORIES = {
-    "constant": lambda kw: ConstantLti(a=kw.get("a"), b=kw.get("b")),
-    "switching": lambda kw: SwitchingPlant(
+    "constant": (("a", "b"),
+                 lambda kw: ConstantLti(a=kw.get("a"), b=kw.get("b"))),
+    "switching": (("p", "ell"), lambda kw: SwitchingPlant(
         p=int(kw.get("p", 12)), ell=float(kw.get("ell", 1.0))
-    ),
-    "sinusoidal": lambda kw: SinusoidalPlant(
+    )),
+    "sinusoidal": (("p", "delta_a"), lambda kw: SinusoidalPlant(
         p=int(kw.get("p", 10)), delta_a=float(kw.get("delta_a", 0.8))
-    ),
-    "vanishing": lambda kw: VanishingPerturbationPlant(
+    )),
+    "vanishing": (("p", "t_delta"), lambda kw: VanishingPerturbationPlant(
         p=int(kw.get("p", 10)), t_delta=int(kw.get("t_delta", 30))
-    ),
-    "piecewise_file": lambda kw: PiecewiseFilePlant(kw["path"]),
+    )),
+    "piecewise_file": (("path",), lambda kw: PiecewiseFilePlant(kw["path"])),
 }
 
 
 def make_plant(kind, params=None):
-    """Construct a plant from a config-style kind string and parameter dict."""
+    """Construct a plant from a config-style kind string and parameter dict.
+
+    A parameter the kind does not take is rejected, not ignored.
+    """
     params = params or {}
     try:
-        factory = _FACTORIES[kind]
+        keys, factory = _FACTORIES[kind]
     except KeyError:
         raise linalg.InvalidInput("unknown plant kind %r" % (kind,))
+    for key in params:
+        if key not in keys:
+            raise linalg.InvalidInput("plant kind %r takes no parameter %r"
+                                      % (kind, key))
     try:
         return factory(params)
     except KeyError as exc:

@@ -130,6 +130,10 @@ def test_simulate_seed_override(tmp_path):
 def test_simulate_config_error_exit(tmp_path):
     assert cli.main(["simulate", "--config",
                      str(tmp_path / "nope.cfg")]) == cli.EXIT_CONFIG
+    # delta_a is a sinusoidal parameter; the vanishing plant has no use for it
+    cfg = write_cfg(tmp_path, "[plant]\nkind = vanishing\ndelta_a = 0.4\n")
+    assert cli.main(["simulate", "--config", cfg, "--out",
+                     str(tmp_path / "out")]) == cli.EXIT_CONFIG
 
 
 def test_simulate_diverged_exit(tmp_path):

@@ -4,9 +4,16 @@ import pytest
 from ltvadapt import hybrid, linalg, plants
 
 
-def run_switching(mode="event", seed=53, **kw):
-    cfg = hybrid.ScenarioConfig(mode=mode, horizon=100, seed=seed, **kw)
+def run_switching(mode="event", seed=53, horizon=100, **kw):
+    cfg = hybrid.ScenarioConfig(mode=mode, horizon=horizon, seed=seed, **kw)
     return hybrid.run(plants.SwitchingPlant(), cfg)
+
+
+@pytest.fixture(scope="module")
+def event_run():
+    """One switching-plant event run (seed 53) shared by the read-only
+    tests."""
+    return run_switching(seed=53)
 
 
 def test_sigma_rule():
@@ -23,6 +30,9 @@ def test_config_validation():
     plant = plants.ConstantLti()
     with pytest.raises(linalg.InvalidInput):
         hybrid.ScenarioConfig(horizon=2, T=4).validate(plant)
+    # the forced design at k = T needs a step of its own
+    with pytest.raises(linalg.InvalidInput):
+        hybrid.ScenarioConfig(horizon=4, T=4).validate(plant)
     with pytest.raises(linalg.InvalidInput):
         hybrid.ScenarioConfig(eps_F=1.5).validate(plant)
     with pytest.raises(linalg.InvalidInput):
@@ -30,9 +40,9 @@ def test_config_validation():
     assert hybrid.ScenarioConfig().validate(plant) == 4
 
 
-def test_exploration_protocol():
+def test_exploration_protocol(event_run):
     # the first T inputs come straight from the seeded generator
-    traj = run_switching(seed=53)
+    traj = event_run
     rng = np.random.default_rng(53)
     for r in traj.records[:4]:
         assert np.array_equal(r.u, rng.uniform(-1.0, 1.0, 2))
@@ -41,21 +51,21 @@ def test_exploration_protocol():
     assert traj.monitor_start == 4
 
 
-def test_records_one_per_step():
-    traj = run_switching()
+def test_records_one_per_step(event_run):
+    traj = event_run
     ks = [r.k for r in traj.records]
     assert ks == list(range(len(ks)))
 
 
-def test_toggle_zero_exactly_after_episodes():
-    traj = run_switching()
+def test_toggle_zero_exactly_after_episodes(event_run):
+    traj = event_run
     episode_ks = {e.k for e in traj.episodes}
     for r in traj.records:
         assert (r.tau == 0) == (r.k in episode_ks)
 
 
-def test_event_mode_converges_and_triggers_after_switch():
-    traj = run_switching(seed=53)
+def test_event_mode_converges_and_triggers_after_switch(event_run):
+    traj = event_run
     n = traj.state_norms()
     assert traj.status == hybrid.COMPLETED
     assert n[80:].max() <= 1e-2 * n.max()
@@ -84,6 +94,24 @@ def test_time_mode_triggers_on_schedule():
     assert trigger_ks == [k for k in range(4, 100) if (k - 4) % 12 == 0]
 
 
+@pytest.mark.parametrize("n_p", [2, 4])
+def test_time_mode_period_at_most_T(n_p):
+    # ticks re-excite the plant for T = 4 steps; with n_p < T the next tick
+    # comes first and no scheduled design ever runs, with n_p == T each
+    # design runs on the tick after its own
+    traj = run_switching(mode="time", seed=1, n_p=n_p, horizon=30)
+    ticks = list(range(4 + n_p, 30, n_p))
+    assert [r.k for r in traj.records if r.trigger] == [4] + ticks
+    designs = [r.k for r in traj.records if r.synth_feasible is not None]
+    assert designs == [4] + [t + 4 for t in ticks if n_p >= 4 and t + 4 < 30]
+    rng = np.random.default_rng(1)
+    for r in traj.records[:-1]:
+        if r.k < 4 or r.k >= 4 + n_p:
+            assert np.array_equal(r.u, rng.uniform(-1.0, 1.0, 2))
+        else:
+            assert np.array_equal(r.u, traj.initial_bundle.K @ r.x)
+
+
 def test_time_mode_adopts_after_excitation():
     traj = run_switching(mode="time", seed=0, n_p=12)
     # a jump following a scheduled trigger happens T steps later
@@ -91,24 +119,49 @@ def test_time_mode_adopts_after_excitation():
         assert (e.k - 4 - 4) % 12 == 0
 
 
-def test_jump_preserves_state():
-    traj = run_switching(seed=53)
+def test_jump_preserves_state(event_run):
+    traj = event_run
     for e in traj.episodes[1:]:
         rec = next(r for r in traj.records if r.k == e.k)
         prev = next(r for r in traj.records if r.k == e.k - 1)
-        a_mat, b_mat = plants.SwitchingPlant().eval(prev.kappa)
+        a_mat, b_mat = plants.SwitchingPlant().eval(prev.k)
         assert np.allclose(rec.x, a_mat @ prev.x + b_mat @ prev.u)
 
 
-def test_determinism():
-    t1 = run_switching(seed=53)
+def test_divergence_while_exploring():
+    cfg = hybrid.ScenarioConfig(mode="event", horizon=100, seed=0)
+    traj = hybrid.run(plants.ConstantLti(a=1e4 * np.eye(2)), cfg)
+    assert traj.status == hybrid.DIVERGED
+    assert traj.records[-1].k < 4  # before the forced design at k = T
+    assert all(r.V is None and r.a1 is None for r in traj.records)
+    assert traj.episodes == [] and traj.initial_bundle is None
+    assert traj.monitor_start == len(traj.records)
+
+
+@pytest.mark.parametrize("mode", ["event", "time", "fixed"])
+def test_infeasible_forced_design_falls_back(mode):
+    # B = 0: no gain can stabilize the unstable nominal A
+    plant = plants.ConstantLti(b=np.zeros((2, 2)))
+    cfg = hybrid.ScenarioConfig(mode=mode, horizon=8, seed=3, n_p=2)
+    traj = hybrid.run(plant, cfg)
+    assert traj.initial_bundle.solver_status == "Fallback"
+    assert not np.any(traj.initial_bundle.K)
+    assert traj.episodes == [] and traj.monitor_start == 4
+    assert all(r.j == 0 for r in traj.records)
+    rec = traj.records[4]
+    assert rec.k == 4 and rec.synth_feasible is False and rec.tau == 1
+    assert rec.a1 == traj.initial_bundle.a1
+
+
+def test_determinism(event_run):
+    t1 = event_run
     t2 = run_switching(seed=53)
     assert np.array_equal(t1.state_norms(), t2.state_norms())
     assert [e.k for e in t1.episodes] == [e.k for e in t2.episodes]
 
 
-def test_trajectory_csv(tmp_path):
-    traj = run_switching(seed=53)
+def test_trajectory_csv(tmp_path, event_run):
+    traj = event_run
     path = tmp_path / "traj.csv"
     hybrid.write_trajectory_csv(traj, str(path), 2, 2)
     lines = path.read_text().strip().splitlines()

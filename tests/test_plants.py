@@ -107,6 +107,15 @@ def test_make_plant_factory():
         plants.make_plant("no-such-kind", {})
 
 
+@pytest.mark.parametrize("kind,key", [("vanishing", "delta_a"),
+                                      ("sinusoidal", "ell"),
+                                      ("constant", "p")])
+def test_make_plant_rejects_parameters_of_other_kinds(kind, key):
+    with pytest.raises(linalg.InvalidInput,
+                       match="%r takes no parameter %r" % (kind, key)):
+        plants.make_plant(kind, {key: 0.4})
+
+
 def test_make_plant_constant_uses_given_matrices():
     a = np.array([[0.5, 0.0], [0.2, 0.9]])
     b = np.array([[1.0], [0.0]])
