@@ -104,6 +104,11 @@ class ScenarioConfig:
             raise linalg.InvalidInput("unknown mode %r" % (self.mode,))
         if self.mode == TIME_TRIGGERED and self.n_p < 1:
             raise linalg.InvalidInput("n_p must be positive")
+        # each tick re-excites the plant for T steps before its design runs;
+        # a shorter period restarts that before any scheduled design
+        if self.mode == TIME_TRIGGERED and self.n_p < t:
+            raise linalg.InvalidInput(
+                "n_p (%d) must be at least T (%d)" % (self.n_p, t))
         return t
 
 

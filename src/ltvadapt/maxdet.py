@@ -13,7 +13,14 @@ changes the weights, and one Newton routine minimizes every stage. A stage
 has converged when its Newton decrement reaches NEWTON_TOL or when an
 accepted step decreases the objective only at float-noise level; the
 maximization is Optimal when the path reached MU_MAX and its last stage
-converged.
+converged. Each accepted Newton point is built and factored once: the line
+search's F(x) and barrier value feed the next gradient and Hessian.
+
+Phase I stops early, after any accepted step, once every block's own
+lambda_min reaches the interior target. The blocks are tested in order and
+the test stops at the first one that falls short, which decides exactly
+what the minimum over check_point's margins would (a NaN margin never
+reaches the target).
 """
 
 import csv
@@ -188,27 +195,25 @@ class _Barrier:
     def _matrix(self, x):
         return self.constant + (x @ self.flat).reshape(self.constant.shape)
 
-    def _value(self, x, l):
-        return -2.0 * float(self.weights @ np.log(np.diag(l))) + \
-            float(self.lin @ x)
-
-    def value(self, x):
-        """phi(x), or None where F(x) is not positive definite."""
-        l = _chol(self._matrix(x))
-        return None if l is None else self._value(x, l)
-
-    def terms(self, x):
-        """(value, gradient, Hessian) at x, or None outside the domain."""
+    def point(self, x):
+        """(phi(x), F(x)), or None where F(x) is not positive definite."""
         f = self._matrix(x)
         l = _chol(f)
         if l is None:
             return None
+        value = -2.0 * float(self.weights @ np.log(l.diagonal())) + \
+            float(self.lin @ x)
+        return value, f
+
+    def terms(self, point):
+        """(value, gradient, Hessian) at x, given point = self.point(x)."""
+        value, f = point
         p = np.linalg.inv(f) @ self.coeffs
         wp = self.weights[:, None] * p
         grad = self.lin - np.einsum("kaa->k", wp)
         hess = wp.reshape(len(p), -1) @ \
             p.transpose(0, 2, 1).reshape(len(p), -1).T
-        return self._value(x, l), grad, hess
+        return value, grad, hess
 
 
 def _phase1_barrier(problem, t_cap):
@@ -237,17 +242,20 @@ def _newton(barrier, x, max_steps, tol, early_stop=None):
 
     Returns (x, steps, decrement, converged). The stage converges when the
     Newton decrement reaches tol or when the accepted decrease is at
-    float-noise level, so that no further progress is representable.
+    float-noise level, so that no further progress is representable. F and
+    the value at an accepted point come from the line search, so every
+    point is factored once.
     """
     steps = 0
     residual = np.inf
+    ridge = 1e-10 * np.eye(len(x))
+    point = barrier.point(x)
     while steps < max_steps:
-        terms = barrier.terms(x)
-        if terms is None:
+        if point is None:
             raise SolverBreakdown("iterate left the barrier domain")
-        val, grad, hess = terms
+        val, grad, hess = barrier.terms(point)
         if float(np.linalg.eigvalsh(hess)[0]) < 1e-12:
-            hess = hess + 1e-10 * np.eye(hess.shape[0])
+            hess = hess + ridge
         try:
             d = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError as exc:
@@ -259,8 +267,8 @@ def _newton(barrier, x, max_steps, tol, early_stop=None):
         alpha = 1.0
         gd = float(grad @ d)
         while alpha > 1e-14:
-            vn = barrier.value(x + alpha * d)
-            if vn is not None and vn <= val + 1e-4 * alpha * gd:
+            point = barrier.point(x + alpha * d)
+            if point is not None and point[0] <= val + 1e-4 * alpha * gd:
                 break
             alpha *= 0.5
         if alpha <= 1e-14:
@@ -269,9 +277,17 @@ def _newton(barrier, x, max_steps, tol, early_stop=None):
         steps += 1
         if early_stop is not None and early_stop(x):
             break
-        if val - vn <= 4.0 * np.finfo(float).eps * (1.0 + abs(val)):
+        if val - point[0] <= 4.0 * np.finfo(float).eps * (1.0 + abs(val)):
             return x, steps, residual, True
     return x, steps, residual, False
+
+
+def _reaches(problem, x, target):
+    """Whether every block's lambda_min at x reaches target, i.e.
+    np.min(check_point(problem, x)) >= target (NaN reads as not reached),
+    stopping at the first block that falls short."""
+    return all(float(np.linalg.eigvalsh(f(x))[0]) >= target
+               for f in problem.constraints)
 
 
 def solve_feasibility(problem, opts=None, interior_target=None):
@@ -310,7 +326,7 @@ def solve_feasibility(problem, opts=None, interior_target=None):
     barrier = _phase1_barrier(problem, t_cap)
 
     def reached(zv):
-        return float(np.min(check_point(problem, zv[:m]))) >= target
+        return _reaches(problem, zv[:m], target)
 
     total = 0
     mu = MU_INIT
@@ -366,9 +382,11 @@ def solve_maxdet(problem, opts=None):
             barrier, x, opts.max_newton - total, NEWTON_TOL
         )
         total += max(steps, 1)
-        l = _chol(det_fn(x))
-        logdet = _logdet_from_chol(l) if l is not None else np.nan
-        trace.add(total, mu, float(np.min(check_point(problem, x))), logdet)
+        if trace.path is not None:
+            l = _chol(det_fn(x))
+            logdet = _logdet_from_chol(l) if l is not None else np.nan
+            trace.add(total, mu, float(np.min(check_point(problem, x))),
+                      logdet)
         mu *= MU_FACTOR
     trace.flush()
 

@@ -134,6 +134,11 @@ def test_simulate_config_error_exit(tmp_path):
     cfg = write_cfg(tmp_path, "[plant]\nkind = vanishing\ndelta_a = 0.4\n")
     assert cli.main(["simulate", "--config", cfg, "--out",
                      str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    # a time-mode period shorter than T would never run a scheduled design
+    cfg = write_cfg(tmp_path, "[plant]\nkind = switching\n"
+                    "[run]\nmode = time\nn_p = 2\n")
+    assert cli.main(["simulate", "--config", cfg, "--out",
+                     str(tmp_path / "out")]) == cli.EXIT_CONFIG
 
 
 def test_simulate_diverged_exit(tmp_path):

@@ -97,13 +97,19 @@ def test_time_mode_triggers_on_schedule():
 @pytest.mark.parametrize("n_p", [2, 4])
 def test_time_mode_period_at_most_T(n_p):
     # ticks re-excite the plant for T = 4 steps; with n_p < T the next tick
-    # comes first and no scheduled design ever runs, with n_p == T each
-    # design runs on the tick after its own
+    # would come first and no scheduled design would ever run, so such a
+    # period is rejected; with n_p == T each design runs on the tick after
+    # its own
+    if n_p < 4:
+        with pytest.raises(linalg.InvalidInput,
+                           match=r"n_p \(2\) must be at least T \(4\)"):
+            run_switching(mode="time", seed=1, n_p=n_p, horizon=30)
+        return
     traj = run_switching(mode="time", seed=1, n_p=n_p, horizon=30)
     ticks = list(range(4 + n_p, 30, n_p))
     assert [r.k for r in traj.records if r.trigger] == [4] + ticks
     designs = [r.k for r in traj.records if r.synth_feasible is not None]
-    assert designs == [4] + [t + 4 for t in ticks if n_p >= 4 and t + 4 < 30]
+    assert designs == [4] + [t + 4 for t in ticks if t + 4 < 30]
     rng = np.random.default_rng(1)
     for r in traj.records[:-1]:
         if r.k < 4 or r.k >= 4 + n_p:
@@ -142,7 +148,7 @@ def test_divergence_while_exploring():
 def test_infeasible_forced_design_falls_back(mode):
     # B = 0: no gain can stabilize the unstable nominal A
     plant = plants.ConstantLti(b=np.zeros((2, 2)))
-    cfg = hybrid.ScenarioConfig(mode=mode, horizon=8, seed=3, n_p=2)
+    cfg = hybrid.ScenarioConfig(mode=mode, horizon=8, seed=3, n_p=4)
     traj = hybrid.run(plant, cfg)
     assert traj.initial_bundle.solver_status == "Fallback"
     assert not np.any(traj.initial_bundle.K)

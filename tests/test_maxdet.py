@@ -144,20 +144,29 @@ def per_block_terms(blocks, z, lin):
     return val, grad, hess
 
 
+def value(barrier, z):
+    point = barrier.point(z)
+    return None if point is None else point[0]
+
+
+def terms(barrier, z):
+    return barrier.terms(barrier.point(z))
+
+
 def assert_terms_match(barrier, blocks, z, lin):
-    val, grad, hess = barrier.terms(z)
+    val, grad, hess = terms(barrier, z)
     ref = per_block_terms(blocks, z, lin)
     assert abs(val - ref[0]) <= 1e-10 * (1.0 + abs(ref[0]))
     assert np.allclose(grad, ref[1], rtol=1e-9, atol=1e-9)
     assert np.allclose(hess, ref[2], rtol=1e-9, atol=1e-9)
-    assert barrier.value(z) == val
+    assert value(barrier, z) == val
     # central differences of the value and of the gradient
     h = 1e-6
     for k in range(z.size):
         e = h * np.eye(z.size)[k]
-        fd = (barrier.value(z + e) - barrier.value(z - e)) / (2 * h)
+        fd = (value(barrier, z + e) - value(barrier, z - e)) / (2 * h)
         assert abs(fd - grad[k]) <= 1e-5 * (1.0 + abs(grad[k]))
-        fd = (barrier.terms(z + e)[1] - barrier.terms(z - e)[1]) / (2 * h)
+        fd = (terms(barrier, z + e)[1] - terms(barrier, z - e)[1]) / (2 * h)
         assert np.allclose(fd, hess[k], rtol=1e-5, atol=1e-5)
 
 
@@ -177,7 +186,7 @@ def test_stacked_barrier_phase1():
     assert_terms_match(barrier, [(g, 0.1) for g in ext] + [(cap, 0.1)],
                        z, lin)
     # the cap is part of the stack: t at the cap leaves the domain
-    assert barrier.value(np.append(x, t_cap)) is None
+    assert barrier.point(np.append(x, t_cap)) is None
 
 
 def test_stacked_barrier_phase2():
@@ -240,3 +249,57 @@ def test_no_maxiter_below_cap_on_canonical_designs(monkeypatch):
     assert sum(s.status == maxdet.OPTIMAL for s in sols) > 0
     assert [(s.iterations, s.kkt_residual) for s in sols
             if s.status == maxdet.MAXITER and s.iterations < cap] == []
+
+
+def test_early_stop_matches_min_of_check_point():
+    # the phase-I early stop tests block after block and stops at the first
+    # that falls short; it must decide what the minimum margin decides
+    p = design_problem()
+    m = p.num_vars
+    x0 = maxdet.solve_feasibility(p, interior_target=0.05).x
+    rng = np.random.default_rng(7)
+    targets = [-1.0, 0.0, 1e-6, 0.01, 0.05]
+    points = [x0 + s * rng.standard_normal(m)
+              for s in (0.0, 1e-3, 1e-2, 1e-1, 1.0) for _ in range(8)]
+    # only the last block, the bound varsigma > 0, falls short
+    last = x0.copy()
+    last[0] = -0.01
+    margins = maxdet.check_point(p, last)
+    assert np.all(margins[:-1] >= 1e-6) and margins[-1] < 1e-6
+    points.append(last)
+    decided = set()
+    for x in points:
+        for target in targets:
+            ref = float(np.min(maxdet.check_point(p, x))) >= target
+            assert maxdet._reaches(p, x, target) == ref
+            decided.add(ref)
+    assert decided == {True, False}
+    # a block whose margin is NaN never reaches the target, first or last
+    nan_block = maxdet.AffineMatFn(np.array([[1.0]]), np.zeros((m, 1, 1)))
+    nan_block.constant[0, 0] = np.nan  # as if its entries had overflowed
+    for blocks in ([nan_block] + p.constraints, p.constraints + [nan_block]):
+        q = maxdet.SdpProblem(m, blocks)
+        assert np.isnan(maxdet.check_point(q, x0)).any()
+        ref = float(np.min(maxdet.check_point(q, x0))) >= -1.0
+        assert maxdet._reaches(q, x0, -1.0) == ref
+        assert ref is False
+
+
+def test_newton_factors_each_point_once(monkeypatch):
+    # phi(x) = x - log x from x = 0.9: every Newton step is a full step, so
+    # a stage of s steps factors its start and each accepted point only
+    chol = maxdet._chol
+    calls = []
+
+    def counting_chol(m):
+        calls.append(1)
+        return chol(m)
+
+    monkeypatch.setattr(maxdet, "_chol", counting_chol)
+    barrier = maxdet._Barrier(np.zeros((1, 1)), np.ones((1, 1, 1)),
+                              np.array([1.0]))
+    x, steps, _, converged = maxdet._newton(
+        barrier, np.array([0.9]), 500, 1e-8)
+    assert converged and steps >= 3
+    assert abs(x[0] - 1.0) <= 1e-12
+    assert len(calls) == steps + 1
