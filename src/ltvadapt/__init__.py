@@ -10,8 +10,7 @@ from .plants import (LtvPlant, ConstantLti, SwitchingPlant, SinusoidalPlant,
                      make_plant)
 from .maxdet import (AffineMatFn, SdpProblem, SdpSolution, SolverOptions,
                      SolverBreakdown, solve_feasibility, solve_maxdet)
-from .synthesis import (ControllerBundle, synthesize, is_feasible,
-                        verify_property)
+from .synthesis import ControllerBundle, synthesize, verify_property
 from .hybrid import ScenarioConfig, Trajectory, run
 from .monitor import pi_product, check_bound, thm_diagnostics
 
@@ -20,7 +19,7 @@ __all__ = [
     "SinusoidalPlant", "VanishingPerturbationPlant", "PiecewiseFilePlant",
     "make_plant", "AffineMatFn", "SdpProblem", "SdpSolution",
     "SolverOptions", "SolverBreakdown", "solve_feasibility", "solve_maxdet",
-    "ControllerBundle", "synthesize", "is_feasible",
-    "verify_property", "ScenarioConfig", "Trajectory", "run", "pi_product",
-    "check_bound", "thm_diagnostics", "__version__",
+    "ControllerBundle", "synthesize", "verify_property", "ScenarioConfig",
+    "Trajectory", "run", "pi_product", "check_bound", "thm_diagnostics",
+    "__version__",
 ]

@@ -126,7 +126,10 @@ def build_scenario(cfg_dict, seed_override=None, out_override=None):
     if seed_override is not None:
         seed = seed_override
     ssec = cfg_dict["solver"]
-    opts = maxdet.SolverOptions(**ssec) if ssec else None
+    try:
+        opts = maxdet.SolverOptions(**ssec) if ssec else None
+    except Exception as exc:
+        raise ConfigError("bad solver config: %s" % exc)
     try:
         scen = hybrid.ScenarioConfig(
             mode=mode, seed=seed, x0=x0, solver_options=opts,

@@ -79,20 +79,6 @@ def psd_tolerance(s_or_eigs):
     return 1e-9 * (1.0 + max(float(w[-1]), 0.0))
 
 
-def is_psd(s, tol=None):
-    w, _ = sym_eig(s)
-    if tol is None:
-        tol = psd_tolerance(w)
-    return float(w[0]) >= -tol
-
-
-def is_pd(s, tol=None):
-    w, _ = sym_eig(s)
-    if tol is None:
-        tol = psd_tolerance(w)
-    return float(w[0]) >= tol
-
-
 def pinv(m, tol=None):
     """Moore-Penrose pseudoinverse via eigendecomposition.
 

@@ -111,9 +111,18 @@ class SdpSolution:
 
 @dataclass
 class SolverOptions:
-    strict_margin: float = 1e-6
-    max_newton: int = 500
+    strict_margin: float = 1e-6  # phase-I interior target, in (0, 1)
+    max_newton: int = 500        # Newton step budget per solve, >= 1
     trace_path: str | None = None
+
+    def __post_init__(self):
+        if not 0.0 < self.strict_margin < 1.0:
+            raise linalg.InvalidInput(
+                "strict_margin must lie in (0, 1), got %r"
+                % (self.strict_margin,))
+        if self.max_newton < 1:
+            raise linalg.InvalidInput(
+                "max_newton must be at least 1, got %r" % (self.max_newton,))
 
 
 def check_point(problem, x):

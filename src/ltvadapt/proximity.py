@@ -40,13 +40,6 @@ def is_nonempty(params, tol=None):
     return bool(w[0] >= -tol)
 
 
-def is_bounded(params, tol=None):
-    w, _ = linalg.sym_eig(params.M)
-    if tol is None:
-        tol = linalg.psd_tolerance(params.M)
-    return bool(w[0] >= tol)
-
-
 def dtilde(w, MA, MB):
     """Residual [MA MB] Z - X of a candidate pair against the window."""
     MA = linalg.as_matrix(MA, (w.nx, w.nx))

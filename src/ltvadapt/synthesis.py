@@ -7,9 +7,14 @@ for any plant in the data-consistency set inflated by eps. The design
 problem is a determinant-maximization SDP solved by the in-package
 solver; the product Xhat Y is constrained to be symmetric by restricting
 Y to the null space of the skew-symmetry conditions.
+
+`synthesize` declines a window without building or solving the SDP when
+its data are too small for any design to reach the solver's strict
+margin: ||Xhat||_2^2 < 2 * strict_margin (derived in `synthesize`),
+which includes every window with Xhat = 0. Every other window goes to
+`maxdet.solve_maxdet`.
 """
 
-import json
 import logging
 from dataclasses import dataclass
 
@@ -21,6 +26,9 @@ from .window import DataWindow
 logger = logging.getLogger(__name__)
 
 DEFAULT_EPS_F = 0.1
+
+# status logged when a window is declined by the data bound, before any solve
+DATA_BOUND = "DataBound"
 
 
 @dataclass(frozen=True)
@@ -44,62 +52,6 @@ class ControllerBundle:
     def lyapunov(self, x):
         x = linalg.as_vector(x, self.S.shape[0])
         return float(x @ self.S @ x)
-
-    def to_dict(self):
-        d = {
-            "K": self.K.tolist(),
-            "S": self.S.tolist(),
-            "F": self.F.tolist(),
-            "a1": self.a1,
-            "a2": self.a2,
-            "a": self.a,
-            "varsigma": self.varsigma,
-            "Y": self.Y.tolist(),
-            "H": self.H.tolist(),
-            "eps_F": self.eps_F,
-            "window": {
-                "kappa": self.window.kappa,
-                "Xhat": self.window.Xhat.tolist(),
-                "X": self.window.X.tolist(),
-                "U": self.window.U.tolist(),
-            },
-            "solver_status": self.solver_status,
-            "solver_iterations": self.solver_iterations,
-        }
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        w = DataWindow(
-            kappa=int(d["window"]["kappa"]),
-            Xhat=np.array(d["window"]["Xhat"], dtype=float),
-            X=np.array(d["window"]["X"], dtype=float),
-            U=np.array(d["window"]["U"], dtype=float),
-        )
-        return cls(
-            K=np.array(d["K"], dtype=float),
-            S=np.array(d["S"], dtype=float),
-            F=np.array(d["F"], dtype=float),
-            a1=float(d["a1"]),
-            a2=float(d["a2"]),
-            a=float(d["a"]),
-            varsigma=float(d["varsigma"]),
-            Y=np.array(d["Y"], dtype=float),
-            H=np.array(d["H"], dtype=float),
-            eps_F=float(d["eps_F"]),
-            window=w,
-            solver_status=str(d.get("solver_status", "")),
-            solver_iterations=int(d.get("solver_iterations", 0)),
-        )
-
-    def save_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-
-    @classmethod
-    def load_json(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def fallback_bundle(w):
@@ -262,12 +214,28 @@ def extract_bundle(w, design, solution, eps_F=DEFAULT_EPS_F):
 
 
 def synthesize(w, eps_F=DEFAULT_EPS_F, opts=None):
-    """Attempt a design from window w; None when no feasible design exists."""
-    if float(np.max(np.abs(w.Xhat))) == 0.0:
-        logger.info("design infeasible at kappa=%d (empty data)", w.kappa)
+    """Attempt a design from window w; None when no feasible design exists.
+
+    A window with ||Xhat||_2^2 < 2 * strict_margin is declined (status
+    DATA_BOUND) without building or solving the design problem, because
+    no design on it can reach phase I's target t = strict_margin. Let
+    P = Xhat Y and suppose every block of the design LMIs has
+    lambda_min >= t, 0 < t < 1. The top-left of block 1 gives
+    P >= H + varsigma X X^T + t I >= 2t I, since H >= t I and
+    varsigma >= t. Block 2 minus t I is [[(1 - t) I, Y], [Y^T, P - t I]]
+    >= 0, whose Schur complement gives Y^T Y <= (1 - t)(P - t I)
+    <= (1 - t) P; with ||P|| <= ||Xhat|| ||Y|| this makes
+    2t <= ||P|| <= (1 - t) ||Xhat||^2. A design thus needs
+    ||Xhat||^2 >= 2t / (1 - t); the test's 2t lies below that by a
+    relative t, which absorbs the rounding of the norm and of the
+    solver's margins.
+    """
+    opts = opts or maxdet.SolverOptions()
+    if linalg.spectral_norm(w.Xhat) ** 2 < 2.0 * opts.strict_margin:
+        logger.info("design infeasible at kappa=%d (status %s)",
+                    w.kappa, DATA_BOUND)
         return None
     design = build_design_problem(w)
-    opts = opts or maxdet.SolverOptions()
     try:
         sol = maxdet.solve_maxdet(design.problem, opts)
     except maxdet.SolverBreakdown as exc:
@@ -279,19 +247,6 @@ def synthesize(w, eps_F=DEFAULT_EPS_F, opts=None):
                     w.kappa, sol.status)
         return None
     return extract_bundle(w, design, sol, eps_F=eps_F)
-
-
-def is_feasible(w, opts=None):
-    """Strict feasibility of the design LMIs for window w."""
-    if float(np.max(np.abs(w.Xhat))) == 0.0:
-        return False
-    design = build_design_problem(w)
-    opts = opts or maxdet.SolverOptions()
-    try:
-        sol = maxdet.solve_feasibility(design.problem, opts)
-    except maxdet.SolverBreakdown:
-        return False
-    return sol.status == maxdet.FEASIBLE
 
 
 def decay_rate_bound(bundle, eps):

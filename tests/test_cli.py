@@ -141,6 +141,18 @@ def test_simulate_config_error_exit(tmp_path):
                      str(tmp_path / "out")]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("line", ["strict_margin = 0", "strict_margin = -1e-6",
+                                  "strict_margin = 1", "max_newton = 0"])
+def test_invalid_solver_options_exit(tmp_path, line):
+    cfg = write_cfg(tmp_path, "[plant]\nkind = switching\n[solver]\n%s\n"
+                    % line)
+    key = line.split()[0]
+    with pytest.raises(cli.ConfigError, match=key):
+        cli.build_scenario(cli.parse_config(cfg))
+    assert cli.main(["simulate", "--config", cfg, "--out",
+                     str(tmp_path / "out")]) == cli.EXIT_CONFIG
+
+
 def test_simulate_diverged_exit(tmp_path):
     cfg = write_cfg(tmp_path, """
 [plant]

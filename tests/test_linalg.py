@@ -98,12 +98,6 @@ def test_shift_append():
     assert np.array_equal(out, [[2.0, 5.0], [4.0, 6.0]])
 
 
-def test_pd_checks():
-    assert linalg.is_pd(np.eye(2))
-    assert not linalg.is_pd(np.diag([1.0, -1.0]))
-    assert linalg.is_psd(np.diag([1.0, 0.0]))
-
-
 def test_pd_inverse_round_trip():
     rng = np.random.default_rng(11)
     base = rng.standard_normal((3, 3))

@@ -32,6 +32,20 @@ def test_check_point_margins():
     assert np.allclose(sorted(margins), [1.0, 2.0, 2.0])
 
 
+@pytest.mark.parametrize("key,value", [
+    ("strict_margin", 0.0), ("strict_margin", -1e-6), ("strict_margin", 1.0),
+    ("strict_margin", float("nan")), ("max_newton", 0), ("max_newton", -5),
+])
+def test_solver_options_reject_invalid_values(key, value):
+    with pytest.raises(linalg.InvalidInput, match=key):
+        maxdet.SolverOptions(**{key: value})
+
+
+def test_solver_options_accept_edge_values():
+    opts = maxdet.SolverOptions(strict_margin=0.5, max_newton=1)
+    assert (opts.strict_margin, opts.max_newton) == (0.5, 1)
+
+
 def test_constant_feasibility_exact_rule():
     opts = maxdet.SolverOptions()
     good = maxdet.AffineMatFn(np.eye(2), np.zeros((0, 2, 2)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ltvadapt import linalg, plants, proximity, synthesis
+from ltvadapt import linalg, maxdet, plants, proximity, synthesis
 from ltvadapt.window import DataWindow
 
 
@@ -48,8 +48,9 @@ def test_certificate_relations(bundle):
     b = bundle
     assert abs(b.a1 - (1.0 - b.a)) <= 1e-12
     assert abs(b.a2 - (1.0 + 1.0 / b.varsigma)) <= 1e-9 * b.a2
-    assert linalg.is_pd(b.S)
-    assert linalg.is_pd(b.F)
+    for m in (b.S, b.F):
+        ev = np.linalg.eigvalsh(m)
+        assert ev[0] >= 1e-9 * (1.0 + max(ev[-1], 0.0))
 
 
 def test_eps_F_trades_rate_for_margin():
@@ -60,14 +61,65 @@ def test_eps_F_trades_rate_for_margin():
     assert loose.a1 < tight.a1
 
 
-def test_empty_window_infeasible():
+def scaled_window(w, c):
+    """The window of the same plant with every sample scaled by c."""
+    return DataWindow(kappa=w.kappa, Xhat=c * w.Xhat, X=c * w.X, U=c * w.U)
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Count the calls synthesize makes to maxdet.solve_maxdet."""
+    calls = []
+    orig = maxdet.solve_maxdet
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(maxdet, "solve_maxdet", counting)
+    return calls
+
+
+def test_empty_window_infeasible(solve_calls):
     w = DataWindow.empty(2, 2, 4)
     assert synthesis.synthesize(w) is None
-    assert not synthesis.is_feasible(w)
+    assert solve_calls == []
 
 
-def test_is_feasible_on_good_window():
-    assert synthesis.is_feasible(exploration_window())
+def test_no_feasible_design_below_data_bound():
+    # phase I can reach the target t only if ||Xhat||^2 >= 2t / (1 - t)
+    w = exploration_window()
+    sm = maxdet.SolverOptions().strict_margin
+    n2 = linalg.spectral_norm(w.Xhat) ** 2
+    assert n2 > 1e3 * sm
+    for ratio in (0.999, 0.9, 0.5, 0.1, 1e-3, 1e-8, 1e-30):
+        cw = scaled_window(w, np.sqrt(ratio * 2.0 * sm / n2))
+        assert linalg.spectral_norm(cw.Xhat) ** 2 < 2.0 * sm
+        sol = maxdet.solve_feasibility(
+            synthesis.build_design_problem(cw).problem)
+        assert sol.status != maxdet.FEASIBLE, ratio
+    # well above the bound the same data is feasible again
+    sol = maxdet.solve_feasibility(synthesis.build_design_problem(
+        scaled_window(w, np.sqrt(100.0 * 2.0 * sm / n2))).problem)
+    assert sol.status == maxdet.FEASIBLE
+
+
+def test_synthesize_declines_below_data_bound_without_solving(
+        solve_calls, caplog):
+    w = exploration_window()
+    sm = maxdet.SolverOptions().strict_margin
+    n2 = linalg.spectral_norm(w.Xhat) ** 2
+    with caplog.at_level("INFO", logger="ltvadapt.synthesis"):
+        for ratio in (0.99, 1e-6):
+            cw = scaled_window(w, np.sqrt(ratio * 2.0 * sm / n2))
+            assert synthesis.synthesize(cw) is None
+    assert solve_calls == []
+    assert caplog.text.count(synthesis.DATA_BOUND) == 2
+    # just above the bound the solver decides
+    synthesis.synthesize(scaled_window(w, np.sqrt(1.01 * 2.0 * sm / n2)))
+    assert len(solve_calls) == 1
+    assert synthesis.synthesize(w) is not None
+    assert len(solve_calls) == 2
 
 
 def test_fallback_bundle():
@@ -76,16 +128,6 @@ def test_fallback_bundle():
     assert not b.K.any()
     assert b.a1 == 1.0
     assert b.solver_status == "Fallback"
-
-
-def test_bundle_json_round_trip(bundle, tmp_path):
-    b = bundle
-    path = tmp_path / "bundle.json"
-    b.save_json(str(path))
-    b2 = synthesis.ControllerBundle.load_json(str(path))
-    assert np.array_equal(b.K, b2.K)
-    assert np.array_equal(b.S, b2.S)
-    assert b.a1 == b2.a1 and b.a2 == b2.a2
 
 
 def test_verify_property_zero_violations(bundle):
