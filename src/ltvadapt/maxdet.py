@@ -14,7 +14,11 @@ has converged when its Newton decrement reaches NEWTON_TOL or when an
 accepted step decreases the objective only at float-noise level; the
 maximization is Optimal when the path reached MU_MAX and its last stage
 converged. Each accepted Newton point is built and factored once: the line
-search's F(x) and barrier value feed the next gradient and Hessian.
+search's F(x) and barrier value feed the next gradient and Hessian. The
+Newton system is tested for positive definiteness by Cholesky; a Hessian
+that fails is retried once with a ridge of 1e-12 times its mean diagonal,
+a floor relative to its own scale, so that iterates of any magnitude keep
+full Newton steps, and one that fails again is a SolverBreakdown.
 
 Phase I stops early, after any accepted step, once every block's own
 lambda_min reaches the interior target. The blocks are tested in order and
@@ -32,7 +36,8 @@ from . import linalg
 
 
 class SolverBreakdown(RuntimeError):
-    """Newton system remained singular after regularization."""
+    """The iterate left the barrier domain, or the Newton Hessian failed
+    Cholesky both as is and with its relative ridge."""
 
 
 FEASIBLE = "Feasible"
@@ -80,6 +85,8 @@ class SdpProblem:
     var_bounds: dict | None = None  # {var index: strict lower bound}
 
     def __post_init__(self):
+        # the bound blocks are appended to a copy, never to the caller's list
+        self.constraints = list(self.constraints)
         for f in self.constraints:
             if f.coeffs.shape[0] != self.num_vars:
                 raise linalg.InvalidInput("constraint/variable count mismatch")
@@ -253,22 +260,27 @@ def _newton(barrier, x, max_steps, tol, early_stop=None):
     Newton decrement reaches tol or when the accepted decrease is at
     float-noise level, so that no further progress is representable. F and
     the value at an accepted point come from the line search, so every
-    point is factored once.
+    point is factored once. The Hessian is used as is when Cholesky accepts
+    it; otherwise once more with 1e-12 * trace(H) / n added to its diagonal,
+    and SolverBreakdown is raised if that fails too (a zero Hessian).
     """
     steps = 0
     residual = np.inf
-    ridge = 1e-10 * np.eye(len(x))
     point = barrier.point(x)
     while steps < max_steps:
         if point is None:
             raise SolverBreakdown("iterate left the barrier domain")
         val, grad, hess = barrier.terms(point)
-        if float(np.linalg.eigvalsh(hess)[0]) < 1e-12:
-            hess = hess + ridge
         try:
-            d = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError as exc:
-            raise SolverBreakdown("singular Newton system") from exc
+            np.linalg.cholesky(hess)
+        except np.linalg.LinAlgError:
+            hess = hess + 1e-12 * float(np.trace(hess)) / len(x) * \
+                np.eye(len(x))
+            try:
+                np.linalg.cholesky(hess)
+            except np.linalg.LinAlgError as exc:
+                raise SolverBreakdown("singular Newton system") from exc
+        d = np.linalg.solve(hess, -grad)
         decrement = float(-grad @ d)
         residual = np.sqrt(max(decrement, 0.0))
         if residual <= tol:

@@ -317,3 +317,61 @@ def test_newton_factors_each_point_once(monkeypatch):
     assert converged and steps >= 3
     assert abs(x[0] - 1.0) <= 1e-12
     assert len(calls) == steps + 1
+
+
+def log_barrier(scale, lin):
+    """phi(x) = lin.x - scale * log x_0 over x_0 > 0; the other variables
+    enter no block."""
+    coeffs = np.zeros((len(lin), 1, 1))
+    coeffs[0, 0, 0] = 1.0
+    barrier = maxdet._Barrier(np.zeros((1, 1)), coeffs, np.asarray(lin))
+    barrier.weights = np.array([scale])
+    return barrier
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6, 1e12])
+def test_newton_steps_are_scale_invariant(scale):
+    # phi(x) = x - s log x has its minimum at x = s with Hessian 1/s there;
+    # Newton's method on it is scale-invariant, so every s takes the steps
+    # of s = 1
+    x, steps, _, converged = maxdet._newton(
+        log_barrier(scale, [1.0]), np.array([1.3 * scale]), 500, 1e-8)
+    assert converged and steps <= 10
+    assert abs(x[0] - scale) <= 1e-6 * scale
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e12])
+def test_newton_retries_a_singular_hessian(scale):
+    # x_1 enters no block, so the Hessian's second row and column are zero
+    # and Cholesky fails; the retry with a ridge relative to the Hessian's
+    # own scale still takes full Newton steps in x_0
+    barrier = log_barrier(scale, [1.0, 0.0])
+    z = np.array([1.3 * scale, 0.0])
+    hess = barrier.terms(barrier.point(z))[2]
+    assert np.all(hess[1] == 0.0) and np.all(hess[:, 1] == 0.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(hess)
+    x, steps, _, converged = maxdet._newton(barrier, z, 500, 1e-8)
+    assert converged and steps <= 10
+    assert abs(x[0] - scale) <= 1e-6 * scale and x[1] == 0.0
+
+
+def test_newton_zero_hessian_breaks_down():
+    # no variable enters the block: the Hessian is zero and no ridge
+    # relative to it makes the Newton system solvable
+    barrier = maxdet._Barrier(np.eye(1), np.zeros((1, 1, 1)),
+                              np.array([1.0]))
+    with pytest.raises(maxdet.SolverBreakdown, match="singular"):
+        maxdet._newton(barrier, np.array([0.0]), 500, 1e-8)
+
+
+def test_problem_leaves_the_callers_constraint_list_alone():
+    det = maxdet.AffineMatFn(np.array([[0.0]]), np.array([[[1.0]]]))
+    blocks = [det]
+    p = maxdet.SdpProblem(1, blocks, var_bounds={0: 0.0})
+    q = maxdet.SdpProblem(1, blocks, var_bounds={0: -1.0})
+    assert blocks == [det]
+    # each problem holds its own block and exactly one block per bound
+    for prob, lb in ((p, 0.0), (q, -1.0)):
+        assert len(prob.constraints) == 2 and prob.constraints[0] is det
+        assert prob.constraints[1].constant[0, 0] == -lb

@@ -104,6 +104,24 @@ def test_no_feasible_design_below_data_bound():
     assert sol.status == maxdet.FEASIBLE
 
 
+def test_phase1_decides_above_data_bound_whatever_the_budget():
+    # windows just above the data bound and windows with huge data are
+    # decided, and the decision does not depend on the Newton step budget
+    w = exploration_window()
+    sm = maxdet.SolverOptions().strict_margin
+    n2 = linalg.spectral_norm(w.Xhat) ** 2
+    decided = set()
+    for ratio in (1.01, 1.5, 2.0, 10.0, 1e2, 1e6, 1e12, 1e14):
+        problem = synthesis.build_design_problem(
+            scaled_window(w, np.sqrt(ratio * 2.0 * sm / n2))).problem
+        statuses = {maxdet.solve_feasibility(
+            problem, maxdet.SolverOptions(max_newton=cap)).status
+            for cap in (250, 500, 1000)}
+        assert len(statuses) == 1 and maxdet.MAXITER not in statuses, ratio
+        decided |= statuses
+    assert decided == {maxdet.INFEASIBLE, maxdet.FEASIBLE}
+
+
 def test_synthesize_declines_below_data_bound_without_solving(
         solve_calls, caplog):
     w = exploration_window()
