@@ -75,6 +75,9 @@ def parse_config(path):
             if key not in keys:
                 raise ConfigError("%s:%d: unknown key %r in [%s]"
                                   % (path, lineno, key, section))
+            if key in out[section]:
+                raise ConfigError("%s:%d: duplicate key %r in [%s]"
+                                  % (path, lineno, key, section))
             try:
                 out[section][key] = keys[key](value)
             except ValueError as exc:
@@ -142,8 +145,9 @@ def build_scenario(cfg_dict, seed_override=None, out_override=None):
     return plant, scen, out_dir, osec.get("svg", False)
 
 
-def write_norm_svg(traj, path, width=640, height=360):
-    """Static log-scale plot of ||x(k)|| with episode markers."""
+def write_norm_svg(traj, path):
+    """Static 640 x 360 log-scale plot of ||x(k)|| with episode markers."""
+    width, height = 640, 360
     norms = traj.state_norms()
     ks = [r.k for r in traj.records]
     vals = np.log10(np.maximum(norms, 1e-300))

@@ -100,6 +100,12 @@ class ScenarioConfig:
             raise linalg.InvalidInput("horizon must exceed T")
         if not 0.0 < self.eps_F < 1.0:
             raise linalg.InvalidInput("eps_F must lie in (0, 1)")
+        if not 0.0 < self.c_sigma <= 1.0:
+            raise linalg.InvalidInput("c_sigma must lie in (0, 1]")
+        if self.seed < 0:
+            raise linalg.InvalidInput("seed must be >= 0")
+        if self.x0 is not None:
+            linalg.as_vector(self.x0, plant.nx, name="x0")
         if self.mode not in (EVENT_TRIGGERED, FIXED_GAIN, TIME_TRIGGERED):
             raise linalg.InvalidInput("unknown mode %r" % (self.mode,))
         if self.mode == TIME_TRIGGERED and self.n_p < 1:

@@ -71,45 +71,33 @@ def spectral_norm(m):
     return float(np.sqrt(max(w[-1], 0.0)))
 
 
-def psd_tolerance(s_or_eigs):
-    """Default PSD tolerance: 1e-9 * (1 + lambda_max)."""
-    w = np.asarray(s_or_eigs, dtype=float)
-    if w.ndim == 2:
-        w, _ = sym_eig(w)
-    return 1e-9 * (1.0 + max(float(w[-1]), 0.0))
+def psd_tolerance(eigs):
+    """Default PSD tolerance from ascending eigenvalues:
+    1e-9 * (1 + lambda_max)."""
+    return 1e-9 * (1.0 + max(float(eigs[-1]), 0.0))
 
 
-def pinv(m, tol=None):
-    """Moore-Penrose pseudoinverse via eigendecomposition.
-
-    Symmetric inputs are decomposed directly; otherwise the Gram matrix
-    M^T M is used. `tol` is a threshold on singular values (default
-    max(shape) * eps * sigma_max).
+def pinv(m):
+    """Moore-Penrose pseudoinverse of a symmetric matrix via its
+    eigendecomposition; eigenvalues with |w| <= n * eps * max|w| count as
+    zero. A non-symmetric input raises InvalidInput.
     """
     m = as_matrix(m)
-    if tol is not None and tol < 0:
-        raise InvalidInput("tol must be >= 0")
-    r, c = m.shape
-    if r == c and np.allclose(m, m.T, atol=1e-13 * (1.0 + np.max(np.abs(m)))):
-        w, v = sym_eig(m)
-        smax = np.max(np.abs(w)) if w.size else 0.0
-        cut = tol if tol is not None else r * _EPS * smax
-        inv = np.where(np.abs(w) > cut, 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
-        return (v * inv) @ v.T
-    g = m.T @ m
-    w, v = sym_eig(g)
-    s = np.sqrt(np.clip(w, 0.0, None))
-    smax = s[-1] if s.size else 0.0
-    cut = tol if tol is not None else max(r, c) * _EPS * smax
-    inv2 = np.where(s > cut, 1.0 / np.where(w <= 0.0, 1.0, w), 0.0)
-    return (v * inv2) @ v.T @ m.T
+    n = m.shape[0]
+    if m.shape[1] != n or not np.allclose(
+            m, m.T, atol=1e-13 * (1.0 + np.max(np.abs(m)))):
+        raise InvalidInput("pinv needs a symmetric matrix")
+    w, v = sym_eig(m)
+    cut = n * _EPS * np.max(np.abs(w))
+    inv = np.where(np.abs(w) > cut, 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
+    return (v * inv) @ v.T
 
 
-def inv_sqrt_pd(b, rel_tol=1e-12):
+def inv_sqrt_pd(b):
     """B^(-1/2) of a symmetric positive definite B; raises
-    NotPositiveDefinite when lambda_min <= rel_tol * lambda_max."""
+    NotPositiveDefinite when lambda_min <= 1e-12 * lambda_max."""
     w, v = sym_eig(b)
-    if w[0] <= rel_tol * max(float(w[-1]), rel_tol):
+    if w[0] <= 1e-12 * max(float(w[-1]), 1e-12):
         raise NotPositiveDefinite("matrix is not positive definite")
     return (v / np.sqrt(w)) @ v.T
 

@@ -1,30 +1,33 @@
 """Small-scale determinant maximization under LMI constraints.
 
 Problems are affine symmetric-matrix functions of a real decision vector;
-every constraint block must be positive definite. Feasibility is decided by
-a phase-I max-margin barrier solve, and log-det maximization by the classic
-MAXDET log-barrier path following scheme with damped Newton steps.
+every constraint block must be positive definite. A bound on a variable is
+an ordinary 1x1 block. Feasibility is decided by a phase-I max-margin
+barrier solve, and log-det maximization by the classic MAXDET log-barrier
+path following scheme with damped Newton steps.
 
 Both phases stack their blocks into one block-diagonal affine map, built
 once per solve, with one barrier weight per row: phase I adds the margin
 variable t as a -t I column over every block and its cap t < t_cap as one
-more 1x1 block, phase II a copy of the determinant block. A path stage only
-changes the weights, and one Newton routine minimizes every stage. A stage
-has converged when its Newton decrement reaches NEWTON_TOL or when an
-accepted step decreases the objective only at float-noise level; the
-maximization is Optimal when the path reached MU_MAX and its last stage
-converged. Each accepted Newton point is built and factored once: the line
-search's F(x) and barrier value feed the next gradient and Hessian. The
-Newton system is tested for positive definiteness by Cholesky; a Hessian
-that fails is retried once with a ridge of 1e-12 times its mean diagonal,
-a floor relative to its own scale, so that iterates of any magnitude keep
-full Newton steps, and one that fails again is a SolverBreakdown.
+more 1x1 block, phase II a copy of the determinant block. One path routine
+runs both phases: a stage only changes the weights, and one Newton routine
+minimizes every stage. A stage has converged when its Newton decrement
+reaches NEWTON_TOL or when an accepted step decreases the objective only at
+float-noise level; the maximization is Optimal when the path reached MU_MAX
+and its last stage converged. Each accepted Newton point is built and
+factored once: the line search's F(x) and barrier value feed the next
+gradient and Hessian. The Newton system is tested for positive definiteness
+by Cholesky; a Hessian that fails is retried once with a ridge of 1e-12
+times its mean diagonal, a floor relative to its own scale, so that iterates
+of any magnitude keep full Newton steps, and one that fails again is a
+SolverBreakdown.
 
-Phase I stops early, after any accepted step, once every block's own
-lambda_min reaches the interior target. The blocks are tested in order and
-the test stops at the first one that falls short, which decides exactly
-what the minimum over check_point's margins would (a NaN margin never
-reaches the target).
+Phase I stops, after any accepted step and after each stage, once every
+block's own lambda_min reaches the interior target. The blocks are tested
+in order and the test stops at the first one that falls short, which
+decides exactly what the minimum over check_point's margins would (a NaN
+margin never reaches the target). Stage margins and log-dets are computed
+only for a trace.
 """
 
 import csv
@@ -82,11 +85,8 @@ class SdpProblem:
     num_vars: int
     constraints: list
     det_block: int | None = None
-    var_bounds: dict | None = None  # {var index: strict lower bound}
 
     def __post_init__(self):
-        # the bound blocks are appended to a copy, never to the caller's list
-        self.constraints = list(self.constraints)
         for f in self.constraints:
             if f.coeffs.shape[0] != self.num_vars:
                 raise linalg.InvalidInput("constraint/variable count mismatch")
@@ -94,16 +94,6 @@ class SdpProblem:
             0 <= self.det_block < len(self.constraints)
         ):
             raise linalg.InvalidInput("det_block index out of range")
-        if self.var_bounds:
-            for i, lb in sorted(self.var_bounds.items()):
-                if not 0 <= i < self.num_vars:
-                    raise linalg.InvalidInput("var_bounds index out of range")
-                coeffs = np.zeros((self.num_vars, 1, 1))
-                coeffs[i, 0, 0] = 1.0
-                self.constraints.append(
-                    AffineMatFn(np.array([[-float(lb)]]), coeffs)
-                )
-            self.var_bounds = dict(self.var_bounds)
 
 
 @dataclass
@@ -150,31 +140,17 @@ def _chol(m):
         return None
 
 
-def _logdet_from_chol(l):
-    return 2.0 * float(np.sum(np.log(np.diag(l))))
+def _logdet(fn, x):
+    """log det fn(x), or None where fn(x) is not positive definite."""
+    l = _chol(fn(x))
+    return None if l is None else 2.0 * float(np.sum(np.log(np.diag(l))))
 
 
-class _Trace:
-    """Stage rows of one solve: phase I starts the file, phase II appends."""
-
-    def __init__(self, path, phase):
-        self.rows = []
-        self.path = path
-        self.phase = phase
-        if path is not None and phase == "I":
-            with open(path, "w", newline="") as fh:
-                csv.writer(fh).writerow(
-                    ["phase", "iteration", "mu", "min_margin", "logdet"])
-
-    def add(self, iteration, mu, margin, logdet):
-        if self.path is not None:
-            self.rows.append((self.phase, iteration, mu, margin, logdet))
-
-    def flush(self):
-        if self.path is None or not self.rows:
-            return
-        with open(self.path, "a", newline="") as fh:
-            csv.writer(fh).writerows(self.rows)
+def _write_trace(path, rows, mode="a"):
+    """Write stage rows to the trace file: phase I opens it with the header
+    row (mode "w"), and each phase appends its stage rows."""
+    with open(path, mode, newline="") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def _block_diag(fns):
@@ -311,68 +287,85 @@ def _reaches(problem, x, target):
                for f in problem.constraints)
 
 
-def solve_feasibility(problem, opts=None, interior_target=None):
+def _path(barrier, z, weights, budget, reached=None, stage=None):
+    """Barrier path from z: one Newton stage per mu = MU_INIT, ...,
+    MU_MAX with barrier weights(mu), within budget steps in total. A stage
+    ends early, and the path stops, at a point where reached(z) holds;
+    stage(total, mu, z) runs after each stage. Returns (z, steps, the last
+    stage's Newton decrement, whether the path passed MU_MAX and its last
+    stage converged).
+    """
+    total = 0
+    mu = MU_INIT
+    residual = np.inf
+    converged = False
+    while mu <= MU_MAX and total < budget:
+        barrier.weights = weights(mu)
+        z, steps, residual, converged = _newton(
+            barrier, z, budget - total, NEWTON_TOL, reached)
+        total += max(steps, 1)
+        if stage is not None:
+            stage(total, mu, z)
+        mu *= MU_FACTOR
+        if reached is not None and reached(z):
+            break
+    return z, total, residual, mu > MU_MAX and converged
+
+
+def solve_feasibility(problem, opts=None):
     """Decide strict feasibility of all constraint blocks.
 
     Phase-I scheme: maximize t subject to F_i(x) - t*I > 0 (t capped above)
-    and return Feasible as soon as every margin reaches the target,
-    Infeasible when the barrier path converges below strict_margin.
+    and return Feasible as soon as every margin reaches strict_margin,
+    Infeasible when the barrier path converges below it.
     """
     opts = opts or SolverOptions()
     if not problem.constraints:
         raise linalg.InvalidInput("constraints must be non-empty")
-    sm = opts.strict_margin
-    target = interior_target if interior_target is not None else sm
-    trace = _Trace(opts.trace_path, "I")
-
-    # exact decision for constant problems
-    if problem.num_vars == 0 or all(
-        np.max(np.abs(f.coeffs)) == 0.0 for f in problem.constraints
-    ):
-        x = np.zeros(problem.num_vars)
-        margins = check_point(problem, x)
-        status = FEASIBLE if np.min(margins) >= sm else INFEASIBLE
-        return SdpSolution(x=x, status=status, min_margins=margins)
+    target = opts.strict_margin
+    if opts.trace_path is not None:
+        _write_trace(opts.trace_path, [
+            ("phase", "iteration", "mu", "min_margin", "logdet")], "w")
 
     m = problem.num_vars
     x = np.zeros(m)
     margins = check_point(problem, x)
     if np.min(margins) >= target:
         return SdpSolution(x=x, status=FEASIBLE, min_margins=margins)
+    # a constant problem is decided exactly at x = 0
+    if m == 0 or all(
+        np.max(np.abs(f.coeffs)) == 0.0 for f in problem.constraints
+    ):
+        return SdpSolution(x=x, status=INFEASIBLE, min_margins=margins)
 
     t_cap = max(1.0, 10.0 * target)
     t0 = min(float(np.min(margins)) - 1.0, t_cap - 1.0)
-    z = np.concatenate([x, [t0]])
+    rows = []
 
+    def stage(total, mu, z):
+        rows.append(("I", total, mu,
+                     float(np.min(check_point(problem, z[:m]))), None))
+
+    # objective normalized by mu: minimize -t + (1/mu) * barriers, so
+    # line-search decreases stay well above float rounding of the value
     barrier = _phase1_barrier(problem, t_cap)
-
-    def reached(zv):
-        return _reaches(problem, zv[:m], target)
-
-    total = 0
-    mu = MU_INIT
-    margin = -np.inf
-    while mu <= MU_MAX and total < opts.max_newton and margin < target:
-        # objective normalized by mu: minimize -t + (1/mu) * barriers, so
-        # line-search decreases stay well above float rounding of the value
-        barrier.weights = np.full(len(barrier.constant), 1.0 / mu)
-        z, steps, _, _ = _newton(barrier, z, opts.max_newton - total,
-                                 NEWTON_TOL, reached)
-        total += max(steps, 1)
-        margin = float(np.min(check_point(problem, z[:m])))
-        trace.add(total, mu, margin, None)
-        mu *= MU_FACTOR
-    trace.flush()
+    z, total, _, _ = _path(
+        barrier, np.concatenate([x, [t0]]),
+        lambda mu: np.full(len(barrier.constant), 1.0 / mu),
+        opts.max_newton, lambda z: _reaches(problem, z[:m], target),
+        stage if opts.trace_path is not None else None)
+    if rows:
+        _write_trace(opts.trace_path, rows)
 
     x = z[:m]
     margins = check_point(problem, x)
     if float(np.min(margins)) >= target:
-        return SdpSolution(x=x, status=FEASIBLE, min_margins=margins,
-                           iterations=total)
-    if total >= opts.max_newton:
-        return SdpSolution(x=x, status=MAXITER, min_margins=margins,
-                           iterations=total)
-    return SdpSolution(x=x, status=INFEASIBLE, min_margins=margins,
+        status = FEASIBLE
+    elif total >= opts.max_newton:
+        status = MAXITER
+    else:
+        status = INFEASIBLE
+    return SdpSolution(x=x, status=status, min_margins=margins,
                        iterations=total)
 
 
@@ -385,37 +378,29 @@ def solve_maxdet(problem, opts=None):
     if phase1.status != FEASIBLE:
         return phase1
 
-    trace = _Trace(opts.trace_path, "II")
     det_fn = problem.constraints[problem.det_block]
-    x = phase1.x.copy()
-    total = phase1.iterations
-    mu = MU_INIT
-    residual = np.inf
-    converged = False
+    rows = []
+
+    def stage(total, mu, x):
+        logdet = _logdet(det_fn, x)
+        rows.append(("II", phase1.iterations + total, mu,
+                     float(np.min(check_point(problem, x))),
+                     np.nan if logdet is None else logdet))
+
     # Barrier constraints are shifted by strict_margin/2 so accepted points
     # keep at least that margin. The stage objective is normalized by mu
     # (barrier weight 1/mu, unit det term), making the returned gradient
     # norm the KKT residual directly.
     barrier, det_rows = _phase2_barrier(problem, 0.5 * opts.strict_margin)
-    while mu <= MU_MAX and total < opts.max_newton:
-        barrier.weights = np.where(det_rows, 1.0, 1.0 / mu)
-        x, steps, residual, converged = _newton(
-            barrier, x, opts.max_newton - total, NEWTON_TOL
-        )
-        total += max(steps, 1)
-        if trace.path is not None:
-            l = _chol(det_fn(x))
-            logdet = _logdet_from_chol(l) if l is not None else np.nan
-            trace.add(total, mu, float(np.min(check_point(problem, x))),
-                      logdet)
-        mu *= MU_FACTOR
-    trace.flush()
+    x, total, residual, finished = _path(
+        barrier, phase1.x, lambda mu: np.where(det_rows, 1.0, 1.0 / mu),
+        opts.max_newton - phase1.iterations,
+        stage=stage if opts.trace_path is not None else None)
+    if rows:
+        _write_trace(opts.trace_path, rows)
 
-    margins = check_point(problem, x)
-    l = _chol(det_fn(x))
-    logdet = _logdet_from_chol(l) if l is not None else None
-    finished = mu > MU_MAX
-    status = OPTIMAL if finished and converged else MAXITER
-    return SdpSolution(x=x, status=status, min_margins=margins,
-                       logdet_value=logdet, iterations=total,
+    return SdpSolution(x=x, status=OPTIMAL if finished else MAXITER,
+                       min_margins=check_point(problem, x),
+                       logdet_value=_logdet(det_fn, x),
+                       iterations=phase1.iterations + total,
                        kkt_residual=residual)

@@ -191,7 +191,7 @@ def _rebuild_window(traj, idx, width):
     return w
 
 
-def thm_diagnostics(traj, lambda_c, lambda_d, plant=None, c_sigma=0.1):
+def thm_diagnostics(traj, lambda_c, lambda_d, plant, c_sigma=0.1):
     """Long-run rate fit plus the terminal-set membership check.
 
     lambda_c is the in-C1 contraction rate, lambda_d dominates the other
@@ -201,8 +201,6 @@ def thm_diagnostics(traj, lambda_c, lambda_d, plant=None, c_sigma=0.1):
     if not 0.0 < lambda_c <= 1.0 or lambda_d < lambda_c:
         raise linalg.InvalidInput(
             "need lambda_c in (0, 1] and lambda_d >= lambda_c")
-    if plant is None:
-        raise linalg.InvalidInput("plant access is required for diagnostics")
     walk = _walk(traj, plant, c_sigma)
     recs = walk.records
     k0, j0 = recs[0].k, recs[0].j

@@ -99,6 +99,8 @@ class SinusoidalPlant(LtvPlant):
 
     def __init__(self, p=10, delta_a=0.8):
         super().__init__(2, 2)
+        if p < 1:
+            raise linalg.InvalidInput("period p must be >= 1")
         self.p = int(p)
         self.delta_a = float(delta_a)
 

@@ -33,11 +33,9 @@ def ellipsoid_params(w, F):
     return EllipsoidParams(M=m, Zc=zc, Delta=linalg.symmetrize(delta))
 
 
-def is_nonempty(params, tol=None):
+def is_nonempty(params):
     w, _ = linalg.sym_eig(params.Delta)
-    if tol is None:
-        tol = linalg.psd_tolerance(params.Delta)
-    return bool(w[0] >= -tol)
+    return bool(w[0] >= -linalg.psd_tolerance(w))
 
 
 def dtilde(w, MA, MB):
@@ -51,9 +49,9 @@ def contains(w, F, MA, MB, tol=None):
     """Whether (MA, MB) lies in the consistency set of (w, F)."""
     d = dtilde(w, MA, MB)
     gap = linalg.symmetrize(F - d @ d.T)
-    if tol is None:
-        tol = linalg.psd_tolerance(gap)
     eigs, _ = linalg.sym_eig(gap)
+    if tol is None:
+        tol = linalg.psd_tolerance(eigs)
     return bool(eigs[0] >= -tol)
 
 
@@ -63,12 +61,9 @@ def membership_quadratic(params, zhat):
     return linalg.symmetrize(params.Delta - diff.T @ params.M @ diff)
 
 
-def contains_ellipsoid(params, zhat, tol=None):
-    gap = membership_quadratic(params, zhat)
-    if tol is None:
-        tol = linalg.psd_tolerance(gap)
-    eigs, _ = linalg.sym_eig(gap)
-    return bool(eigs[0] >= -tol)
+def contains_ellipsoid(params, zhat):
+    eigs, _ = linalg.sym_eig(membership_quadratic(params, zhat))
+    return bool(eigs[0] >= -linalg.psd_tolerance(eigs))
 
 
 def min_inflation(w, F, S, A_true, B_true):
@@ -85,24 +80,23 @@ def inflated(F, S, eps):
     return linalg.symmetrize(F + eps * linalg.pd_inverse(S))
 
 
-def _psd_sqrt_and_pinv_sqrt(m, tol=None):
+def _psd_sqrt_and_pinv_sqrt(m):
     w, v = linalg.sym_eig(linalg.symmetrize(m))
-    if tol is None:
-        tol = max(m.shape) * np.finfo(float).eps * max(float(w[-1]), 0.0)
+    tol = max(m.shape) * np.finfo(float).eps * max(float(w[-1]), 0.0)
     w = np.clip(w, 0.0, None)
     root = np.sqrt(w)
     inv_root = np.where(w > tol, 1.0 / np.maximum(root, 1e-300), 0.0)
     return v @ np.diag(root) @ v.T, v @ np.diag(inv_root) @ v.T
 
 
-def sample_members(params, num_samples, rng, boundary_bias=True):
+def sample_members(params, num_samples, rng):
     """Draw members of the ellipsoidal form of the consistency set.
 
     Points are generated as Zhat = Zc + M^(+1/2) V Delta^(1/2) with
     sigma_max(V) <= 1, so the quadratic membership condition holds by
     construction. Directions in the kernel of M are pinned to the center.
-    With boundary_bias the radius is drawn as u^(1/4), concentrating
-    samples near the boundary where violations would show up first.
+    The radius is drawn as u^(1/4), concentrating samples near the
+    boundary where violations would show up first.
     Returns an array of shape (num_samples, rows, cols).
     """
     _, m_pinv_sqrt = _psd_sqrt_and_pinv_sqrt(params.M)
@@ -116,8 +110,7 @@ def sample_members(params, num_samples, rng, boundary_bias=True):
         g[i] = rng.standard_normal((rows, cols))
         if g[i].any():
             r[i] = rng.uniform()
-    if boundary_bias:
-        r = r ** 0.25
+    r = r ** 0.25
     gt = np.swapaxes(g, 1, 2)
     gram = g @ gt if rows <= cols else gt @ g
     s = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))

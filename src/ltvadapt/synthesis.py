@@ -47,7 +47,6 @@ class ControllerBundle:
     eps_F: float
     window: DataWindow
     solver_status: str = ""
-    solver_iterations: int = 0
 
     def lyapunov(self, x):
         x = linalg.as_vector(x, self.S.shape[0])
@@ -173,11 +172,15 @@ def build_design_problem(w):
     c3[1 + d_y:] = h_basis
     hblock = maxdet.AffineMatFn(np.zeros((nx, nx)), c3)
 
+    # block 4: varsigma > 0
+    c4 = np.zeros((nvar, 1, 1))
+    c4[0, 0, 0] = 1.0
+    positive = maxdet.AffineMatFn(np.zeros((1, 1)), c4)
+
     problem = maxdet.SdpProblem(
         num_vars=nvar,
-        constraints=[lmi1, lmi2, hblock],
+        constraints=[lmi1, lmi2, hblock, positive],
         det_block=2,
-        var_bounds={0: 0.0},
     )
     return _DesignProblem(problem=problem, y_basis=y_basis, h_basis=h_basis)
 
@@ -209,7 +212,6 @@ def extract_bundle(w, design, solution, eps_F=DEFAULT_EPS_F):
         eps_F=eps_F,
         window=w,
         solver_status=solution.status,
-        solver_iterations=solution.iterations,
     )
 
 

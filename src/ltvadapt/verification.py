@@ -301,13 +301,15 @@ def _random_2var_maxdet(rng):
     c1 = 0.1 * linalg.symmetrize(rng.standard_normal((d, d)))
     c2 = 0.1 * linalg.symmetrize(rng.standard_normal((d, d)))
     det = maxdet.AffineMatFn(d0, np.stack([c1, c2]))
-    caps = []
-    for i in range(2):
-        coef = np.zeros((2, 1, 1))
-        coef[i, 0, 0] = -1.0
-        caps.append(maxdet.AffineMatFn(np.array([[ub[i]]]), coef))
-    problem = maxdet.SdpProblem(num_vars=2, constraints=[det] + caps,
-                                det_block=0, var_bounds={0: 0.0, 1: 0.0})
+    # the caps ub_i - x_i > 0, then the lower bounds x_i > 0
+    box = []
+    for sign, const in ((-1.0, ub), (1.0, np.zeros(2))):
+        for i in range(2):
+            coef = np.zeros((2, 1, 1))
+            coef[i, 0, 0] = sign
+            box.append(maxdet.AffineMatFn(np.array([[const[i]]]), coef))
+    problem = maxdet.SdpProblem(num_vars=2, constraints=[det] + box,
+                                det_block=0)
     return problem, ub, det
 
 

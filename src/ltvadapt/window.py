@@ -1,6 +1,5 @@
 """Sliding window of input/state data used for controller synthesis."""
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,13 +66,6 @@ class DataWindow:
         """Stacked regressor Z = [Xhat; U]."""
         return np.vstack([self.Xhat, self.U])
 
-    def z_rank(self, tol=None):
-        z = self.z_matrix()
-        w, _ = linalg.sym_eig(z @ z.T)
-        if tol is None:
-            tol = max(z.shape) * np.finfo(float).eps * max(float(w[-1]), 0.0)
-        return int(np.sum(w > max(tol, 0.0)))
-
     def consistency_residual(self, stacked):
         """Spectral norm of X - calA N(Xhat) - calB N(U).
 
@@ -83,14 +75,3 @@ class DataWindow:
         pred = stacked.calA @ linalg.n_map(self.Xhat)
         pred = pred + stacked.calB @ linalg.n_map(self.U)
         return linalg.spectral_norm(self.X - pred)
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["kappa", self.kappa])
-            w.writerow(["block", "rows", "cols"])
-            for name, m in (("Xhat", self.Xhat), ("X", self.X),
-                            ("U", self.U)):
-                w.writerow([name, m.shape[0], m.shape[1]])
-                for row in m:
-                    w.writerow(["%.17g" % v for v in row])

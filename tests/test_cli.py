@@ -49,6 +49,10 @@ def test_parse_config_errors(tmp_path):
         cli.parse_config(write_cfg(tmp_path, "[run]\nseed = abc\n"))
     with pytest.raises(cli.ConfigError):
         cli.parse_config(write_cfg(tmp_path, "seed = 1\n"))
+    path = write_cfg(tmp_path, "[run]\nseed = 1\nseed = 2\n")
+    with pytest.raises(cli.ConfigError,
+                       match=r"scen\.cfg:3: duplicate key 'seed' in \[run\]"):
+        cli.parse_config(path)
 
 
 def test_svg_flag_values(tmp_path):
@@ -139,6 +143,14 @@ def test_simulate_config_error_exit(tmp_path):
                     "[run]\nmode = time\nn_p = 2\n")
     assert cli.main(["simulate", "--config", cfg, "--out",
                      str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    # values that used to fail only mid-run, with a traceback and exit 1
+    for text in ("[plant]\nkind = switching\n[run]\nx0 = 1, 1, 1\n",
+                 "[plant]\nkind = switching\n[run]\nc_sigma = 1.5\n",
+                 "[plant]\nkind = switching\n[run]\nseed = -1\n",
+                 "[plant]\nkind = sinusoidal\np = 0\n"):
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main(["simulate", "--config", cfg, "--out",
+                         str(tmp_path / "out")]) == cli.EXIT_CONFIG
 
 
 @pytest.mark.parametrize("line", ["strict_margin = 0", "strict_margin = -1e-6",

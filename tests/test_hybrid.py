@@ -37,6 +37,13 @@ def test_config_validation():
         hybrid.ScenarioConfig(eps_F=1.5).validate(plant)
     with pytest.raises(linalg.InvalidInput):
         hybrid.ScenarioConfig(mode="time", n_p=0).validate(plant)
+    # values that would otherwise fail only once the run is under way
+    for bad in ({"x0": np.ones(3)}, {"x0": np.array([1.0, np.nan])},
+                {"c_sigma": 0.0}, {"c_sigma": 1.5}, {"seed": -1}):
+        with pytest.raises(linalg.InvalidInput):
+            hybrid.ScenarioConfig(**bad).validate(plant)
+    assert hybrid.ScenarioConfig(c_sigma=1.0, x0=np.ones(2)).validate(
+        plant) == 4
     assert hybrid.ScenarioConfig().validate(plant) == 4
 
 

@@ -51,6 +51,12 @@ def test_pinv_rank_deficient():
     assert np.allclose(p @ m @ p, p, atol=1e-12)
 
 
+def test_pinv_rejects_non_symmetric():
+    for m in (np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones((2, 3))):
+        with pytest.raises(linalg.InvalidInput, match="symmetric"):
+            linalg.pinv(m)
+
+
 def test_spectral_norm():
     assert abs(linalg.spectral_norm(np.array([[3.0, 0.0], [0.0, -4.0]]))
                - 4.0) < 1e-12

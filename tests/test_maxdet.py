@@ -15,8 +15,9 @@ def one_var_det_problem():
         np.array([[[2.0, 0.0], [0.0, -1.0]]]),
     )
     cap = maxdet.AffineMatFn(np.array([[3.0]]), np.array([[[-1.0]]]))
-    return maxdet.SdpProblem(num_vars=1, constraints=[det, cap],
-                             det_block=0, var_bounds={0: 0.0})
+    bound = maxdet.AffineMatFn(np.array([[0.0]]), np.array([[[1.0]]]))
+    return maxdet.SdpProblem(num_vars=1, constraints=[det, cap, bound],
+                             det_block=0)
 
 
 def test_affine_mat_fn_symmetrizes():
@@ -90,8 +91,9 @@ def test_maxdet_two_var_closed_form():
             [[0.0, 0, 0], [0, 1.0, 0], [0, 0, -1.0]],
         ]),
     )
-    p = maxdet.SdpProblem(2, [det], det_block=0,
-                          var_bounds={0: 0.0, 1: 0.0})
+    bounds = [maxdet.AffineMatFn(np.array([[0.0]]), e[:, None, None])
+              for e in np.eye(2)]
+    p = maxdet.SdpProblem(2, [det] + bounds, det_block=0)
     sol = maxdet.solve_maxdet(p, maxdet.SolverOptions())
     assert sol.status == maxdet.OPTIMAL
     assert np.allclose(sol.x, [4.0 / 3.0, 4.0 / 3.0], atol=1e-3)
@@ -108,13 +110,6 @@ def test_maxdet_requires_det_block():
     p.det_block = None
     with pytest.raises(linalg.InvalidInput):
         maxdet.solve_maxdet(p)
-
-
-def test_var_bounds_become_blocks():
-    p = one_var_det_problem()
-    # the lower bound x > 0 is encoded as an extra 1x1 block
-    assert len(p.constraints) == 3
-    assert p.constraints[-1].dim == 1
 
 
 def test_solver_trace(tmp_path):
@@ -205,7 +200,8 @@ def test_stacked_barrier_phase1():
 
 def test_stacked_barrier_phase2():
     p = design_problem()
-    x = maxdet.solve_feasibility(p, interior_target=0.05).x
+    x = maxdet.solve_feasibility(
+        p, maxdet.SolverOptions(strict_margin=0.05)).x
     shift, mu = 0.01, 100.0
     barrier, det_rows = maxdet._phase2_barrier(p, shift)
     barrier.weights = np.where(det_rows, 1.0, 1.0 / mu)
@@ -270,7 +266,8 @@ def test_early_stop_matches_min_of_check_point():
     # that falls short; it must decide what the minimum margin decides
     p = design_problem()
     m = p.num_vars
-    x0 = maxdet.solve_feasibility(p, interior_target=0.05).x
+    x0 = maxdet.solve_feasibility(
+        p, maxdet.SolverOptions(strict_margin=0.05)).x
     rng = np.random.default_rng(7)
     targets = [-1.0, 0.0, 1e-6, 0.01, 0.05]
     points = [x0 + s * rng.standard_normal(m)
@@ -363,15 +360,3 @@ def test_newton_zero_hessian_breaks_down():
                               np.array([1.0]))
     with pytest.raises(maxdet.SolverBreakdown, match="singular"):
         maxdet._newton(barrier, np.array([0.0]), 500, 1e-8)
-
-
-def test_problem_leaves_the_callers_constraint_list_alone():
-    det = maxdet.AffineMatFn(np.array([[0.0]]), np.array([[[1.0]]]))
-    blocks = [det]
-    p = maxdet.SdpProblem(1, blocks, var_bounds={0: 0.0})
-    q = maxdet.SdpProblem(1, blocks, var_bounds={0: -1.0})
-    assert blocks == [det]
-    # each problem holds its own block and exactly one block per bound
-    for prob, lb in ((p, 0.0), (q, -1.0)):
-        assert len(prob.constraints) == 2 and prob.constraints[0] is det
-        assert prob.constraints[1].constant[0, 0] == -lb

@@ -49,6 +49,13 @@ def test_sinusoidal_periodicity():
     assert np.allclose(a0, a1, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["switching", "sinusoidal", "vanishing"])
+def test_period_below_one_is_rejected(kind):
+    # a sinusoidal period p = 0 would divide by zero at the first step
+    with pytest.raises(linalg.InvalidInput, match="p must be >= 1"):
+        plants.make_plant(kind, {"p": 0})
+
+
 def test_vanishing_perturbation():
     p = plants.VanishingPerturbationPlant(p=10, t_delta=30)
     a_end, _ = p.eval(30)

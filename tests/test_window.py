@@ -29,10 +29,6 @@ def test_z_matrix_and_rank():
     w = DataWindow(kappa=2, Xhat=np.array([[1.0, 0.0]]),
                    X=np.array([[0.5, 0.5]]), U=np.array([[0.0, 1.0]]))
     assert np.array_equal(w.z_matrix(), [[1.0, 0.0], [0.0, 1.0]])
-    assert w.z_rank() == 2
-    w_lr = DataWindow(kappa=2, Xhat=np.array([[1.0, 2.0]]),
-                      X=np.array([[0.5, 1.0]]), U=np.array([[2.0, 4.0]]))
-    assert w_lr.z_rank() == 1
 
 
 def test_consistency_residual_scalar_lti():
@@ -58,11 +54,3 @@ def test_window_shape_validation():
     with pytest.raises(linalg.InvalidInput):
         DataWindow(kappa=0, Xhat=np.zeros((2, 3)), X=np.zeros((2, 4)),
                    U=np.zeros((1, 3)))
-
-
-def test_write_csv(tmp_path):
-    w = DataWindow.empty(1, 1, 2).push([1.0], [0.5], [2.0])
-    path = tmp_path / "w.csv"
-    w.write_csv(str(path))
-    text = path.read_text()
-    assert "xhat" in text.lower() or "Xhat" in text
