@@ -71,12 +71,6 @@ def spectral_norm(m):
     return float(np.sqrt(max(w[-1], 0.0)))
 
 
-def psd_tolerance(eigs):
-    """Default PSD tolerance from ascending eigenvalues:
-    1e-9 * (1 + lambda_max)."""
-    return 1e-9 * (1.0 + max(float(eigs[-1]), 0.0))
-
-
 def pinv(m):
     """Moore-Penrose pseudoinverse of a symmetric matrix via its
     eigendecomposition; eigenvalues with |w| <= n * eps * max|w| count as

@@ -5,10 +5,15 @@ analysis-side quantities that need the true matrices), compute the
 per-jump growth factor nu_d, the per-step contraction factors theta, the
 running certificate product pi, the step bound check, and the long-run
 rate diagnostics with the membership test of the consistency set.
+
+The product pi uses sigma(a1) on every step in the decrease set T1 and a
+contraction factor theta only on the steps outside it, so theta (exact,
+or data-based a1 + a2 * eps) is evaluated only outside T1. V is read
+from the trajectory's records.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,13 +39,6 @@ def theta_exact(a, b, k_gain, s):
     return float(linalg.gen_eig_max(linalg.symmetrize(acl.T @ s @ acl), s))
 
 
-def theta_databased(eps, a1, a2):
-    """Contraction bound from the certificate alone."""
-    if eps < 0:
-        raise linalg.InvalidInput("inflation must be nonnegative")
-    return a1 + a2 * eps
-
-
 @dataclass
 class _StepWalk:
     """Per-step quantities shared by pi products and diagnostics."""
@@ -48,10 +46,33 @@ class _StepWalk:
     records: list
     bundles: list            # bundle in effect at each monitored record
     in_T1: list              # decrease branch flag per step (departure)
-    th_exact: list           # per step
-    th_databased: list       # per step (exact fallback where inapplicable)
+    th_exact: dict           # step index -> factor, steps outside T1 only
+    th_databased: dict       # same steps (exact fallback where inapplicable)
     nu_events: list          # (record index, nu_d) at jumps
-    v_seq: list              # V(x, S) per record with its own bundle
+
+
+def _factors(plant, r, b, first, v_cur, v_next):
+    """Exact and data-based contraction factors of the step departing
+    record r under bundle b; v_cur and v_next are V(., b.S) at its ends."""
+    fb = b.K @ r.x
+    if r.u is not None and not np.allclose(r.u, fb, rtol=1e-9, atol=1e-12):
+        # open-loop excitation step (scheduled re-exploration): the
+        # feedback decay factor does not apply, so both modes fall
+        # back to the realized one-step ratio of V
+        if v_cur > 0.0:
+            ratio = v_next / v_cur
+        else:
+            ratio = np.inf if v_next > 0.0 else 1.0
+        return ratio, ratio
+    a_mat, b_mat = plant.eval(r.k)
+    te = theta_exact(a_mat, b_mat, b.K, b.S)
+    # the data-based bound needs a certificate produced by a triggered
+    # design; the initial bundle (the zero-gain fallback included, which
+    # only the forced design creates) is monitored with the exact factor
+    if b is first:
+        return te, te
+    eps = proximity.min_inflation(b.window, b.F, b.S, a_mat, b_mat)
+    return te, b.rate(eps)
 
 
 def _walk(traj, plant, c_sigma=0.1):
@@ -67,46 +88,21 @@ def _walk(traj, plant, c_sigma=0.1):
         bundles.append(current)
 
     first = bundles[0]
-    in_t1, th_e, th_d, nus = [], [], [], []
-    v_seq = [b.lyapunov(r.x) if np.all(np.isfinite(r.x)) else np.inf
-             for r, b in zip(recs, bundles)]
+    in_t1, th_e, th_d, nus = [], {}, {}, []
     for i in range(len(recs) - 1):
         b = bundles[i]
         r, rn = recs[i], recs[i + 1]
+        # the record's V uses its own bundle; the successor is measured
+        # with b too, since the bundle changes at jumps
         v_next = b.lyapunov(rn.x) if np.all(np.isfinite(rn.x)) else np.inf
         thr = sigma(b.a1, c_sigma)
-        in_t1.append(v_next <= thr * b.lyapunov(r.x) * (1.0 + BOUND_TOL))
-        a_mat, b_mat = plant.eval(r.k)
-        fb = b.K @ r.x
-        if r.u is not None and not np.allclose(r.u, fb, rtol=1e-9,
-                                               atol=1e-12):
-            # open-loop excitation step (scheduled re-exploration): the
-            # feedback decay factor does not apply, so both modes fall
-            # back to the realized one-step ratio of V
-            v_cur = v_seq[i]
-            if v_cur > 0.0:
-                ratio = v_next / v_cur
-            else:
-                ratio = np.inf if v_next > 0.0 else 1.0
-            th_e.append(ratio)
-            th_d.append(ratio)
-        else:
-            te = theta_exact(a_mat, b_mat, b.K, b.S)
-            th_e.append(te)
-            # the data-based bound needs a certificate produced by a
-            # triggered design; the initial (or fallback) bundle is
-            # monitored with the exact factor instead
-            if b is first or b.a2 == 0.0:
-                th_d.append(te)
-            else:
-                eps = proximity.min_inflation(b.window, b.F, b.S, a_mat,
-                                              b_mat)
-                th_d.append(theta_databased(eps, b.a1, b.a2))
-        if rn.tau == 0 and bundles[i + 1] is not bundles[i]:
+        in_t1.append(v_next <= thr * r.V * (1.0 + BOUND_TOL))
+        if not in_t1[-1]:
+            th_e[i], th_d[i] = _factors(plant, r, b, first, r.V, v_next)
+        if rn.tau == 0 and bundles[i + 1] is not b:
             nus.append((i + 1, nu_d(b.S, bundles[i + 1].S)))
     return _StepWalk(records=recs, bundles=bundles, in_T1=in_t1,
-                     th_exact=th_e, th_databased=th_d, nu_events=nus,
-                     v_seq=v_seq)
+                     th_exact=th_e, th_databased=th_d, nu_events=nus)
 
 
 def pi_product(traj, plant, mode=EXACT, c_sigma=0.1):
@@ -149,19 +145,15 @@ class DiagnosticsReport:
     pi_databased: np.ndarray
     bound_ok: list
     T1_membership: list
-    lambda_c: float
-    lambda_d: float
     thm4_lhs: np.ndarray
     m1: float
     m2: float
     Tstar_estimate: int | None
     cor1_membership: bool | None
-    nu_d_events: list = field(default_factory=list)
-    theta_events: list = field(default_factory=list)
-    theta_exact_seq: list = field(default_factory=list)
-    theta_databased_seq: list = field(default_factory=list)
-    v_seq: list = field(default_factory=list)
-    records: list = field(default_factory=list)
+    nu_d_events: list
+    theta_exact: dict        # step index -> factor, steps outside T1 only
+    theta_databased: dict
+    records: list
 
 
 def default_rates(traj, plant, c_sigma=0.1):
@@ -170,9 +162,8 @@ def default_rates(traj, plant, c_sigma=0.1):
     lam_c = max(sigma(b.a1, c_sigma) for b in walk.bundles)
     lam_c = min(lam_c, 1.0)
     lam_d = lam_c
-    for th, flag in zip(walk.th_exact, walk.in_T1):
-        if not flag:
-            lam_d = max(lam_d, th)
+    for th in walk.th_exact.values():
+        lam_d = max(lam_d, th)
     for _, nu in walk.nu_events:
         lam_d = max(lam_d, nu)
     return lam_c, lam_d
@@ -220,10 +211,7 @@ def thm_diagnostics(traj, lambda_c, lambda_d, plant, c_sigma=0.1):
 
     # T*: physical time after which every step stays in the decrease branch
     tstar = None
-    last_out = -1
-    for i, flag in enumerate(walk.in_T1):
-        if not flag:
-            last_out = i
+    last_out = max(walk.th_exact, default=-1)  # last step outside T1
     if last_out + 1 < len(recs):
         tstar = recs[last_out + 1].k
 
@@ -249,29 +237,24 @@ def thm_diagnostics(traj, lambda_c, lambda_d, plant, c_sigma=0.1):
         pi_exact=pi_e,
         pi_databased=_pi_from_walk(walk, walk.th_databased, c_sigma),
         bound_ok=check_bound(traj, pi_e),
-        T1_membership=list(walk.in_T1),
-        lambda_c=lambda_c,
-        lambda_d=lambda_d,
+        T1_membership=walk.in_T1,
         thm4_lhs=lhs,
         m1=m1,
         m2=m2,
         Tstar_estimate=tstar,
         cor1_membership=cor1,
-        nu_d_events=list(walk.nu_events),
-        theta_events=[(i, th) for i, (th, flag) in
-                      enumerate(zip(walk.th_exact, walk.in_T1)) if not flag],
-        theta_exact_seq=list(walk.th_exact),
-        theta_databased_seq=list(walk.th_databased),
-        v_seq=list(walk.v_seq),
+        nu_d_events=walk.nu_events,
+        theta_exact=walk.th_exact,
+        theta_databased=walk.th_databased,
         records=recs,
     )
 
 
 def write_diagnostics_csv(report, path):
     """One row per monitored record; step-indexed columns sit on the
-    departure row and stay blank on the final record."""
+    departure row and stay blank on the final record, and the theta
+    columns are filled only on steps outside T1 (in_C1 = 0)."""
     nus = dict(report.nu_d_events)
-    out_steps = {i for i, _ in report.theta_events}
     with open(path, "w", newline="") as fh:
         wtr = csv.writer(fh)
         wtr.writerow(["k", "j", "V", "pi_exact", "pi_databased", "in_C1",
@@ -282,15 +265,15 @@ def write_diagnostics_csv(report, path):
             is_step = i < n - 1
             row = [
                 r.k, r.j,
-                "%.17g" % report.v_seq[i],
+                "%.17g" % (r.V if r.V is not None else np.inf),
                 "%.17g" % report.pi_exact[i],
                 "%.17g" % report.pi_databased[i],
                 ("1" if report.T1_membership[i] else "0") if is_step else "",
                 "%.17g" % nus[i] if i in nus else "",
-                "%.17g" % report.theta_exact_seq[i]
-                if is_step and i in out_steps else "",
-                "%.17g" % report.theta_databased_seq[i]
-                if is_step and i in out_steps else "",
+                "%.17g" % report.theta_exact[i]
+                if i in report.theta_exact else "",
+                "%.17g" % report.theta_databased[i]
+                if i in report.theta_databased else "",
                 "%.17g" % report.thm4_lhs[i],
             ]
             wtr.writerow(row)

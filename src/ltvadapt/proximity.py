@@ -33,9 +33,17 @@ def ellipsoid_params(w, F):
     return EllipsoidParams(M=m, Zc=zc, Delta=linalg.symmetrize(delta))
 
 
+def _psd(m, tol=None):
+    """Whether symmetric m has lambda_min >= -tol; the default tol is
+    1e-9 * (1 + lambda_max^+)."""
+    eigs, _ = linalg.sym_eig(m)
+    if tol is None:
+        tol = 1e-9 * (1.0 + max(float(eigs[-1]), 0.0))
+    return bool(eigs[0] >= -tol)
+
+
 def is_nonempty(params):
-    w, _ = linalg.sym_eig(params.Delta)
-    return bool(w[0] >= -linalg.psd_tolerance(w))
+    return _psd(params.Delta)
 
 
 def dtilde(w, MA, MB):
@@ -48,11 +56,7 @@ def dtilde(w, MA, MB):
 def contains(w, F, MA, MB, tol=None):
     """Whether (MA, MB) lies in the consistency set of (w, F)."""
     d = dtilde(w, MA, MB)
-    gap = linalg.symmetrize(F - d @ d.T)
-    eigs, _ = linalg.sym_eig(gap)
-    if tol is None:
-        tol = linalg.psd_tolerance(eigs)
-    return bool(eigs[0] >= -tol)
+    return _psd(linalg.symmetrize(F - d @ d.T), tol)
 
 
 def membership_quadratic(params, zhat):
@@ -62,8 +66,7 @@ def membership_quadratic(params, zhat):
 
 
 def contains_ellipsoid(params, zhat):
-    eigs, _ = linalg.sym_eig(membership_quadratic(params, zhat))
-    return bool(eigs[0] >= -linalg.psd_tolerance(eigs))
+    return _psd(membership_quadratic(params, zhat))
 
 
 def min_inflation(w, F, S, A_true, B_true):

@@ -42,7 +42,6 @@ class ControllerBundle:
     a2: float
     a: float
     varsigma: float
-    Y: np.ndarray
     H: np.ndarray
     eps_F: float
     window: DataWindow
@@ -51,6 +50,13 @@ class ControllerBundle:
     def lyapunov(self, x):
         x = linalg.as_vector(x, self.S.shape[0])
         return float(x @ self.S @ x)
+
+    def rate(self, eps):
+        """Certified contraction factor a1 + a2 * eps for plants within
+        inflation eps."""
+        if eps < 0:
+            raise linalg.InvalidInput("inflation must be nonnegative")
+        return self.a1 + self.a2 * eps
 
 
 def fallback_bundle(w):
@@ -65,7 +71,6 @@ def fallback_bundle(w):
         a2=0.0,
         a=0.0,
         varsigma=0.0,
-        Y=np.zeros((w.width, nx)),
         H=np.eye(nx),
         eps_F=DEFAULT_EPS_F,
         window=w,
@@ -207,7 +212,6 @@ def extract_bundle(w, design, solution, eps_F=DEFAULT_EPS_F):
         a2=a2,
         a=a,
         varsigma=varsigma,
-        Y=y,
         H=h,
         eps_F=eps_F,
         window=w,
@@ -249,13 +253,6 @@ def synthesize(w, eps_F=DEFAULT_EPS_F, opts=None):
                     w.kappa, sol.status)
         return None
     return extract_bundle(w, design, sol, eps_F=eps_F)
-
-
-def decay_rate_bound(bundle, eps):
-    """Certified contraction factor for plants within inflation eps."""
-    if eps < 0:
-        raise linalg.InvalidInput("inflation must be nonnegative")
-    return bundle.a1 + bundle.a2 * eps
 
 
 def _sym(a):
@@ -302,7 +299,7 @@ def verify_property(bundle, num_samples=500, rng_seed=0, eps_values=None,
         if not proximity.is_nonempty(params):
             continue
         vacuous = False
-        rate = decay_rate_bound(bundle, eps)
+        rate = bundle.rate(eps)
         # members are stacked [A B]^T; transposed, each sample is [A B]
         zhat_t = np.swapaxes(
             proximity.sample_members(params, num_samples, rng), 1, 2)

@@ -1,7 +1,11 @@
+import csv
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ltvadapt import hybrid, linalg, monitor, plants
+from ltvadapt import hybrid, linalg, monitor, plants, synthesis
+from ltvadapt.window import DataWindow
 
 
 def test_nu_d_scalar():
@@ -17,9 +21,12 @@ def test_theta_exact_scalar():
 
 
 def test_theta_databased_formula():
-    assert abs(monitor.theta_databased(0.04, 0.9, 5.0) - 1.1) < 1e-12
+    # the data-based factor is the bundle's certified rate a1 + a2 * eps
+    w = DataWindow.empty(2, 2, 4)
+    b = dataclasses.replace(synthesis.fallback_bundle(w), a1=0.9, a2=5.0)
+    assert abs(b.rate(0.04) - 1.1) < 1e-12
     with pytest.raises(linalg.InvalidInput):
-        monitor.theta_databased(-0.1, 0.9, 5.0)
+        b.rate(-0.1)
 
 
 @pytest.fixture(scope="module")
@@ -106,11 +113,36 @@ def test_cor1_membership_on_vanishing_perturbation():
 def test_theta_databased_upper_bounds_exact_on_worked_instance(
         switching_run):
     # scheduled excitation aside, the data-based factor built from the
-    # minimal inflation can never undercut the exact factor
+    # minimal inflation can never undercut the exact factor; the walk
+    # keeps the factors of exactly the steps outside T1
     plant, traj = switching_run
     walk = monitor._walk(traj, plant)
-    for te, td in zip(walk.th_exact, walk.th_databased):
+    recs, first = walk.records, walk.bundles[0]
+    outside = []
+    for i, (b, r, rn) in enumerate(zip(walk.bundles, recs, recs[1:])):
+        te, td = monitor._factors(plant, r, b, first, r.V, b.lyapunov(rn.x))
         assert td >= te * (1 - 1e-9)
+        if not walk.in_T1[i]:
+            outside.append(i)
+            assert walk.th_exact[i] == te and walk.th_databased[i] == td
+    assert outside
+    assert list(walk.th_exact) == outside
+    assert list(walk.th_databased) == outside
+
+
+@pytest.mark.parametrize("mode", ["event", "time", "fixed"])
+def test_fallback_run_uses_exact_factors(mode):
+    # B = 0: the forced design falls back to the zero gain, which is the
+    # initial bundle, so the data-based product is the exact one
+    plant = plants.ConstantLti(b=np.zeros((2, 2)))
+    cfg = hybrid.ScenarioConfig(mode=mode, horizon=8, seed=3, n_p=4)
+    traj = hybrid.run(plant, cfg)
+    assert traj.initial_bundle.solver_status == "Fallback"
+    assert np.array_equal(monitor.pi_product(traj, plant, monitor.DATABASED),
+                          monitor.pi_product(traj, plant, monitor.EXACT))
+    lam_c, lam_d = monitor.default_rates(traj, plant)
+    rep = monitor.thm_diagnostics(traj, lam_c, lam_d, plant)
+    assert rep.theta_exact and rep.theta_databased == rep.theta_exact
 
 
 def test_diagnostics_csv(switching_run, tmp_path):
@@ -122,3 +154,9 @@ def test_diagnostics_csv(switching_run, tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("k,j,V,pi_exact,pi_databased")
     assert len(lines) == len(rep.records) + 1
+    # theta cells are filled exactly on the steps outside T1
+    rows = list(csv.DictReader(lines))
+    assert any(row["in_C1"] == "0" for row in rows)
+    for row in rows:
+        for col in ("theta_exact", "theta_databased"):
+            assert (row[col] != "") == (row["in_C1"] == "0")

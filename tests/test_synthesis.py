@@ -163,12 +163,11 @@ def test_verify_property_rejects_negative_eps(bundle):
 
 
 def test_decay_rate_bound(bundle):
+    # the certified decay rate is ControllerBundle.rate
     b = bundle
-    assert synthesis.decay_rate_bound(b, 0.0) == b.a1
+    assert b.rate(0.0) == b.a1
     eps = 0.01
-    assert abs(synthesis.decay_rate_bound(b, eps)
-               - (b.a1 + b.a2 * eps)) < 1e-15
-
+    assert abs(b.rate(eps) - (b.a1 + b.a2 * eps)) < 1e-15
 
 
 def _verify_property_loop(b, num_samples, rng_seed, rel_tol):
