@@ -59,7 +59,6 @@ class StepRecord:
 @dataclass
 class Episode:
     k: int
-    j: int
     new_bundle: synthesis.ControllerBundle
 
 
@@ -182,7 +181,7 @@ def run(plant, cfg):
                 bundle = cand
                 j += 1
                 jumped = True
-                traj.episodes.append(Episode(k=k, j=j, new_bundle=bundle))
+                traj.episodes.append(Episode(k=k, new_bundle=bundle))
             elif bundle is None:
                 logger.warning("initial design infeasible at k=%d; "
                                "running with zero fallback gain", k)
@@ -207,13 +206,14 @@ def run(plant, cfg):
         traj.records.append(_record(
             k, j, x, u, bundle, cfg.c_sigma, trigger=trigger,
             synth_feasible=synth_feasible, tau=0 if jumped else 1))
-        x_next = plant.step(k, x, u)
-        w = w.push(x, u, x_next)
-        x_prev, x = x, x_next
+        x_prev, x = x, plant.step(k, x, u)
         k += 1
         if _diverged(x):
             traj.status = DIVERGED
             break
+        # after the divergence check: the window is not read after a
+        # break, and a non-finite state would be rejected as a sample
+        w = w.push(x_prev, u, x)
 
     traj.records.append(_record(k, j, x, None, bundle, cfg.c_sigma))
     if bundle is None:  # diverged while exploring: nothing is certified

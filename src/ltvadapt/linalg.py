@@ -4,8 +4,7 @@ Everything here assumes tiny matrices (dimension well below 100). The
 symmetric eigendecomposition is LAPACK's, through numpy.linalg.eigh; the
 pseudoinverse, spectral norm, positive definite inverse and inverse square
 root, and the generalized-eigenvalue extremes are built on it. The module
-also holds input validation, the block-diagonal column stacking map, and
-sliding-window column shifts.
+also holds input validation.
 """
 
 import numpy as np
@@ -122,28 +121,3 @@ def pd_inverse(s):
         raise NotPositiveDefinite("matrix is not positive definite")
     return (v / w) @ v.T
 
-
-def n_map(z):
-    """Block-diagonal stacking of the columns of an n x T matrix.
-
-    Column t of the nT x T result holds column t of Z in block t and zeros
-    elsewhere.
-    """
-    z = as_matrix(z)
-    n, t = z.shape
-    out = np.zeros((n * t, t))
-    for i in range(t):
-        out[i * n:(i + 1) * n, i] = z[:, i]
-    return out
-
-
-def shift_append(m, col):
-    """Drop the first column of m and append col on the right."""
-    m = as_matrix(m)
-    col = as_vector(col)
-    if col.size != m.shape[0]:
-        raise InvalidInput("column length must match the row count")
-    out = np.empty_like(m)
-    out[:, :-1] = m[:, 1:]
-    out[:, -1] = col
-    return out

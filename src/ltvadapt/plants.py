@@ -1,11 +1,8 @@
 """Discrete-time linear time-varying plant models.
 
-Each plant exposes the pair (A(k), B(k)) at any step k, a one-step state
-update, and the horizontally stacked history matrices used by the
-data-consistency identities.
+Each plant exposes the pair (A(k), B(k)) at any step k and a one-step
+state update.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,14 +11,6 @@ from . import linalg
 # nominal pair shared by the benchmark scenarios
 A_NOMINAL = np.array([[1.1, 0.1], [0.1, 0.2]])
 B_NOMINAL = np.array([[0.5, 1.0], [0.1, 0.2]])
-
-
-@dataclass(frozen=True)
-class StackedMats:
-    """calA = [A(k-T) ... A(k-1)], calB likewise, row blocks side by side."""
-
-    calA: np.ndarray
-    calB: np.ndarray
 
 
 class LtvPlant:
@@ -39,18 +28,6 @@ class LtvPlant:
         x = linalg.as_vector(x, self.nx)
         u = linalg.as_vector(u, self.nu)
         return a @ x + b @ u
-
-    def stacked(self, kappa, T):
-        """Matrices of the T pairs ending just before step kappa."""
-        if T < 1:
-            raise linalg.InvalidInput("window width must be positive")
-        amats = []
-        bmats = []
-        for k in range(kappa - T, kappa):
-            a, b = self.eval(k)
-            amats.append(a)
-            bmats.append(b)
-        return StackedMats(np.hstack(amats), np.hstack(bmats))
 
 
 class ConstantLti(LtvPlant):

@@ -105,15 +105,8 @@ def sample_members(params, num_samples, rng):
     _, m_pinv_sqrt = _psd_sqrt_and_pinv_sqrt(params.M)
     d_sqrt, _ = _psd_sqrt_and_pinv_sqrt(params.Delta)
     rows, cols = params.Zc.shape
-    g = np.empty((num_samples, rows, cols))
-    r = np.zeros(num_samples)
-    # each sample draws its normal block, then its radius only when the
-    # block is non-zero: this order fixes the sampled set for a given rng
-    for i in range(num_samples):
-        g[i] = rng.standard_normal((rows, cols))
-        if g[i].any():
-            r[i] = rng.uniform()
-    r = r ** 0.25
+    g = rng.standard_normal((num_samples, rows, cols))
+    r = rng.uniform(size=num_samples) ** 0.25
     gt = np.swapaxes(g, 1, 2)
     gram = g @ gt if rows <= cols else gt @ g
     s = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))

@@ -132,8 +132,7 @@ def suite_lemma3(rng_seed=0):
     for name, plant, cfg, traj in canonical_runs():
         for b in _bundles(traj):
             w = b.window
-            stacked = plant.stacked(w.kappa, w.width)
-            r = w.consistency_residual(stacked)
+            r = w.consistency_residual(plant)
             tol = 1e-9 * (1.0 + linalg.spectral_norm(w.X))
             worst = max(worst, r / tol)
             n_win += 1

@@ -55,23 +55,29 @@ class DataWindow:
 
     def push(self, x_prev, u_prev, x_next):
         """Append one sample (x(k), u(k), x(k+1)), dropping the oldest."""
+        x_prev = linalg.as_vector(x_prev, self.nx, name="x_prev")
+        u_prev = linalg.as_vector(u_prev, self.nu, name="u_prev")
+        x_next = linalg.as_vector(x_next, self.nx, name="x_next")
         return DataWindow(
             kappa=self.kappa + 1,
-            Xhat=linalg.shift_append(self.Xhat, x_prev),
-            X=linalg.shift_append(self.X, x_next),
-            U=linalg.shift_append(self.U, u_prev),
+            Xhat=np.column_stack([self.Xhat[:, 1:], x_prev]),
+            X=np.column_stack([self.X[:, 1:], x_next]),
+            U=np.column_stack([self.U[:, 1:], u_prev]),
         )
 
     def z_matrix(self):
         """Stacked regressor Z = [Xhat; U]."""
         return np.vstack([self.Xhat, self.U])
 
-    def consistency_residual(self, stacked):
-        """Spectral norm of X - calA N(Xhat) - calB N(U).
+    def consistency_residual(self, plant):
+        """Spectral norm of X minus the plant's one-step predictions.
 
-        Zero (up to roundoff) whenever the window really was generated by
-        the time-varying pairs collected in `stacked`.
+        Column t is predicted as A(k) Xhat[:, t] + B(k) U[:, t] with
+        k = kappa - T + t, in the float order of `plant.step`, so the
+        residual is exactly zero for a window the plant generated.
         """
-        pred = stacked.calA @ linalg.n_map(self.Xhat)
-        pred = pred + stacked.calB @ linalg.n_map(self.U)
+        pred = np.empty_like(self.X)
+        for t in range(self.width):
+            a, b = plant.eval(self.kappa - self.width + t)
+            pred[:, t] = a @ self.Xhat[:, t] + b @ self.U[:, t]
         return linalg.spectral_norm(self.X - pred)

@@ -179,6 +179,25 @@ seed = 1
         cli.EXIT_DIVERGED
 
 
+def test_simulate_overflow_exit(tmp_path):
+    # a plant step that overflows to inf ends the run Diverged, not in a
+    # traceback, and the artifacts are still written
+    cfg = write_cfg(tmp_path, """
+[plant]
+kind = constant
+a = 1e300, 0; 0, 1e300
+b = 1, 0; 0, 1
+[run]
+x0 = 1e10, 1e10
+""")
+    out = str(tmp_path / "ovf")
+    with np.errstate(over="ignore"):
+        code = cli.main(["simulate", "--config", cfg, "--out", out])
+    assert code == cli.EXIT_DIVERGED
+    for name in ("trajectory.csv", "summary.txt"):
+        assert os.path.isfile(os.path.join(out, name)), name
+
+
 def test_batch(tmp_path):
     cfg_dir = tmp_path / "cfgs"
     cfg_dir.mkdir()

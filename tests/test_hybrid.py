@@ -152,6 +152,20 @@ def test_divergence_while_exploring():
 
 
 @pytest.mark.parametrize("mode", ["event", "time", "fixed"])
+def test_overflowing_step_ends_diverged(mode):
+    # the first step overflows to inf: the run ends Diverged, the
+    # non-finite state is recorded, and no window sample is rejected
+    plant = plants.ConstantLti(a=1e300 * np.eye(2), b=np.eye(2))
+    cfg = hybrid.ScenarioConfig(mode=mode, horizon=40, seed=0,
+                                x0=np.array([1e10, 1e10]))
+    with np.errstate(over="ignore"):
+        traj = hybrid.run(plant, cfg)
+    assert traj.status == hybrid.DIVERGED
+    assert not np.all(np.isfinite(traj.records[-1].x))
+    assert traj.records[-1].V is None
+
+
+@pytest.mark.parametrize("mode", ["event", "time", "fixed"])
 def test_infeasible_forced_design_falls_back(mode):
     # B = 0: no gain can stabilize the unstable nominal A
     plant = plants.ConstantLti(b=np.zeros((2, 2)))

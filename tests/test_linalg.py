@@ -91,19 +91,6 @@ def test_gen_eig_matches_bisection():
         assert abs(got - want) < 1e-8 * (1 + abs(want))
 
 
-def test_n_map_block_structure():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = linalg.n_map(m)
-    want = np.array([[1.0, 0.0], [3.0, 0.0], [0.0, 2.0], [0.0, 4.0]])
-    assert np.array_equal(out, want)
-
-
-def test_shift_append():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = linalg.shift_append(m, np.array([5.0, 6.0]))
-    assert np.array_equal(out, [[2.0, 5.0], [4.0, 6.0]])
-
-
 def test_pd_inverse_round_trip():
     rng = np.random.default_rng(11)
     base = rng.standard_normal((3, 3))

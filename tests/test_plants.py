@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ltvadapt import linalg, plants
+from ltvadapt.window import DataWindow
 
 
 def test_nominal_pair():
@@ -73,12 +76,24 @@ def test_step_matches_eval():
     assert np.allclose(p.step(14, x, u), a @ x + b @ u)
 
 
-def test_stacked_alignment():
+def test_window_residual_across_switch():
+    # B switches at k = 13; a window of steps 10 .. 15 straddles it, so
+    # only the right alignment of steps to columns explains every column
     p = plants.SwitchingPlant()
-    st = p.stacked(14, 3)
-    # columns cover steps 11, 12, 13
-    a13, _ = p.eval(13)
-    assert np.array_equal(st.calA[:, 4:6], a13)
+    assert not np.array_equal(p.eval(12)[1], p.eval(13)[1])
+    rng = np.random.default_rng(2)
+    w = DataWindow.empty(2, 2, 6)
+    x = np.array([1.0, -0.5])
+    for k in range(16):
+        u = rng.uniform(-1.0, 1.0, 2)
+        x_next = p.step(k, x, u)
+        w = w.push(x, u, x_next)
+        x = x_next
+    assert w.kappa == 16
+    assert w.consistency_residual(p) == 0.0
+    for kappa in (15, 17):
+        shifted = dataclasses.replace(w, kappa=kappa)
+        assert shifted.consistency_residual(p) > 0.1
 
 
 def test_piecewise_file_plant(tmp_path):

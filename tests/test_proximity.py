@@ -113,8 +113,8 @@ def test_membership_quadratic_center():
 
 
 def _sample_members_loop(par, num_samples, rng):
-    # per-sample reference: normal block, then the radius uniform only for
-    # a non-zero block, then one member at a time
+    # per-sample reference: all normal blocks, then all radius uniforms,
+    # then one member at a time
     w_m, v_m = np.linalg.eigh(par.M)
     tol_m = max(par.M.shape) * np.finfo(float).eps * max(w_m[-1], 0.0)
     w_m = np.clip(w_m, 0.0, None)
@@ -122,11 +122,12 @@ def _sample_members_loop(par, num_samples, rng):
         np.maximum(w_m, 1e-300)), 0.0)) @ v_m.T
     w_d, v_d = np.linalg.eigh(par.Delta)
     d_sqrt = (v_d * np.sqrt(np.clip(w_d, 0.0, None))) @ v_d.T
+    gs = [rng.standard_normal(par.Zc.shape) for _ in range(num_samples)]
+    us = [rng.uniform() for _ in range(num_samples)]
     out = []
-    for _ in range(num_samples):
-        g = rng.standard_normal(par.Zc.shape)
+    for g, u in zip(gs, us):
         s = np.linalg.norm(g, 2)
-        v = g if s == 0.0 else (rng.uniform() ** 0.25 / s) * g
+        v = g if s == 0.0 else (u ** 0.25 / s) * g
         out.append(par.Zc + m_pinv_sqrt @ v @ d_sqrt)
     return np.array(out)
 

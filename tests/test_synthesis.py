@@ -191,10 +191,11 @@ def _verify_property_loop(b, num_samples, rng_seed, rel_tol):
         m_pinv_sqrt = (v_m * np.where(keep, 1.0 / np.sqrt(
             np.where(keep, w_m, 1.0)), 0.0)) @ v_m.T
         d_sqrt = (v_d * np.sqrt(np.clip(w_d, 0.0, None))) @ v_d.T
-        for _ in range(num_samples):
-            g = rng.standard_normal(par.Zc.shape)
+        gs = [rng.standard_normal(par.Zc.shape) for _ in range(num_samples)]
+        us = [rng.uniform() for _ in range(num_samples)]
+        for g, u in zip(gs, us):
             s = np.linalg.norm(g, 2)
-            v = g if s == 0.0 else (rng.uniform() ** 0.25 / s) * g
+            v = g if s == 0.0 else (u ** 0.25 / s) * g
             zhat = par.Zc + m_pinv_sqrt @ v @ d_sqrt
             acl = zhat[:nx].T + zhat[nx:].T @ b.K
             lhs = np.linalg.eigvalsh(chol_inv @ acl.T @ b.S @ acl

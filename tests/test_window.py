@@ -43,11 +43,22 @@ def test_consistency_residual_scalar_lti():
         w = w.push(x, u, xn)
         x = xn
     assert np.allclose(w.X, [[0.6, 0.4]], atol=1e-15)
-    stacked = plant.stacked(w.kappa, w.width)
-    assert w.consistency_residual(stacked) <= 1e-14
+    assert w.consistency_residual(plant) <= 1e-14
     # the residual must expose a wrong model
-    wrong = plants.ConstantLti(a=[[0.9]], b=[[1.0]]).stacked(2, 2)
+    wrong = plants.ConstantLti(a=[[0.9]], b=[[1.0]])
     assert w.consistency_residual(wrong) > 0.1
+
+
+def test_push_rejects_bad_samples():
+    w = DataWindow.empty(2, 1, 3)
+    with pytest.raises(linalg.InvalidInput):
+        w.push([1.0, 2.0, 3.0], [0.5], [1.0, 1.0])  # x(k) too long
+    with pytest.raises(linalg.InvalidInput):
+        w.push([1.0, 2.0], [0.5, 0.5], [1.0, 1.0])  # u(k) too long
+    with pytest.raises(linalg.InvalidInput):
+        w.push([1.0, 2.0], [0.5], [np.nan, 1.0])
+    with pytest.raises(linalg.InvalidInput):
+        w.push([1.0, 2.0], [np.inf], [1.0, 1.0])
 
 
 def test_window_shape_validation():
