@@ -12,7 +12,7 @@ from .maxdet import (AffineMatFn, SdpProblem, SdpSolution, SolverOptions,
                      SolverBreakdown, solve_feasibility, solve_maxdet)
 from .synthesis import ControllerBundle, synthesize, verify_property
 from .hybrid import ScenarioConfig, Trajectory, run
-from .monitor import pi_product, check_bound, thm_diagnostics
+from .monitor import check_bound, thm_diagnostics
 
 __all__ = [
     "DataWindow", "LtvPlant", "ConstantLti", "SwitchingPlant",
@@ -20,6 +20,5 @@ __all__ = [
     "make_plant", "AffineMatFn", "SdpProblem", "SdpSolution",
     "SolverOptions", "SolverBreakdown", "solve_feasibility", "solve_maxdet",
     "ControllerBundle", "synthesize", "verify_property", "ScenarioConfig",
-    "Trajectory", "run", "pi_product", "check_bound", "thm_diagnostics",
-    "__version__",
+    "Trajectory", "run", "check_bound", "thm_diagnostics", "__version__",
 ]

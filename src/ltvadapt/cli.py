@@ -118,10 +118,6 @@ def build_scenario(cfg_dict, seed_override=None, out_override=None):
 
     rsec = dict(cfg_dict["run"])
     mode = rsec.pop("mode", hybrid.EVENT_TRIGGERED)
-    if mode not in (hybrid.EVENT_TRIGGERED, hybrid.FIXED_GAIN,
-                    hybrid.TIME_TRIGGERED):
-        raise ConfigError("mode must be event, fixed or time (got %r)"
-                          % mode)
     x0 = rsec.pop("x0", None)
     if x0 is not None:
         x0 = _parse_vector(x0)

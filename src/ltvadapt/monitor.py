@@ -7,9 +7,10 @@ running certificate product pi, the step bound check, and the long-run
 rate diagnostics with the membership test of the consistency set.
 
 The product pi uses sigma(a1) on every step in the decrease set T1 and a
-contraction factor theta only on the steps outside it, so theta (exact,
-or data-based a1 + a2 * eps) is evaluated only outside T1. V is read
-from the trajectory's records.
+contraction factor theta only on the steps outside it, so theta is
+evaluated only outside T1: the exact factor by the one walk, and the
+data-based a1 + a2 * eps only by thm_diagnostics. V is read from the
+trajectory's records.
 """
 
 import csv
@@ -20,9 +21,6 @@ import numpy as np
 from . import linalg, proximity
 from .hybrid import sigma
 from .window import DataWindow
-
-EXACT = "exact"
-DATABASED = "databased"
 
 BOUND_TOL = 1e-9
 
@@ -41,41 +39,18 @@ def theta_exact(a, b, k_gain, s):
 
 @dataclass
 class _StepWalk:
-    """Per-step quantities shared by pi products and diagnostics."""
+    """Per-step quantities shared by the rates and the diagnostics."""
 
     records: list
     bundles: list            # bundle in effect at each monitored record
     in_T1: list              # decrease branch flag per step (departure)
     th_exact: dict           # step index -> factor, steps outside T1 only
-    th_databased: dict       # same steps (exact fallback where inapplicable)
+    triggered: dict          # their feedback steps under a triggered
+                             # bundle -> plant pair (A, B)
     nu_events: list          # (record index, nu_d) at jumps
 
 
-def _factors(plant, r, b, first, v_cur, v_next):
-    """Exact and data-based contraction factors of the step departing
-    record r under bundle b; v_cur and v_next are V(., b.S) at its ends."""
-    fb = b.K @ r.x
-    if r.u is not None and not np.allclose(r.u, fb, rtol=1e-9, atol=1e-12):
-        # open-loop excitation step (scheduled re-exploration): the
-        # feedback decay factor does not apply, so both modes fall
-        # back to the realized one-step ratio of V
-        if v_cur > 0.0:
-            ratio = v_next / v_cur
-        else:
-            ratio = np.inf if v_next > 0.0 else 1.0
-        return ratio, ratio
-    a_mat, b_mat = plant.eval(r.k)
-    te = theta_exact(a_mat, b_mat, b.K, b.S)
-    # the data-based bound needs a certificate produced by a triggered
-    # design; the initial bundle (the zero-gain fallback included, which
-    # only the forced design creates) is monitored with the exact factor
-    if b is first:
-        return te, te
-    eps = proximity.min_inflation(b.window, b.F, b.S, a_mat, b_mat)
-    return te, b.rate(eps)
-
-
-def _walk(traj, plant, c_sigma=0.1):
+def _walk(traj, plant, c_sigma):
     recs = traj.records[traj.monitor_start:]
     if not recs or traj.initial_bundle is None:
         raise linalg.InvalidInput("trajectory has no certified segment")
@@ -87,34 +62,42 @@ def _walk(traj, plant, c_sigma=0.1):
             current = by_k[r.k].new_bundle
         bundles.append(current)
 
-    first = bundles[0]
-    in_t1, th_e, th_d, nus = [], {}, {}, []
+    in_t1, th_e, trig, nus = [], {}, {}, []
     for i in range(len(recs) - 1):
-        b = bundles[i]
-        r, rn = recs[i], recs[i + 1]
+        b, r, rn = bundles[i], recs[i], recs[i + 1]
+        if rn.tau == 0 and bundles[i + 1] is not b:
+            nus.append((i + 1, nu_d(b.S, bundles[i + 1].S)))
         # the record's V uses its own bundle; the successor is measured
         # with b too, since the bundle changes at jumps
         v_next = b.lyapunov(rn.x) if np.all(np.isfinite(rn.x)) else np.inf
-        thr = sigma(b.a1, c_sigma)
-        in_t1.append(v_next <= thr * r.V * (1.0 + BOUND_TOL))
-        if not in_t1[-1]:
-            th_e[i], th_d[i] = _factors(plant, r, b, first, r.V, v_next)
-        if rn.tau == 0 and bundles[i + 1] is not b:
-            nus.append((i + 1, nu_d(b.S, bundles[i + 1].S)))
+        in_t1.append(v_next <= sigma(b.a1, c_sigma) * r.V * (1.0 + BOUND_TOL))
+        if in_t1[-1]:
+            continue
+        if r.u is not None and not np.allclose(r.u, b.K @ r.x, rtol=1e-9,
+                                               atol=1e-12):
+            # open-loop excitation step (scheduled re-exploration): the
+            # feedback decay factor does not apply, so the factor is the
+            # realized one-step ratio of V
+            if r.V > 0.0:
+                th_e[i] = v_next / r.V
+            else:
+                th_e[i] = np.inf if v_next > 0.0 else 1.0
+        else:
+            a_mat, b_mat = plant.eval(r.k)
+            th_e[i] = theta_exact(a_mat, b_mat, b.K, b.S)
+            # the data-based bound needs a certificate produced by a
+            # triggered design; the initial bundle (the zero-gain fallback
+            # included, which only the forced design creates) keeps the
+            # exact factor
+            if b is not bundles[0]:
+                trig[i] = a_mat, b_mat
     return _StepWalk(records=recs, bundles=bundles, in_T1=in_t1,
-                     th_exact=th_e, th_databased=th_d, nu_events=nus)
+                     th_exact=th_e, triggered=trig, nu_events=nus)
 
 
-def pi_product(traj, plant, mode=EXACT, c_sigma=0.1):
-    """Certificate product pi over the monitored segment, pi[0] = 1."""
-    if mode not in (EXACT, DATABASED):
-        raise linalg.InvalidInput("unknown pi mode %r" % (mode,))
-    walk = _walk(traj, plant, c_sigma)
-    return _pi_from_walk(walk, walk.th_exact if mode == EXACT
-                         else walk.th_databased, c_sigma)
-
-
-def _pi_from_walk(walk, thetas, c_sigma):
+def pi_product(walk, thetas, c_sigma):
+    """Certificate product pi over a walk's monitored segment, pi[0] = 1,
+    with factor thetas[i] on each step i outside T1."""
     nus = dict(walk.nu_events)
     pi = np.ones(len(walk.records))
     with np.errstate(over="ignore"):
@@ -232,10 +215,16 @@ def thm_diagnostics(traj, lambda_c, lambda_d, plant, c_sigma=0.1):
                     cor1 = False
                     break
 
-    pi_e = _pi_from_walk(walk, walk.th_exact, c_sigma)
+    # data-based factors a1 + a2 * eps on the triggered feedback steps
+    th_d = dict(walk.th_exact)
+    for i, (a_mat, b_mat) in walk.triggered.items():
+        b = walk.bundles[i]
+        th_d[i] = b.rate(proximity.min_inflation(b.window, b.F, b.S, a_mat,
+                                                 b_mat))
+    pi_e = pi_product(walk, walk.th_exact, c_sigma)
     return DiagnosticsReport(
         pi_exact=pi_e,
-        pi_databased=_pi_from_walk(walk, walk.th_databased, c_sigma),
+        pi_databased=pi_product(walk, th_d, c_sigma),
         bound_ok=check_bound(traj, pi_e),
         T1_membership=walk.in_T1,
         thm4_lhs=lhs,
@@ -245,7 +234,7 @@ def thm_diagnostics(traj, lambda_c, lambda_d, plant, c_sigma=0.1):
         cor1_membership=cor1,
         nu_d_events=walk.nu_events,
         theta_exact=walk.th_exact,
-        theta_databased=walk.th_databased,
+        theta_databased=th_d,
         records=recs,
     )
 

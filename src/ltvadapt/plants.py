@@ -27,7 +27,10 @@ class LtvPlant:
         a, b = self.eval(k)
         x = linalg.as_vector(x, self.nx)
         u = linalg.as_vector(u, self.nu)
-        return a @ x + b @ u
+        # a step that overflows yields a non-finite state, which the caller
+        # reports as divergence
+        with np.errstate(over="ignore", invalid="ignore"):
+            return a @ x + b @ u
 
 
 class ConstantLti(LtvPlant):

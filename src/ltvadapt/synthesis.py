@@ -87,10 +87,7 @@ def _symmetry_nullspace(xhat):
     nx, t = xhat.shape
     pairs = [(r, c) for r in range(nx) for c in range(r + 1, nx)]
     if not pairs:
-        basis = np.zeros((t * nx, t, nx))
-        for i in range(t * nx):
-            basis[i, i // nx, i % nx] = 1.0
-        return basis
+        return np.eye(t * nx).reshape(-1, t, nx)
     cmat = np.zeros((len(pairs), t * nx))
     for row, (r, c) in enumerate(pairs):
         for s in range(t):
@@ -112,8 +109,6 @@ def _svec_basis(nx):
             e = np.zeros((nx, nx))
             e[i, j] = 1.0
             e[j, i] = 1.0
-            if i == j:
-                e[i, i] = 1.0
             basis.append(e)
     return np.array(basis)
 
@@ -248,7 +243,7 @@ def synthesize(w, eps_F=DEFAULT_EPS_F, opts=None):
         logger.warning("design solve broke down at kappa=%d: %s",
                        w.kappa, exc)
         return None
-    if sol.status not in (maxdet.OPTIMAL,):
+    if sol.status != maxdet.OPTIMAL:
         logger.info("design infeasible at kappa=%d (status %s)",
                     w.kappa, sol.status)
         return None

@@ -97,19 +97,6 @@ def canonical_runs():
     return out
 
 
-def _bundles(traj):
-    """Synthesized bundles of a run, skipping the zero-gain fallback."""
-    out = []
-    if traj.initial_bundle is not None and \
-            traj.initial_bundle.solver_status != "Fallback":
-        out.append(traj.initial_bundle)
-    for e in traj.episodes:
-        if e.new_bundle.solver_status != "Fallback" and \
-                e.new_bundle is not traj.initial_bundle:
-            out.append(e.new_bundle)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # data consistency and ellipsoid equivalence
 
@@ -130,7 +117,7 @@ def suite_lemma3(rng_seed=0):
     worst = 0.0
     n_win = 0
     for name, plant, cfg, traj in canonical_runs():
-        for b in _bundles(traj):
+        for b in [e.new_bundle for e in traj.episodes]:
             w = b.window
             r = w.consistency_residual(plant)
             tol = 1e-9 * (1.0 + linalg.spectral_norm(w.X))
@@ -146,7 +133,7 @@ def suite_lemma3(rng_seed=0):
     for name, plant, cfg, traj in canonical_runs():
         if not name.startswith(("switching-event", "sinusoidal", "vanish")):
             continue
-        for b in _bundles(traj):
+        for b in [e.new_bundle for e in traj.episodes]:
             w, F = b.window, b.F
             par = proximity.ellipsoid_params(w, F)
             for _ in range(500):
@@ -170,7 +157,7 @@ def suite_lemma3(rng_seed=0):
     for name, plant, cfg, traj in canonical_runs():
         if name != "switching-event":
             continue
-        for b in _bundles(traj):
+        for b in [e.new_bundle for e in traj.episodes]:
             w = b.window
             a_mat, b_mat = plant.eval(w.kappa)
             eps = proximity.min_inflation(w, b.F, b.S, a_mat, b_mat)
@@ -209,7 +196,7 @@ def suite_property1(num_samples=500, rng_seed=0):
     violations = 0
     worst = -np.inf
     for name, plant, cfg, traj in canonical_runs():
-        for b in _bundles(traj):
+        for b in [e.new_bundle for e in traj.episodes]:
             rep = synthesis.verify_property(b, num_samples=num_samples,
                                             rng_seed=rng_seed)
             n_bundles += 1
@@ -232,9 +219,10 @@ def suite_lemma5():
     dominated = True
     n_runs = 0
     for name, plant, cfg, traj in canonical_runs():
-        pi_e = monitor.pi_product(traj, plant, monitor.EXACT, cfg.c_sigma)
-        pi_d = monitor.pi_product(traj, plant, monitor.DATABASED,
-                                  cfg.c_sigma)
+        rep = monitor.thm_diagnostics(
+            traj, *monitor.default_rates(traj, plant, cfg.c_sigma), plant,
+            cfg.c_sigma)
+        pi_e, pi_d = rep.pi_exact, rep.pi_databased
         ok_e = monitor.check_bound(traj, pi_e)
         ok_d = monitor.check_bound(traj, pi_d)
         if not (all(ok_e) and all(ok_d)):
@@ -385,7 +373,7 @@ def suite_solver(rng_seed=0):
     ident_ok = True
     n_designs = 0
     for name, plant, cfg, traj in canonical_runs():
-        for b in _bundles(traj):
+        for b in [e.new_bundle for e in traj.episodes]:
             design = synthesis.build_design_problem(b.window)
             sol = maxdet.solve_maxdet(design.problem, opts)
             if sol.status != maxdet.OPTIMAL:

@@ -147,7 +147,8 @@ def test_simulate_config_error_exit(tmp_path):
     for text in ("[plant]\nkind = switching\n[run]\nx0 = 1, 1, 1\n",
                  "[plant]\nkind = switching\n[run]\nc_sigma = 1.5\n",
                  "[plant]\nkind = switching\n[run]\nseed = -1\n",
-                 "[plant]\nkind = sinusoidal\np = 0\n"):
+                 "[plant]\nkind = sinusoidal\np = 0\n",
+                 "[plant]\nkind = switching\n[run]\nmode = bogus\n"):
         cfg = write_cfg(tmp_path, text)
         assert cli.main(["simulate", "--config", cfg, "--out",
                          str(tmp_path / "out")]) == cli.EXIT_CONFIG
@@ -181,7 +182,7 @@ seed = 1
 
 def test_simulate_overflow_exit(tmp_path):
     # a plant step that overflows to inf ends the run Diverged, not in a
-    # traceback, and the artifacts are still written
+    # traceback or a numpy warning, and the artifacts are still written
     cfg = write_cfg(tmp_path, """
 [plant]
 kind = constant
@@ -191,8 +192,7 @@ b = 1, 0; 0, 1
 x0 = 1e10, 1e10
 """)
     out = str(tmp_path / "ovf")
-    with np.errstate(over="ignore"):
-        code = cli.main(["simulate", "--config", cfg, "--out", out])
+    code = cli.main(["simulate", "--config", cfg, "--out", out])
     assert code == cli.EXIT_DIVERGED
     for name in ("trajectory.csv", "summary.txt"):
         assert os.path.isfile(os.path.join(out, name)), name

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ltvadapt import hybrid, linalg, monitor, plants, synthesis
+from ltvadapt import hybrid, linalg, monitor, plants, proximity, synthesis
 from ltvadapt.window import DataWindow
 
 
@@ -37,25 +37,30 @@ def switching_run():
     return plant, hybrid.run(plant, cfg)
 
 
+def _report(plant, traj):
+    return monitor.thm_diagnostics(
+        traj, *monitor.default_rates(traj, plant), plant)
+
+
 def test_pi_starts_at_one(switching_run):
     plant, traj = switching_run
-    pi = monitor.pi_product(traj, plant)
+    pi = _report(plant, traj).pi_exact
     assert pi[0] == 1.0
     assert len(pi) == len(traj.records) - traj.monitor_start
 
 
 def test_bound_holds_both_modes(switching_run):
     plant, traj = switching_run
-    for mode in (monitor.EXACT, monitor.DATABASED):
-        pi = monitor.pi_product(traj, plant, mode)
+    rep = _report(plant, traj)
+    for pi in (rep.pi_exact, rep.pi_databased):
         assert all(monitor.check_bound(traj, pi))
 
 
 def test_databased_dominates_exact(switching_run):
     plant, traj = switching_run
-    pi_e = monitor.pi_product(traj, plant, monitor.EXACT)
-    pi_d = monitor.pi_product(traj, plant, monitor.DATABASED)
-    assert all(d >= e * (1 - 1e-9) for e, d in zip(pi_e, pi_d))
+    rep = _report(plant, traj)
+    assert all(d >= e * (1 - 1e-9)
+               for e, d in zip(rep.pi_exact, rep.pi_databased))
 
 
 def test_pi_matches_decrease_factor_on_quiet_steps():
@@ -66,7 +71,7 @@ def test_pi_matches_decrease_factor_on_quiet_steps():
     traj = hybrid.run(plant, cfg)
     if traj.num_episodes != 1:
         pytest.skip("run triggered; factor pattern not applicable")
-    pi = monitor.pi_product(traj, plant)
+    pi = _report(plant, traj).pi_exact
     b = traj.initial_bundle
     s = hybrid.sigma(b.a1)
     assert np.allclose(pi[:10], [s ** i for i in range(10)], rtol=1e-9)
@@ -85,19 +90,28 @@ def test_default_rates_dominate(switching_run):
     assert lam_d >= lam_c
 
 
+def test_default_rates_compute_no_databased_factor(switching_run,
+                                                   monkeypatch):
+    # the rates read only exact factors, so the walk behind them never
+    # measures a data window's minimal inflation
+    def boom(*args, **kwargs):
+        raise AssertionError("min_inflation called")
+
+    plant, traj = switching_run
+    monkeypatch.setattr(proximity, "min_inflation", boom)
+    lam_c, lam_d = monitor.default_rates(traj, plant)
+    assert lam_d >= lam_c
+    with pytest.raises(AssertionError):
+        monitor.thm_diagnostics(traj, lam_c, lam_d, plant)
+
+
 def test_thm_diagnostics_fields(switching_run):
     plant, traj = switching_run
-    lam_c, lam_d = monitor.default_rates(traj, plant)
-    rep = monitor.thm_diagnostics(traj, lam_c, lam_d, plant)
+    rep = _report(plant, traj)
     assert all(rep.bound_ok)
+    assert rep.bound_ok == monitor.check_bound(traj, rep.pi_exact)
     assert rep.m2 >= 0.0
     assert len(rep.thm4_lhs) == len(rep.records)
-    # both products come from the diagnostics' own walk, exactly as
-    # pi_product computes them
-    assert np.array_equal(rep.pi_exact,
-                          monitor.pi_product(traj, plant, monitor.EXACT))
-    assert np.array_equal(rep.pi_databased,
-                          monitor.pi_product(traj, plant, monitor.DATABASED))
 
 
 def test_cor1_membership_on_vanishing_perturbation():
@@ -113,21 +127,27 @@ def test_cor1_membership_on_vanishing_perturbation():
 def test_theta_databased_upper_bounds_exact_on_worked_instance(
         switching_run):
     # scheduled excitation aside, the data-based factor built from the
-    # minimal inflation can never undercut the exact factor; the walk
-    # keeps the factors of exactly the steps outside T1
+    # minimal inflation can never undercut the exact factor; both are
+    # kept for exactly the steps outside T1, as computed directly here
     plant, traj = switching_run
-    walk = monitor._walk(traj, plant)
-    recs, first = walk.records, walk.bundles[0]
-    outside = []
-    for i, (b, r, rn) in enumerate(zip(walk.bundles, recs, recs[1:])):
-        te, td = monitor._factors(plant, r, b, first, r.V, b.lyapunov(rn.x))
-        assert td >= te * (1 - 1e-9)
-        if not walk.in_T1[i]:
-            outside.append(i)
-            assert walk.th_exact[i] == te and walk.th_databased[i] == td
+    rep = _report(plant, traj)
+    outside = [i for i, in_t1 in enumerate(rep.T1_membership) if not in_t1]
     assert outside
-    assert list(walk.th_exact) == outside
-    assert list(walk.th_databased) == outside
+    assert list(rep.theta_exact) == outside
+    assert list(rep.theta_databased) == outside
+    bundles = monitor._walk(traj, plant, 0.1).bundles
+    for i in outside:
+        b, r = bundles[i], rep.records[i]
+        a_mat, b_mat = plant.eval(r.k)
+        te = monitor.theta_exact(a_mat, b_mat, b.K, b.S)
+        td = te
+        if b is not bundles[0]:
+            td = b.rate(proximity.min_inflation(b.window, b.F, b.S, a_mat,
+                                                b_mat))
+        assert rep.theta_exact[i] == te and rep.theta_databased[i] == td
+        assert td >= te * (1 - 1e-9)
+    # some of those steps ran under a triggered design
+    assert any(rep.theta_databased[i] != rep.theta_exact[i] for i in outside)
 
 
 @pytest.mark.parametrize("mode", ["event", "time", "fixed"])
@@ -138,10 +158,8 @@ def test_fallback_run_uses_exact_factors(mode):
     cfg = hybrid.ScenarioConfig(mode=mode, horizon=8, seed=3, n_p=4)
     traj = hybrid.run(plant, cfg)
     assert traj.initial_bundle.solver_status == "Fallback"
-    assert np.array_equal(monitor.pi_product(traj, plant, monitor.DATABASED),
-                          monitor.pi_product(traj, plant, monitor.EXACT))
-    lam_c, lam_d = monitor.default_rates(traj, plant)
-    rep = monitor.thm_diagnostics(traj, lam_c, lam_d, plant)
+    rep = _report(plant, traj)
+    assert np.array_equal(rep.pi_databased, rep.pi_exact)
     assert rep.theta_exact and rep.theta_databased == rep.theta_exact
 
 

@@ -7,7 +7,10 @@ from test_synthesis import exploration_window
 def test_property1_reports_negative_slack(monkeypatch):
     plant = plants.ConstantLti()
     b = synthesis.synthesize(exploration_window(plant))
-    traj = hybrid.Trajectory(initial_bundle=b)
+    # a run records its initial design as its first episode
+    traj = hybrid.Trajectory(
+        episodes=[hybrid.Episode(k=b.window.kappa, new_bundle=b)],
+        initial_bundle=b)
     monkeypatch.setattr(verification, "canonical_runs",
                         lambda: [("nominal", plant, None, traj)])
     res = verification.suite_property1(num_samples=50, rng_seed=3)
