@@ -14,20 +14,23 @@ runs both phases: a stage only changes the weights, and one Newton routine
 minimizes every stage. A stage has converged when its Newton decrement
 reaches NEWTON_TOL or when an accepted step decreases the objective only at
 float-noise level; the maximization is Optimal when the path reached MU_MAX
-and its last stage converged. Each accepted Newton point is built and
-factored once: the line search's F(x) and barrier value feed the next
-gradient and Hessian. The Newton system is tested for positive definiteness
-by Cholesky; a Hessian that fails is retried once with a ridge of 1e-12
-times its mean diagonal, a floor relative to its own scale, so that iterates
-of any magnitude keep full Newton steps, and one that fails again is a
-SolverBreakdown.
+and its last stage converged. Each Newton point costs one matrix build and
+one Cholesky factorization: the line search's F(x), its factor and the
+barrier value feed the next gradient and Hessian, and a new stage starts
+from the previous stage's F(x) and factor, recomputing only the barrier
+value under its weights. The Newton system is tested for positive
+definiteness by Cholesky; a Hessian that fails is retried once with a ridge
+of 1e-12 times its mean diagonal, a floor relative to its own scale, so that
+iterates of any magnitude keep full Newton steps, and one that fails again
+is a SolverBreakdown.
 
-Phase I stops, after any accepted step and after each stage, once every
-block's own lambda_min reaches the interior target. The blocks are tested
-in order and the test stops at the first one that falls short, which
-decides exactly what the minimum over check_point's margins would (a NaN
-margin never reaches the target). Stage margins and log-dets are computed
-only for a trace.
+Phase I stops after any accepted step at z = (x, t) once every block's own
+lambda_min reaches the interior target, the textbook phase-I rule (Boyd &
+Vandenberghe, Convex Optimization, sec. 11.4). The line search has just
+built F(z), whose blocks are F_i(x) - t I, so F(z) + (t - target) I is the
+phase-I map at (x, target), and one Cholesky of it decides what the minimum
+over check_point's margins would (a NaN margin never reaches the target).
+Stage margins and log-dets are computed only for a trace.
 """
 
 import csv
@@ -55,6 +58,11 @@ MU_INIT = 1.0
 MU_MAX = 1e6
 MU_FACTOR = 10.0
 NEWTON_TOL = 1e-8
+# an accepted step that decreases the stage objective by at most this
+# relative amount is at float-noise level
+_NOISE = 4.0 * np.finfo(float).eps
+
+_TRACE_HEADER = ("phase", "iteration", "mu", "min_margin", "logdet")
 
 
 @dataclass
@@ -146,11 +154,14 @@ def _logdet(fn, x):
     return None if l is None else 2.0 * float(np.sum(np.log(np.diag(l))))
 
 
-def _write_trace(path, rows, mode="a"):
-    """Write stage rows to the trace file: phase I opens it with the header
-    row (mode "w"), and each phase appends its stage rows."""
-    with open(path, mode, newline="") as fh:
-        csv.writer(fh).writerows(rows)
+def _write_trace(path, rows):
+    """Append stage rows to the trace file, after the header row when the
+    file is missing or empty, so that it keeps every solve of a run."""
+    with open(path, "a", newline="") as fh:
+        writer = csv.writer(fh)
+        if fh.tell() == 0:
+            writer.writerow(_TRACE_HEADER)
+        writer.writerows(rows)
 
 
 def _block_diag(fns):
@@ -187,19 +198,24 @@ class _Barrier:
     def _matrix(self, x):
         return self.constant + (x @ self.flat).reshape(self.constant.shape)
 
-    def point(self, x):
-        """(phi(x), F(x)), or None where F(x) is not positive definite."""
-        f = self._matrix(x)
-        l = _chol(f)
-        if l is None:
-            return None
+    def point(self, x, factored=None):
+        """(phi(x), F(x), L) with F(x) = L L^T, or None where F(x) is not
+        positive definite. factored, the (F(x), L) of an earlier point at
+        the same x, skips the build and the factorization."""
+        if factored is None:
+            f = self._matrix(x)
+            l = _chol(f)
+            if l is None:
+                return None
+        else:
+            f, l = factored
         value = -2.0 * float(self.weights @ np.log(l.diagonal())) + \
             float(self.lin @ x)
-        return value, f
+        return value, f, l
 
     def terms(self, point):
         """(value, gradient, Hessian) at x, given point = self.point(x)."""
-        value, f = point
+        value, f, _ = point
         p = np.linalg.inv(f) @ self.coeffs
         wp = self.weights[:, None] * p
         grad = self.lin - np.einsum("kaa->k", wp)
@@ -229,23 +245,28 @@ def _phase2_barrier(problem, shift):
     return barrier, det_rows
 
 
-def _newton(barrier, x, max_steps, tol, early_stop=None):
-    """Damped Newton on the barrier.
+def _newton(barrier, x, max_steps, tol, early_stop=None, point=None):
+    """Damped Newton on the barrier from x.
 
-    Returns (x, steps, decrement, converged). The stage converges when the
-    Newton decrement reaches tol or when the accepted decrease is at
-    float-noise level, so that no further progress is representable. F and
-    the value at an accepted point come from the line search, so every
-    point is factored once. The Hessian is used as is when Cholesky accepts
-    it; otherwise once more with 1e-12 * trace(H) / n added to its diagonal,
-    and SolverBreakdown is raised if that fails too (a zero Hessian).
+    Returns (x, point, steps, decrement, converged, stopped) with point =
+    barrier.point(x) at the returned x. The stage converges when the Newton
+    decrement reaches tol or when the accepted decrease is at float-noise
+    level, so that no further progress is representable; it stops, and
+    reports stopped, when early_stop(x, point) holds after an accepted step.
+    F, its factor and the value at an accepted point come from the line
+    search, so every point is factored once; a point passed in, the previous
+    stage's at the same x, lends its F and factor, and only its value is
+    recomputed under the current weights. The Hessian is used as is when
+    Cholesky accepts it; otherwise once more with 1e-12 * trace(H) / n added
+    to its diagonal, and SolverBreakdown is raised if that fails too (a zero
+    Hessian).
     """
     steps = 0
     residual = np.inf
-    point = barrier.point(x)
+    point = barrier.point(x, None if point is None else point[1:])
+    if point is None:
+        raise SolverBreakdown("iterate left the barrier domain")
     while steps < max_steps:
-        if point is None:
-            raise SolverBreakdown("iterate left the barrier domain")
         val, grad, hess = barrier.terms(point)
         try:
             np.linalg.cholesky(hess)
@@ -260,54 +281,62 @@ def _newton(barrier, x, max_steps, tol, early_stop=None):
         decrement = float(-grad @ d)
         residual = np.sqrt(max(decrement, 0.0))
         if residual <= tol:
-            return x, steps, residual, True
+            return x, point, steps, residual, True, False
         alpha = 1.0
         gd = float(grad @ d)
         while alpha > 1e-14:
-            point = barrier.point(x + alpha * d)
-            if point is not None and point[0] <= val + 1e-4 * alpha * gd:
+            trial = x + alpha * d
+            trial_point = barrier.point(trial)
+            if trial_point is not None and \
+                    trial_point[0] <= val + 1e-4 * alpha * gd:
                 break
             alpha *= 0.5
         if alpha <= 1e-14:
             break
-        x = x + alpha * d
+        x, point = trial, trial_point
         steps += 1
-        if early_stop is not None and early_stop(x):
-            break
-        if val - point[0] <= 4.0 * np.finfo(float).eps * (1.0 + abs(val)):
-            return x, steps, residual, True
-    return x, steps, residual, False
+        if early_stop is not None and early_stop(x, point):
+            return x, point, steps, residual, False, True
+        if val - point[0] <= _NOISE * (1.0 + abs(val)):
+            return x, point, steps, residual, True, False
+    return x, point, steps, residual, False, False
 
 
-def _reaches(problem, x, target):
-    """Whether every block's lambda_min at x reaches target, i.e.
-    np.min(check_point(problem, x)) >= target (NaN reads as not reached),
-    stopping at the first block that falls short."""
-    return all(float(np.linalg.eigvalsh(f(x))[0]) >= target
-               for f in problem.constraints)
+def _margin_reached(z, f, target):
+    """Whether every block's lambda_min at the phase-I point z = (x, t)
+    reaches target, i.e. np.min(check_point(problem, x)) >= target, given
+    f = F(z), whose blocks are F_i(x) - t I. f + (t - target) I is the
+    phase-I map at (x, target), so one Cholesky decides; the cap block
+    t_cap - target is positive. A NaN entry need not make Cholesky fail,
+    but it leaves a NaN on the factor's diagonal and reads as not
+    reached."""
+    l = _chol(f + (z[-1] - target) * np.eye(len(f)))
+    return l is not None and not np.isnan(l.diagonal()).any()
 
 
 def _path(barrier, z, weights, budget, reached=None, stage=None):
     """Barrier path from z: one Newton stage per mu = MU_INIT, ...,
-    MU_MAX with barrier weights(mu), within budget steps in total. A stage
-    ends early, and the path stops, at a point where reached(z) holds;
-    stage(total, mu, z) runs after each stage. Returns (z, steps, the last
-    stage's Newton decrement, whether the path passed MU_MAX and its last
-    stage converged).
+    MU_MAX with barrier weights(mu), within budget steps in total. Each
+    stage starts from the previous stage's factored point. A stage ends
+    early, and the path stops, at an accepted point where
+    reached(z, point) holds; stage(total, mu, z) runs after each stage.
+    Returns (z, steps, the last stage's Newton decrement, whether the path
+    passed MU_MAX and its last stage converged).
     """
     total = 0
     mu = MU_INIT
     residual = np.inf
     converged = False
+    point = None
     while mu <= MU_MAX and total < budget:
         barrier.weights = weights(mu)
-        z, steps, residual, converged = _newton(
-            barrier, z, budget - total, NEWTON_TOL, reached)
+        z, point, steps, residual, converged, stopped = _newton(
+            barrier, z, budget - total, NEWTON_TOL, reached, point)
         total += max(steps, 1)
         if stage is not None:
             stage(total, mu, z)
         mu *= MU_FACTOR
-        if reached is not None and reached(z):
+        if stopped:
             break
     return z, total, residual, mu > MU_MAX and converged
 
@@ -324,8 +353,8 @@ def solve_feasibility(problem, opts=None):
         raise linalg.InvalidInput("constraints must be non-empty")
     target = opts.strict_margin
     if opts.trace_path is not None:
-        _write_trace(opts.trace_path, [
-            ("phase", "iteration", "mu", "min_margin", "logdet")], "w")
+        # a solve that writes no stage rows still leaves the header
+        _write_trace(opts.trace_path, [])
 
     m = problem.num_vars
     x = np.zeros(m)
@@ -352,7 +381,8 @@ def solve_feasibility(problem, opts=None):
     z, total, _, _ = _path(
         barrier, np.concatenate([x, [t0]]),
         lambda mu: np.full(len(barrier.constant), 1.0 / mu),
-        opts.max_newton, lambda z: _reaches(problem, z[:m], target),
+        opts.max_newton,
+        lambda z, point: _margin_reached(z, point[1], target),
         stage if opts.trace_path is not None else None)
     if rows:
         _write_trace(opts.trace_path, rows)

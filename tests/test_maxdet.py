@@ -128,6 +128,23 @@ def test_solver_trace(tmp_path):
     assert all(r["logdet"] != "" for r in rows if r["phase"] == "II")
 
 
+def test_solver_trace_keeps_every_solve(tmp_path):
+    # a closed loop solves once per design into one trace file: each solve
+    # appends its rows after the one header row
+    def trace_rows(path, solves):
+        opts = maxdet.SolverOptions(trace_path=str(path))
+        for _ in range(solves):
+            maxdet.solve_maxdet(one_var_det_problem(), opts)
+        with open(path, newline="") as fh:
+            return list(csv.reader(fh))
+
+    one = trace_rows(tmp_path / "one.csv", 1)
+    two = trace_rows(tmp_path / "two.csv", 2)
+    assert one[0] == ["phase", "iteration", "mu", "min_margin", "logdet"]
+    assert len(one) > 2
+    assert two == one + one[1:]
+
+
 def test_infeasible_reported_from_maxdet():
     det = maxdet.AffineMatFn(np.array([[0.0]]), np.array([[[1.0]]]))
     hi = maxdet.AffineMatFn(np.array([[0.0]]), np.array([[[-1.0]]]))
@@ -219,9 +236,9 @@ def test_newton_stage_converges_at_float_noise():
     barrier = maxdet._Barrier(np.zeros((1, 1)), np.ones((1, 1, 1)),
                               np.array([1e3]))
     barrier.weights = np.array([1e12])
-    x, steps, decrement, converged = maxdet._newton(
+    x, _, steps, decrement, converged, stopped = maxdet._newton(
         barrier, np.array([0.5e9]), 500, 1e-8)
-    assert converged and steps < 500
+    assert converged and not stopped and steps < 500
     assert decrement > 1e-7
     assert abs(x[0] - 1e9) <= 1e-6 * 1e9
 
@@ -232,9 +249,11 @@ def test_maxdet_status_follows_last_stage(monkeypatch):
     newton = maxdet._newton
     for converged, status in [(True, maxdet.OPTIMAL),
                               (False, maxdet.MAXITER)]:
-        monkeypatch.setattr(
-            maxdet, "_newton",
-            lambda *a, c=converged, **k: newton(*a, **k)[:2] + (1e-3, c))
+        def reporting_newton(*a, c=converged, **k):
+            x, point, steps, _, _, stopped = newton(*a, **k)
+            return x, point, steps, 1e-3, c, stopped
+
+        monkeypatch.setattr(maxdet, "_newton", reporting_newton)
         sol = maxdet.solve_maxdet(one_var_det_problem())
         assert sol.status == status
         assert sol.kkt_residual == 1e-3
@@ -262,10 +281,12 @@ def test_no_maxiter_below_cap_on_canonical_designs(monkeypatch):
 
 
 def test_early_stop_matches_min_of_check_point():
-    # the phase-I early stop tests block after block and stops at the first
-    # that falls short; it must decide what the minimum margin decides
+    # the phase-I early stop factors the phase-I matrix at z = (x, t),
+    # shifted to (x, target); it must decide what the minimum margin decides
+    # whatever t the point carries
     p = design_problem()
     m = p.num_vars
+    barrier = maxdet._phase1_barrier(p, 1.0)
     x0 = maxdet.solve_feasibility(
         p, maxdet.SolverOptions(strict_margin=0.05)).x
     rng = np.random.default_rng(7)
@@ -282,7 +303,10 @@ def test_early_stop_matches_min_of_check_point():
     for x in points:
         for target in targets:
             ref = float(np.min(maxdet.check_point(p, x))) >= target
-            assert maxdet._reaches(p, x, target) == ref
+            for t in (-1.0, 0.0, 0.5):
+                z = np.append(x, t)
+                assert maxdet._margin_reached(
+                    z, barrier._matrix(z), target) == ref
             decided.add(ref)
     assert decided == {True, False}
     # a block whose margin is NaN never reaches the target, first or last
@@ -292,28 +316,98 @@ def test_early_stop_matches_min_of_check_point():
         q = maxdet.SdpProblem(m, blocks)
         assert np.isnan(maxdet.check_point(q, x0)).any()
         ref = float(np.min(maxdet.check_point(q, x0))) >= -1.0
-        assert maxdet._reaches(q, x0, -1.0) == ref
+        z = np.append(x0, 0.0)
+        assert maxdet._margin_reached(
+            z, maxdet._phase1_barrier(q, 1.0)._matrix(z), -1.0) == ref
         assert ref is False
+
+
+def test_early_stop_decides_as_check_point_on_a_canonical_run(monkeypatch):
+    # every early-stop test of a closed-loop run answers what the minimum
+    # over check_point's margins answers, and a solve whose stop fired is
+    # Feasible
+    name, plant, cfg = next(s for s in verification.canonical_scenarios()
+                            if s[0] == "time-np12-s1")
+    feasibility = maxdet.solve_feasibility
+    reached = maxdet._margin_reached
+    solves = []  # [problem, answers, status] per phase-I solve
+
+    def recording_feasibility(problem, opts=None):
+        solves.append([problem, [], None])
+        sol = feasibility(problem, opts)
+        solves[-1][2] = sol.status
+        return sol
+
+    def checked_reached(z, f, target):
+        answer = reached(z, f, target)
+        problem, answers, _ = solves[-1]
+        assert answer == (
+            float(np.min(maxdet.check_point(problem, z[:-1]))) >= target)
+        answers.append(answer)
+        return answer
+
+    monkeypatch.setattr(maxdet, "solve_feasibility", recording_feasibility)
+    monkeypatch.setattr(maxdet, "_margin_reached", checked_reached)
+    hybrid.run(plant, cfg)
+    answers = [a for _, ans, _ in solves for a in ans]
+    assert set(answers) == {True, False}
+    for _, ans, status in solves:
+        # the stop ends the solve, so only its last test can fire
+        assert True not in ans[:-1]
+        if ans and ans[-1]:
+            assert status == maxdet.FEASIBLE
+
+
+def counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls."""
+    fn = getattr(owner, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def test_newton_factors_each_point_once(monkeypatch):
     # phi(x) = x - log x from x = 0.9: every Newton step is a full step, so
-    # a stage of s steps factors its start and each accepted point only
-    chol = maxdet._chol
-    calls = []
-
-    def counting_chol(m):
-        calls.append(1)
-        return chol(m)
-
-    monkeypatch.setattr(maxdet, "_chol", counting_chol)
+    # a stage of s steps builds and factors its start and each accepted
+    # point only
+    builds = counting(monkeypatch, maxdet._Barrier, "_matrix")
+    chols = counting(monkeypatch, maxdet, "_chol")
     barrier = maxdet._Barrier(np.zeros((1, 1)), np.ones((1, 1, 1)),
                               np.array([1.0]))
-    x, steps, _, converged = maxdet._newton(
+    x, _, steps, _, converged, _ = maxdet._newton(
         barrier, np.array([0.9]), 500, 1e-8)
     assert converged and steps >= 3
     assert abs(x[0] - 1.0) <= 1e-12
-    assert len(calls) == steps + 1
+    assert len(builds) == len(chols) == steps + 1
+
+    # a path of stages x - log(x) / mu, mu growing by 1.1, whose minima
+    # 1 / mu lie a full Newton step apart: a stage starts from the previous
+    # stage's factored point, so the path builds and factors its start
+    # and each accepted point once
+    monkeypatch.setattr(maxdet, "MU_FACTOR", 1.1)
+    monkeypatch.setattr(maxdet, "MU_MAX", 1.7)
+    mus = []
+    del builds[:], chols[:]
+    z, total, _, finished = maxdet._path(
+        barrier, np.array([0.9]), lambda mu: np.array([1.0 / mu]), 500,
+        stage=lambda total, mu, z: mus.append(mu))
+    assert finished and len(mus) == 6
+    assert abs(z[0] - 1.0 / mus[-1]) <= 1e-7
+    assert len(builds) == len(chols) == total + 1
+
+    # phase I's stop factors each accepted point once more, shifted to the
+    # target: one more Cholesky per accepted point, and no matrix build
+    del builds[:], chols[:]
+    stops = counting(monkeypatch, maxdet, "_margin_reached")
+    sol = maxdet.solve_feasibility(one_var_det_problem())
+    assert sol.status == maxdet.FEASIBLE and sol.iterations >= 1
+    assert len(stops) == sol.iterations
+    assert len(chols) == len(builds) + len(stops)
 
 
 def log_barrier(scale, lin):
@@ -331,7 +425,7 @@ def test_newton_steps_are_scale_invariant(scale):
     # phi(x) = x - s log x has its minimum at x = s with Hessian 1/s there;
     # Newton's method on it is scale-invariant, so every s takes the steps
     # of s = 1
-    x, steps, _, converged = maxdet._newton(
+    x, _, steps, _, converged, _ = maxdet._newton(
         log_barrier(scale, [1.0]), np.array([1.3 * scale]), 500, 1e-8)
     assert converged and steps <= 10
     assert abs(x[0] - scale) <= 1e-6 * scale
@@ -348,7 +442,7 @@ def test_newton_retries_a_singular_hessian(scale):
     assert np.all(hess[1] == 0.0) and np.all(hess[:, 1] == 0.0)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(hess)
-    x, steps, _, converged = maxdet._newton(barrier, z, 500, 1e-8)
+    x, _, steps, _, converged, _ = maxdet._newton(barrier, z, 500, 1e-8)
     assert converged and steps <= 10
     assert abs(x[0] - scale) <= 1e-6 * scale and x[1] == 0.0
 
