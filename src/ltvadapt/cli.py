@@ -195,7 +195,7 @@ def run_scenario(plant, scen, out_dir, svg=False):
         logger.warning("diagnostics unavailable: %s", exc)
         report = None
     paths["summary"] = os.path.join(out_dir, "summary.txt")
-    final = float(np.linalg.norm(traj.records[-1].x))
+    final = hybrid.state_norm(traj.records[-1].x)
     with open(paths["summary"], "w") as fh:
         fh.write("status = %s\n" % traj.status)
         fh.write("final_norm = %.17g\n" % final)
@@ -215,7 +215,7 @@ def cmd_simulate(args):
     plant, scen, out_dir, svg = build_scenario(cfg, args.seed, args.out)
     traj, paths = run_scenario(plant, scen, out_dir, svg)
     print("status=%s final_norm=%.6g episodes=%d out=%s"
-          % (traj.status, float(np.linalg.norm(traj.records[-1].x)),
+          % (traj.status, hybrid.state_norm(traj.records[-1].x),
              traj.num_episodes, out_dir))
     return EXIT_DIVERGED if traj.status == hybrid.DIVERGED else EXIT_OK
 
@@ -239,8 +239,8 @@ def cmd_batch(args):
             traj, _ = run_scenario(plant, scen,
                                    os.path.join(out_root, stem), svg)
             row["status"] = traj.status
-            row["final_norm"] = "%.17g" % float(
-                np.linalg.norm(traj.records[-1].x))
+            row["final_norm"] = "%.17g" % hybrid.state_norm(
+                traj.records[-1].x)
             row["episodes"] = str(traj.num_episodes)
             row["episode_instants"] = ";".join(
                 str(e.k) for e in traj.episodes)

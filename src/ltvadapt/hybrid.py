@@ -13,6 +13,7 @@ into that step's record and marked by tau = 0.
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,7 +76,7 @@ class Trajectory:
         return len(self.episodes)
 
     def state_norms(self):
-        return np.array([float(np.linalg.norm(r.x)) for r in self.records])
+        return np.array([state_norm(r.x) for r in self.records])
 
 
 @dataclass
@@ -117,9 +118,28 @@ class ScenarioConfig:
         return t
 
 
+def state_norm(x):
+    """Euclidean norm of x; a finite x whose squares could overflow is
+    scaled by max|x| first, so that its norm is finite too."""
+    m = float(np.abs(x).max())
+    if np.sqrt(np.finfo(float).max / x.size) < m < np.inf:
+        return m * float(np.linalg.norm(x / m))
+    return float(np.linalg.norm(x))
+
+
 def _diverged(x):
-    return not np.all(np.isfinite(x)) or float(np.linalg.norm(x)) > \
-        DIVERGENCE_NORM
+    # max|x| decides first: past the bound the norm could overflow, and a
+    # NaN fails the comparison
+    return not np.abs(x).max() <= DIVERGENCE_NORM or \
+        float(np.linalg.norm(x)) > DIVERGENCE_NORM
+
+
+def _lyapunov(bundle, x):
+    """V(x) of a finite x; inf where x S x overflows, as it can past the
+    divergence bound."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = bundle.lyapunov(x)
+    return v if math.isfinite(v) else np.inf
 
 
 def _record(k, j, x, u, bundle, c_sigma, trigger=False, synth_feasible=None,
@@ -128,7 +148,7 @@ def _record(k, j, x, u, bundle, c_sigma, trigger=False, synth_feasible=None,
     certified = bundle is not None
     return StepRecord(
         k=k, j=j, x=x.copy(), u=u,
-        V=bundle.lyapunov(x) if certified and np.all(np.isfinite(x))
+        V=_lyapunov(bundle, x) if certified and np.all(np.isfinite(x))
         else None,
         sigma_a1=sigma(bundle.a1, c_sigma) if certified else None,
         a1=bundle.a1 if certified else None,

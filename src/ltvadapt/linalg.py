@@ -21,16 +21,19 @@ class NotPositiveDefinite(ValueError):
 
 
 def as_matrix(a, shape=None, name="matrix"):
-    """Coerce to a finite 2-D float array, raising InvalidInput otherwise."""
+    """Coerce to a finite 2-D float array, or a 3-D stack of such matrices
+    along a leading axis, raising InvalidInput otherwise. shape, when given,
+    is that of one matrix."""
     m = np.asarray(a, dtype=float)
     if m.ndim == 1:
         m = m.reshape(1, -1)
-    if m.ndim != 2 or m.size == 0:
-        raise InvalidInput(f"{name} must be a non-empty 2-D array")
+    if m.ndim not in (2, 3) or m.size == 0:
+        raise InvalidInput(f"{name} must be a non-empty 2-D array or a stack "
+                           "of them")
     if not np.all(np.isfinite(m)):
         raise InvalidInput(f"{name} contains non-finite entries")
-    if shape is not None and m.shape != tuple(shape):
-        raise InvalidInput(f"{name} has shape {m.shape}, expected "
+    if shape is not None and m.shape[-2:] != tuple(shape):
+        raise InvalidInput(f"{name} has shape {m.shape[-2:]}, expected "
                            f"{tuple(shape)}")
     return m
 
@@ -48,13 +51,15 @@ def as_vector(a, length=None, name="vector"):
 
 def symmetrize(a):
     a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
+    if a.shape[-2] != a.shape[-1]:
         raise InvalidInput("square matrix required")
-    return 0.5 * (a + a.T)
+    # .T is the cheaper transpose of one matrix; a stack swaps its last axes
+    return 0.5 * (a + (a.T if a.ndim == 2 else a.swapaxes(-2, -1)))
 
 
 def sym_eig(s):
-    """Eigendecomposition of a symmetric matrix by LAPACK (numpy.linalg.eigh).
+    """Eigendecomposition of a symmetric matrix, or of each one in a stack,
+    by LAPACK (numpy.linalg.eigh).
 
     Returns (eigenvalues ascending, eigenvectors as columns). The input is
     symmetrized first; non-finite entries raise InvalidInput.
@@ -98,12 +103,15 @@ def inv_sqrt_pd(b):
 def gen_eig_max(a, b):
     """Largest generalized eigenvalue of (A, B) with B > 0.
 
-    Equals lambda_max(B^{-1/2} A B^{-1/2}) = min{t : A <= t B}.
+    Equals lambda_max(B^{-1/2} A B^{-1/2}) = min{t : A <= t B}. A may be a
+    stack of matrices along a leading axis, all paired with the one B; then
+    B^{-1/2} is taken once and the result is an array with one value per
+    matrix, which equals the value of each single call bit for bit.
     """
     a = symmetrize(a)
     bmh = inv_sqrt_pd(as_matrix(b))
     w, _ = sym_eig(bmh @ a @ bmh)
-    return float(w[-1])
+    return float(w[-1]) if w.ndim == 1 else w[:, -1]
 
 
 def gen_eig_min(a, b):

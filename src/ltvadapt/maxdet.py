@@ -34,6 +34,7 @@ Stage margins and log-dets are computed only for a trace.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,10 +143,14 @@ def check_point(problem, x):
 
 
 def _chol(m):
+    """Cholesky factor of m, or None where m is not positive definite. A
+    NaN entry need not make LAPACK fail, but it reaches the factor's last
+    diagonal entry, so that one test rejects it."""
     try:
-        return np.linalg.cholesky(m)
+        l = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         return None
+    return None if math.isnan(l[-1, -1]) else l
 
 
 def _logdet(fn, x):
@@ -307,11 +312,8 @@ def _margin_reached(z, f, target):
     reaches target, i.e. np.min(check_point(problem, x)) >= target, given
     f = F(z), whose blocks are F_i(x) - t I. f + (t - target) I is the
     phase-I map at (x, target), so one Cholesky decides; the cap block
-    t_cap - target is positive. A NaN entry need not make Cholesky fail,
-    but it leaves a NaN on the factor's diagonal and reads as not
-    reached."""
-    l = _chol(f + (z[-1] - target) * np.eye(len(f)))
-    return l is not None and not np.isnan(l.diagonal()).any()
+    t_cap - target is positive. A NaN entry reads as not reached."""
+    return _chol(f + (z[-1] - target) * np.eye(len(f))) is not None
 
 
 def _path(barrier, z, weights, budget, reached=None, stage=None):

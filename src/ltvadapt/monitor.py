@@ -8,9 +8,14 @@ rate diagnostics with the membership test of the consistency set.
 
 The product pi uses sigma(a1) on every step in the decrease set T1 and a
 contraction factor theta only on the steps outside it, so theta is
-evaluated only outside T1: the exact factor by the one walk, and the
-data-based a1 + a2 * eps only by thm_diagnostics. V is read from the
-trajectory's records.
+evaluated only outside T1. The walk behind `default_rates` and
+`thm_diagnostics` gathers the steps into arrays and evaluates them as
+stacks: one quadratic form for every successor value, one comparison for
+T1, one closeness test that picks the open-loop steps, and one stacked
+exact factor per bundle. `thm_diagnostics` adds the data-based
+a1 + a2 * eps with one stacked minimal inflation per triggered bundle.
+Every factor equals bit for bit the one a single-step evaluation gives.
+A record's own V is read from the trajectory.
 """
 
 import csv
@@ -32,9 +37,18 @@ def nu_d(s, s_next):
 
 
 def theta_exact(a, b, k_gain, s):
-    """Tight one-step contraction of V(., s) under the true closed loop."""
+    """Tight one-step contraction of V(., s) under the true closed loop.
+
+    a and b may be stacks of plant pairs along a leading axis, all under
+    the one gain and certificate; the result is then an array with one
+    factor per pair, each equal bit for bit to the float a single call
+    returns.
+    """
     acl = np.asarray(a, dtype=float) + np.asarray(b, dtype=float) @ k_gain
-    return float(linalg.gen_eig_max(linalg.symmetrize(acl.T @ s @ acl), s))
+    # an overflow leaves non-finite entries, which symmetrize rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.swapaxes(acl, -2, -1) @ s @ acl
+    return linalg.gen_eig_max(linalg.symmetrize(m), s)
 
 
 @dataclass
@@ -45,12 +59,22 @@ class _StepWalk:
     bundles: list            # bundle in effect at each monitored record
     in_T1: list              # decrease branch flag per step (departure)
     th_exact: dict           # step index -> factor, steps outside T1 only
-    triggered: dict          # their feedback steps under a triggered
-                             # bundle -> plant pair (A, B)
+    triggered: list          # (bundle, steps, A stack, B stack) for the
+                             # feedback steps outside T1 under each
+                             # triggered bundle
     nu_events: list          # (record index, nu_d) at jumps
 
 
 def _walk(traj, plant, c_sigma):
+    """One pass over the monitored segment, evaluated as stacks.
+
+    All successor values V(x_{i+1}, S_i) come from one stacked quadratic
+    form and decide T1 in one comparison; the steps outside T1 are split
+    into open-loop and feedback steps by one closeness test of u against
+    K x, and the exact factors of the feedback steps come from one stacked
+    `theta_exact` per bundle. The plant pairs of those steps are kept,
+    grouped by triggered bundle, for the data-based factors.
+    """
     recs = traj.records[traj.monitor_start:]
     if not recs or traj.initial_bundle is None:
         raise linalg.InvalidInput("trajectory has no certified segment")
@@ -62,36 +86,53 @@ def _walk(traj, plant, c_sigma):
             current = by_k[r.k].new_bundle
         bundles.append(current)
 
-    in_t1, th_e, trig, nus = [], {}, {}, []
-    for i in range(len(recs) - 1):
-        b, r, rn = bundles[i], recs[i], recs[i + 1]
-        if rn.tau == 0 and bundles[i + 1] is not b:
-            nus.append((i + 1, nu_d(b.S, bundles[i + 1].S)))
-        # the record's V uses its own bundle; the successor is measured
-        # with b too, since the bundle changes at jumps
-        v_next = b.lyapunov(rn.x) if np.all(np.isfinite(rn.x)) else np.inf
-        in_t1.append(v_next <= sigma(b.a1, c_sigma) * r.V * (1.0 + BOUND_TOL))
-        if in_t1[-1]:
-            continue
-        if r.u is not None and not np.allclose(r.u, b.K @ r.x, rtol=1e-9,
-                                               atol=1e-12):
-            # open-loop excitation step (scheduled re-exploration): the
-            # feedback decay factor does not apply, so the factor is the
-            # realized one-step ratio of V
-            if r.V > 0.0:
-                th_e[i] = v_next / r.V
-            else:
-                th_e[i] = np.inf if v_next > 0.0 else 1.0
-        else:
-            a_mat, b_mat = plant.eval(r.k)
-            th_e[i] = theta_exact(a_mat, b_mat, b.K, b.S)
-            # the data-based bound needs a certificate produced by a
-            # triggered design; the initial bundle (the zero-gain fallback
-            # included, which only the forced design creates) keeps the
-            # exact factor
-            if b is not bundles[0]:
-                trig[i] = a_mat, b_mat
-    return _StepWalk(records=recs, bundles=bundles, in_T1=in_t1,
+    n = len(recs) - 1
+    nu, nx = traj.initial_bundle.K.shape
+    nus = [(i + 1, nu_d(bundles[i].S, bundles[i + 1].S)) for i in range(n)
+           if recs[i + 1].tau == 0 and bundles[i + 1] is not bundles[i]]
+
+    # the record's V uses its own bundle; the successor is measured with
+    # the departure's bundle too, since the bundle changes at jumps. V is
+    # inf where the state is not finite or x S x overflows.
+    x = np.array([r.x for r in recs]).reshape(n + 1, nx)
+    s_dep = np.array([b.S for b in bundles[:-1]]).reshape(n, nx, nx)
+    v = np.array([r.V for r in recs[:-1]], dtype=float)
+    sig = np.array([sigma(b.a1, c_sigma) for b in bundles[:-1]])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v_next = (x[1:, None, :] @ s_dep @ x[1:, :, None])[:, 0, 0]
+        v_next[~np.isfinite(v_next)] = np.inf
+        # on an open-loop excitation step (scheduled re-exploration) the
+        # feedback decay factor does not apply: the factor is the realized
+        # one-step ratio of V; the feedback steps are overwritten below
+        theta = np.where(v > 0.0, v_next / v,
+                         np.where(v_next > 0.0, np.inf, 1.0))
+    in_t1 = v_next <= sig * v * (1.0 + BOUND_TOL)
+
+    out = np.flatnonzero(~in_t1)
+    k_gains = np.array([bundles[i].K for i in out]).reshape(len(out), nu, nx)
+    kx = (k_gains @ x[out, :, None])[:, :, 0]
+    # a departure record without an input counts as a feedback step
+    us = np.array([kx[j] if recs[i].u is None else recs[i].u
+                   for j, i in enumerate(out)]).reshape(len(out), nu)
+    feedback = np.isclose(us, kx, rtol=1e-9, atol=1e-12).all(axis=1)
+
+    groups = {}
+    for i in out[feedback].tolist():
+        groups.setdefault(id(bundles[i]), []).append(i)
+    trig = []
+    for steps in groups.values():
+        b = bundles[steps[0]]
+        pairs = [plant.eval(recs[i].k) for i in steps]
+        a_mats = np.array([p[0] for p in pairs])
+        b_mats = np.array([p[1] for p in pairs])
+        theta[steps] = theta_exact(a_mats, b_mats, b.K, b.S)
+        # the data-based bound needs a certificate produced by a triggered
+        # design; the initial bundle (the zero-gain fallback included,
+        # which only the forced design creates) keeps the exact factor
+        if b is not bundles[0]:
+            trig.append((b, steps, a_mats, b_mats))
+    th_e = dict(zip(out.tolist(), theta[out].tolist()))
+    return _StepWalk(records=recs, bundles=bundles, in_T1=in_t1.tolist(),
                      th_exact=th_e, triggered=trig, nu_events=nus)
 
 
@@ -215,12 +256,13 @@ def thm_diagnostics(traj, lambda_c, lambda_d, plant, c_sigma=0.1):
                     cor1 = False
                     break
 
-    # data-based factors a1 + a2 * eps on the triggered feedback steps
+    # data-based factors a1 + a2 * eps on the triggered feedback steps,
+    # one stacked minimal inflation per bundle
     th_d = dict(walk.th_exact)
-    for i, (a_mat, b_mat) in walk.triggered.items():
-        b = walk.bundles[i]
-        th_d[i] = b.rate(proximity.min_inflation(b.window, b.F, b.S, a_mat,
-                                                 b_mat))
+    for b, steps, a_mats, b_mats in walk.triggered:
+        eps = proximity.min_inflation(b.window, b.F, b.S, a_mats, b_mats)
+        for i, e in zip(steps, eps.tolist()):
+            th_d[i] = b.rate(e)
     pi_e = pi_product(walk, walk.th_exact, c_sigma)
     return DiagnosticsReport(
         pi_exact=pi_e,

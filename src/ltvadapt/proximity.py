@@ -47,10 +47,11 @@ def is_nonempty(params):
 
 
 def dtilde(w, MA, MB):
-    """Residual [MA MB] Z - X of a candidate pair against the window."""
+    """Residual [MA MB] Z - X of a candidate pair against the window, or of
+    each pair of the stacks MA, MB along a leading axis."""
     MA = linalg.as_matrix(MA, (w.nx, w.nx))
     MB = linalg.as_matrix(MB, (w.nx, w.nu))
-    return np.hstack([MA, MB]) @ w.z_matrix() - w.X
+    return np.concatenate([MA, MB], axis=-1) @ w.z_matrix() - w.X
 
 
 def contains(w, F, MA, MB, tol=None):
@@ -70,12 +71,21 @@ def contains_ellipsoid(params, zhat):
 
 
 def min_inflation(w, F, S, A_true, B_true):
-    """Smallest eps >= 0 with the true pair in the set for F + eps * S^-1."""
+    """Smallest eps >= 0 with the true pair in the set for F + eps * S^-1.
+
+    A_true and B_true may be stacks of pairs along a leading axis; the
+    result is then an array with one eps per pair, each equal bit for bit
+    to the float a single call returns. S^-1 is formed once either way.
+    """
     S = linalg.symmetrize(linalg.as_matrix(S, (w.nx, w.nx)))
     d = dtilde(w, A_true, B_true)
-    gap = linalg.symmetrize(d @ d.T - linalg.as_matrix(F, (w.nx, w.nx)))
+    gap = linalg.symmetrize(d @ np.swapaxes(d, -2, -1) -
+                            linalg.as_matrix(F, (w.nx, w.nx)))
     s_inv = linalg.pd_inverse(S)
-    return max(0.0, float(linalg.gen_eig_max(gap, s_inv)))
+    # a NaN clamps to 0 as well, as max(0.0, nan) does
+    eps = np.asarray(linalg.gen_eig_max(gap, s_inv))
+    eps = np.where(eps > 0.0, eps, 0.0)
+    return eps if eps.ndim else float(eps)
 
 
 def inflated(F, S, eps):

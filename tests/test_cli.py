@@ -1,10 +1,11 @@
+import math
 import os
 import pathlib
 
 import numpy as np
 import pytest
 
-from ltvadapt import cli
+from ltvadapt import cli, hybrid, linalg, monitor, plants
 
 
 SWITCHING_CFG = """
@@ -196,6 +197,39 @@ x0 = 1e10, 1e10
     assert code == cli.EXIT_DIVERGED
     for name in ("trajectory.csv", "summary.txt"):
         assert os.path.isfile(os.path.join(out, name)), name
+
+
+class ExplodingPlant(plants.LtvPlant):
+    """The nominal pair with A scaled by `scale` from step `start` on."""
+
+    def __init__(self, scale, start):
+        super().__init__(2, 2)
+        self.scale, self.start = scale, start
+
+    def eval(self, k):
+        a = plants.A_NOMINAL * (self.scale if k >= self.start else 1.0)
+        return a, plants.B_NOMINAL.copy()
+
+
+def test_finite_huge_state_is_reported_without_overflow(tmp_path):
+    # one step takes a bounded state to a finite one whose squares
+    # overflow: the run ends Diverged with V = inf and a finite final norm,
+    # and the diagnostics decline with InvalidInput; RuntimeWarnings are
+    # errors in this suite, so none of this may warn
+    plant = ExplodingPlant(1e160, 8)
+    scen = hybrid.ScenarioConfig(mode="fixed", horizon=20, seed=1)
+    traj, paths = cli.run_scenario(plant, scen, str(tmp_path / "huge"))
+    assert traj.status == hybrid.DIVERGED
+    last = traj.records[-1]
+    assert np.all(np.isfinite(last.x)) and np.max(np.abs(last.x)) > 1e155
+    assert last.V == np.inf
+    norm = hybrid.state_norm(last.x)
+    assert abs(norm - math.hypot(*last.x)) <= 1e-15 * norm
+    assert "diagnostics" not in paths
+    summary = pathlib.Path(paths["summary"]).read_text()
+    assert "final_norm = %.17g\n" % norm in summary
+    with pytest.raises(linalg.InvalidInput, match="non-finite entries"):
+        monitor.default_rates(traj, plant)
 
 
 def test_batch(tmp_path):

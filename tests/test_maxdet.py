@@ -454,3 +454,25 @@ def test_newton_zero_hessian_breaks_down():
                               np.array([1.0]))
     with pytest.raises(maxdet.SolverBreakdown, match="singular"):
         maxdet._newton(barrier, np.array([0.0]), 500, 1e-8)
+
+
+@pytest.mark.parametrize("pos", [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1),
+                                 (2, 2)])
+def test_chol_rejects_a_nan_entry(pos):
+    # LAPACK's potrf need not fail on NaN, so the factor is checked: a NaN
+    # anywhere on or below the diagonal of a positive definite matrix makes
+    # it not factor
+    m = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+    assert maxdet._chol(m) is not None
+    m[pos] = m[pos[::-1]] = np.nan
+    assert maxdet._chol(m) is None
+    assert maxdet._logdet(lambda x: m, np.zeros(1)) is None
+
+
+def test_newton_from_a_nan_point_breaks_down():
+    # F(x) is NaN at a NaN start, so the start is outside the barrier's
+    # domain rather than a point with a NaN value
+    barrier = log_barrier(1.0, [1.0])
+    assert barrier.point(np.array([np.nan])) is None
+    with pytest.raises(maxdet.SolverBreakdown, match="left the barrier"):
+        maxdet._newton(barrier, np.array([np.nan]), 500, 1e-8)

@@ -1,11 +1,13 @@
 import csv
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
 from ltvadapt import hybrid, linalg, monitor, plants, proximity, synthesis
 from ltvadapt.window import DataWindow
+from test_cli import ExplodingPlant
 
 
 def test_nu_d_scalar():
@@ -178,3 +180,147 @@ def test_diagnostics_csv(switching_run, tmp_path):
     for row in rows:
         for col in ("theta_exact", "theta_databased"):
             assert (row[col] != "") == (row["in_C1"] == "0")
+
+
+# --- the stacked walk against a per-step numpy.linalg reference -------------
+
+
+def _sym(m):
+    return 0.5 * (m + m.T)
+
+
+def _ref_gen_eig_max(a, b):
+    # lambda_max(B^-1/2 A B^-1/2), with B^-1/2 from eigh of B, as
+    # linalg.gen_eig_max evaluates it; a non-finite A is rejected as
+    # linalg.symmetrize rejects it
+    if not np.all(np.isfinite(a)):
+        raise linalg.InvalidInput("matrix contains non-finite entries")
+    w, v = np.linalg.eigh(_sym(b))
+    bmh = (v / np.sqrt(w)) @ v.T
+    return float(np.linalg.eigh(_sym(bmh @ _sym(a) @ bmh))[0][-1])
+
+
+def _ref_theta_exact(a_mat, b_mat, b):
+    acl = a_mat + b_mat @ b.K
+    return _ref_gen_eig_max(acl.T @ b.S @ acl, b.S)
+
+
+def _ref_min_inflation(b, a_mat, b_mat):
+    w = b.window
+    d = np.hstack([a_mat, b_mat]) @ np.vstack([w.Xhat, w.U]) - w.X
+    wi, vi = np.linalg.eigh(_sym(_sym(b.S)))
+    return max(0.0, _ref_gen_eig_max(d @ d.T - b.F, (vi / wi) @ vi.T))
+
+
+def _reference_walk(traj, plant, c_sigma=0.1):
+    """The walk one step at a time: successor value, decrease test,
+    open-loop test, exact factor, and the data-based factor of a feedback
+    step under a triggered bundle."""
+    recs = traj.records[traj.monitor_start:]
+    by_k = {e.k: e.new_bundle for e in traj.episodes}
+    bundles, current = [], traj.initial_bundle
+    for r in recs:
+        if r.tau == 0 and r.k in by_k:
+            current = by_k[r.k]
+        bundles.append(current)
+    in_t1, th_e, th_d, trig, nus, open_loop = [], {}, {}, {}, [], []
+    for i in range(len(recs) - 1):
+        b, r, rn = bundles[i], recs[i], recs[i + 1]
+        if rn.tau == 0 and bundles[i + 1] is not b:
+            nus.append((i + 1, _ref_gen_eig_max(_sym(bundles[i + 1].S),
+                                                _sym(b.S))))
+        v_next = np.inf
+        if np.all(np.isfinite(rn.x)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                v_next = float(rn.x @ b.S @ rn.x)
+            v_next = v_next if np.isfinite(v_next) else np.inf
+        in_t1.append(v_next <= hybrid.sigma(b.a1, c_sigma) * r.V *
+                     (1.0 + monitor.BOUND_TOL))
+        if in_t1[-1]:
+            continue
+        if r.u is not None and not np.allclose(r.u, b.K @ r.x, rtol=1e-9,
+                                               atol=1e-12):
+            open_loop.append(i)
+            if r.V > 0.0:
+                th_e[i] = v_next / r.V
+            else:
+                th_e[i] = np.inf if v_next > 0.0 else 1.0
+            th_d[i] = th_e[i]
+            continue
+        a_mat, b_mat = plant.eval(r.k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            th_e[i] = th_d[i] = _ref_theta_exact(a_mat, b_mat, b)
+        if b is not bundles[0]:
+            trig[i] = a_mat, b_mat
+            th_d[i] = b.rate(_ref_min_inflation(b, a_mat, b_mat))
+    return dict(in_T1=in_t1, th_exact=th_e, theta_databased=th_d,
+                triggered=trig, nu_events=nus, open_loop=open_loop)
+
+
+def _bits(obj):
+    return pickle.dumps(obj)
+
+
+def _walk_runs():
+    yield "time", plants.SwitchingPlant(), hybrid.ScenarioConfig(
+        mode="time", horizon=100, seed=0, n_p=12)
+    yield "event", plants.SwitchingPlant(), hybrid.ScenarioConfig(
+        mode="event", horizon=100, seed=53)
+    yield "fallback", plants.ConstantLti(b=np.zeros((2, 2))), \
+        hybrid.ScenarioConfig(mode="event", horizon=8, seed=3)
+    # A grows 1e7-fold at the step after the forced design at k = 4
+    yield "one-step", ExplodingPlant(1e7, 4), hybrid.ScenarioConfig(
+        mode="fixed", horizon=20, seed=1)
+    yield "overflow", ExplodingPlant(1e160, 8), hybrid.ScenarioConfig(
+        mode="fixed", horizon=20, seed=1)
+
+
+@pytest.mark.parametrize("name,plant,cfg", list(_walk_runs()),
+                         ids=[r[0] for r in _walk_runs()])
+def test_stacked_walk_equals_per_step_reference(name, plant, cfg):
+    traj = hybrid.run(plant, cfg)
+    try:
+        ref = _reference_walk(traj, plant)
+    except linalg.InvalidInput as exc:
+        # the overflowing step's closed loop is not finite
+        assert name == "overflow"
+        with pytest.raises(linalg.InvalidInput, match=str(exc)):
+            monitor.default_rates(traj, plant)
+        return
+    walk = monitor._walk(traj, plant, 0.1)
+    rep = monitor.thm_diagnostics(traj, *monitor.default_rates(traj, plant),
+                                  plant)
+    trig = {i: (a[j], b[j]) for _, steps, a, b in walk.triggered
+            for j, i in enumerate(steps)}
+    assert _bits(walk.in_T1) == _bits(ref["in_T1"]) == \
+        _bits(rep.T1_membership)
+    assert _bits(walk.th_exact) == _bits(ref["th_exact"]) == \
+        _bits(rep.theta_exact)
+    assert _bits(rep.theta_databased) == _bits(ref["theta_databased"])
+    assert _bits(walk.nu_events) == _bits(ref["nu_events"])
+    assert _bits(trig) == _bits(ref["triggered"])
+    # each run exercises the branch it was picked for
+    covers = {
+        "time": ref["open_loop"],
+        "event": ref["nu_events"] and ref["triggered"],
+        "fallback": traj.initial_bundle.solver_status == "Fallback"
+        and ref["th_exact"],
+        "one-step": len(walk.records) == 2 and ref["th_exact"],
+    }
+    assert covers[name]
+
+
+def test_stacked_theta_exact_equals_single_calls(switching_run):
+    # real pairs under every bundle of the run, and random ones
+    plant, traj = switching_run
+    rng = np.random.default_rng(5)
+    for b in [traj.initial_bundle] + [e.new_bundle for e in traj.episodes]:
+        pairs = [plant.eval(k) for k in range(0, 100, 7)]
+        pairs += [(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)))
+                  for _ in range(10)]
+        a_mats = np.array([p[0] for p in pairs])
+        b_mats = np.array([p[1] for p in pairs])
+        stacked = monitor.theta_exact(a_mats, b_mats, b.K, b.S)
+        singles = [monitor.theta_exact(a, bm, b.K, b.S) for a, bm in pairs]
+        assert all(type(t) is float for t in singles)
+        assert _bits(stacked.tolist()) == _bits(singles)

@@ -149,3 +149,29 @@ def test_sample_members_matches_per_sample_loop():
         assert rng_a.uniform() == rng_b.uniform()
     assert proximity.sample_members(par, 0, rng).shape == (0,) + \
         par.Zc.shape
+
+
+def test_stacked_min_inflation_equals_single_calls():
+    # on the hand window (0.5, 0) generates the data and clamps to 0, and
+    # (0.3, 0) needs the hand value 0.04; then random windows and pairs
+    def check(w, F, S, pairs):
+        stacked = proximity.min_inflation(w, F, S,
+                                          np.array([p[0] for p in pairs]),
+                                          np.array([p[1] for p in pairs]))
+        singles = [proximity.min_inflation(w, F, S, a, b) for a, b in pairs]
+        assert all(type(e) is float for e in singles)
+        assert stacked.shape == (len(pairs),)
+        assert [e.hex() for e in stacked.tolist()] == \
+            [e.hex() for e in singles]
+        return singles
+
+    pairs = [(np.array([[x]]), np.array([[0.0]])) for x in (0.3, 0.5, 0.7)]
+    eps = check(hand_window(), np.array([[0.01]]), np.array([[1.0]]), pairs)
+    assert abs(eps[0] - 0.04) <= 1e-12 and eps[1] == 0.0 and eps[2] > 0.0
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        w = _random_full_rank_window(rng, nx=3, nu=2, width=6)
+        s = rng.standard_normal((3, 3))
+        pairs = [(rng.standard_normal((3, 3)), rng.standard_normal((3, 2)))
+                 for _ in range(12)]
+        check(w, 0.05 * np.eye(3), s @ s.T + np.eye(3), pairs)
