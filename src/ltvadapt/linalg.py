@@ -109,7 +109,7 @@ def gen_eig_max(a, b):
     matrix, which equals the value of each single call bit for bit.
     """
     a = symmetrize(a)
-    bmh = inv_sqrt_pd(as_matrix(b))
+    bmh = inv_sqrt_pd(b)
     w, _ = sym_eig(bmh @ a @ bmh)
     return float(w[-1]) if w.ndim == 1 else w[:, -1]
 
@@ -117,7 +117,7 @@ def gen_eig_max(a, b):
 def gen_eig_min(a, b):
     """Smallest generalized eigenvalue of (A, B) with B > 0."""
     a = symmetrize(a)
-    bmh = inv_sqrt_pd(as_matrix(b))
+    bmh = inv_sqrt_pd(b)
     w, _ = sym_eig(bmh @ a @ bmh)
     return float(w[0])
 

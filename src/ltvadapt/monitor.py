@@ -32,8 +32,7 @@ BOUND_TOL = 1e-9
 
 def nu_d(s, s_next):
     """Smallest nu with s_next <= nu * s."""
-    return float(linalg.gen_eig_max(linalg.symmetrize(s_next),
-                                    linalg.symmetrize(s)))
+    return float(linalg.gen_eig_max(s_next, s))
 
 
 def theta_exact(a, b, k_gain, s):
@@ -194,16 +193,16 @@ def default_rates(traj, plant, c_sigma=0.1):
 
 
 def _rebuild_window(traj, idx, width):
-    """Data window at record index idx, rebuilt from recorded samples."""
+    """Data window of the width samples before record idx, ending at that
+    record's step, rebuilt from the recorded states and inputs."""
     recs = traj.records
     if idx < width:
         raise linalg.InvalidInput("not enough history for a window")
-    nx = recs[0].x.size
-    nu_dim = next(r.u.size for r in recs if r.u is not None)
-    w = DataWindow.empty(nx, nu_dim, width)
-    for i in range(idx - width, idx):
-        w = w.push(recs[i].x, recs[i].u, recs[i + 1].x)
-    return w
+    seg = recs[idx - width:idx + 1]
+    return DataWindow(kappa=recs[idx].k,
+                      Xhat=np.column_stack([r.x for r in seg[:-1]]),
+                      X=np.column_stack([r.x for r in seg[1:]]),
+                      U=np.column_stack([r.u for r in seg[:-1]]))
 
 
 def thm_diagnostics(traj, lambda_c, lambda_d, plant, c_sigma=0.1):

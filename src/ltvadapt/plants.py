@@ -173,31 +173,26 @@ class PiecewiseFilePlant(LtvPlant):
         raise AssertionError("unreachable")
 
 
-# kind -> (the parameter keys it takes, factory)
+# kind -> (plant class, the parameter keys it takes)
 _FACTORIES = {
-    "constant": (("a", "b"),
-                 lambda kw: ConstantLti(a=kw.get("a"), b=kw.get("b"))),
-    "switching": (("p", "ell"), lambda kw: SwitchingPlant(
-        p=int(kw.get("p", 12)), ell=float(kw.get("ell", 1.0))
-    )),
-    "sinusoidal": (("p", "delta_a"), lambda kw: SinusoidalPlant(
-        p=int(kw.get("p", 10)), delta_a=float(kw.get("delta_a", 0.8))
-    )),
-    "vanishing": (("p", "t_delta"), lambda kw: VanishingPerturbationPlant(
-        p=int(kw.get("p", 10)), t_delta=int(kw.get("t_delta", 30))
-    )),
-    "piecewise_file": (("path",), lambda kw: PiecewiseFilePlant(kw["path"])),
+    "constant": (ConstantLti, ("a", "b")),
+    "switching": (SwitchingPlant, ("p", "ell")),
+    "sinusoidal": (SinusoidalPlant, ("p", "delta_a")),
+    "vanishing": (VanishingPerturbationPlant, ("p", "t_delta")),
+    "piecewise_file": (PiecewiseFilePlant, ("path",)),
 }
 
 
 def make_plant(kind, params=None):
     """Construct a plant from a config-style kind string and parameter dict.
 
-    A parameter the kind does not take is rejected, not ignored.
+    A parameter the kind does not take is rejected, not ignored; one left
+    out takes the class's default. A missing required parameter or a value
+    the class cannot take raises InvalidInput.
     """
     params = params or {}
     try:
-        keys, factory = _FACTORIES[kind]
+        cls, keys = _FACTORIES[kind]
     except KeyError:
         raise linalg.InvalidInput("unknown plant kind %r" % (kind,))
     for key in params:
@@ -205,6 +200,9 @@ def make_plant(kind, params=None):
             raise linalg.InvalidInput("plant kind %r takes no parameter %r"
                                       % (kind, key))
     try:
-        return factory(params)
-    except KeyError as exc:
-        raise linalg.InvalidInput("missing plant parameter %s" % exc)
+        return cls(**params)
+    except linalg.InvalidInput:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise linalg.InvalidInput("bad %r plant parameters: %s"
+                                  % (kind, exc))

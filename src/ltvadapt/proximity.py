@@ -77,7 +77,7 @@ def min_inflation(w, F, S, A_true, B_true):
     result is then an array with one eps per pair, each equal bit for bit
     to the float a single call returns. S^-1 is formed once either way.
     """
-    S = linalg.symmetrize(linalg.as_matrix(S, (w.nx, w.nx)))
+    S = linalg.as_matrix(S, (w.nx, w.nx))
     d = dtilde(w, A_true, B_true)
     gap = linalg.symmetrize(d @ np.swapaxes(d, -2, -1) -
                             linalg.as_matrix(F, (w.nx, w.nx)))
@@ -94,7 +94,7 @@ def inflated(F, S, eps):
 
 
 def _psd_sqrt_and_pinv_sqrt(m):
-    w, v = linalg.sym_eig(linalg.symmetrize(m))
+    w, v = linalg.sym_eig(m)
     tol = max(m.shape) * np.finfo(float).eps * max(float(w[-1]), 0.0)
     w = np.clip(w, 0.0, None)
     root = np.sqrt(w)

@@ -81,36 +81,38 @@ def fallback_bundle(w):
 def _symmetry_nullspace(xhat):
     """Basis Y_i of matrices with Xhat @ Y_i symmetric.
 
-    Returns an array of shape (d, T, nx); the basis is deterministic
-    (right singular vectors of the skew-symmetry constraint matrix).
+    Each strictly upper pair (r, c) gives one row of the constraint matrix
+    on vec(Y) (row-major, entry Y[s, j] at s * nx + j): skew(Xhat Y)[r, c]
+    takes xhat[r, s] from Y[s, c] and -xhat[c, s] from Y[s, r]. Returns an
+    array of shape (d, T, nx); the basis is deterministic (right singular
+    vectors of the constraint matrix beyond its numerical rank), and the
+    identity basis when nx = 1 leaves nothing to constrain.
     """
     nx, t = xhat.shape
-    pairs = [(r, c) for r in range(nx) for c in range(r + 1, nx)]
-    if not pairs:
+    r, c = np.triu_indices(nx, 1)
+    if not r.size:
         return np.eye(t * nx).reshape(-1, t, nx)
-    cmat = np.zeros((len(pairs), t * nx))
-    for row, (r, c) in enumerate(pairs):
-        for s in range(t):
-            # entry Y[s, c] contributes xhat[r, s]; Y[s, r] contributes
-            # -xhat[c, s] to skew(Xhat Y)[r, c]
-            cmat[row, s * nx + c] += xhat[r, s]
-            cmat[row, s * nx + r] -= xhat[c, s]
+    rows = np.arange(r.size)
+    cmat = np.zeros((r.size, t, nx))
+    cmat[rows, :, c] += xhat[r]
+    cmat[rows, :, r] -= xhat[c]
+    cmat = cmat.reshape(r.size, t * nx)
     _, sig, vt = np.linalg.svd(cmat)
     tol = max(cmat.shape) * np.finfo(float).eps * (sig[0] if sig.size else 0.0)
     rank = int(np.sum(sig > tol))
-    null = vt[rank:]
-    return null.reshape(-1, t, nx)
+    return vt[rank:].reshape(-1, t, nx)
 
 
 def _svec_basis(nx):
-    basis = []
-    for i in range(nx):
-        for j in range(i, nx):
-            e = np.zeros((nx, nx))
-            e[i, j] = 1.0
-            e[j, i] = 1.0
-            basis.append(e)
-    return np.array(basis)
+    """Symmetric basis E_ij = e_i e_j^T + e_j e_i^T (E_ii has a single 1
+    at (i, i)) for i <= j, in row-major upper-triangle order; shape
+    (nx (nx + 1) / 2, nx, nx)."""
+    i, j = np.triu_indices(nx)
+    rows = np.arange(i.size)
+    basis = np.zeros((i.size, nx, nx))
+    basis[rows, i, j] = 1.0
+    basis[rows, j, i] = 1.0
+    return basis
 
 
 @dataclass
@@ -128,58 +130,56 @@ class _DesignProblem:
 
 
 def build_design_problem(w):
-    """Assemble the SDP whose solution yields (K, S, F, a1, a2)."""
-    xhat, x, u = w.Xhat, w.X, w.U
+    """Assemble the SDP whose solution yields (K, S, F, a1, a2).
+
+    The decision vector is [varsigma | Y coordinates | svec H]: Y is the
+    combination of the `_symmetry_nullspace` basis, so that P = Xhat Y is
+    symmetric (the parametrization of De Persis and Tesi, IEEE TAC 2020),
+    and H that of the `_svec_basis`. Each block's coefficients are filled
+    for the whole stacked Y basis at once:
+      1. [[P - varsigma X X^T - H, X Y], [(X Y)^T, P]] > 0,
+      2. [[I_T, Y], [Y^T, P]] > 0,
+      3. H > 0, the determinant block of the objective,
+      4. varsigma > 0.
+    """
+    xhat, x = w.Xhat, w.X
     nx, t = xhat.shape
     y_basis = _symmetry_nullspace(xhat)
     h_basis = _svec_basis(nx)
     d_y = y_basis.shape[0]
-    d_h = h_basis.shape[0]
-    nvar = 1 + d_y + d_h
+    nvar = 1 + d_y + h_basis.shape[0]
+    ys = slice(1, 1 + d_y)
+    hs = slice(1 + d_y, nvar)
+    py = linalg.symmetrize(xhat @ y_basis)
+    xy = x @ y_basis
 
-    xxt = x @ x.T
+    c1 = np.zeros((nvar, 2 * nx, 2 * nx))
+    c1[0, :nx, :nx] = -(x @ x.T)
+    c1[ys, :nx, :nx] = py
+    c1[ys, :nx, nx:] = xy
+    c1[ys, nx:, :nx] = xy.swapaxes(1, 2)
+    c1[ys, nx:, nx:] = py
+    c1[hs, :nx, :nx] = -h_basis
 
-    # block 1: [[Xhat Y - varsigma X X^T - H, X Y], [(X Y)^T, Xhat Y]] > 0
-    dim1 = 2 * nx
-    c1 = np.zeros((nvar, dim1, dim1))
-    c1[0, :nx, :nx] = -xxt
-    for i in range(d_y):
-        yi = y_basis[i]
-        py = linalg.symmetrize(xhat @ yi)
-        xy = x @ yi
-        c1[1 + i, :nx, :nx] = py
-        c1[1 + i, :nx, nx:] = xy
-        c1[1 + i, nx:, :nx] = xy.T
-        c1[1 + i, nx:, nx:] = py
-    for j in range(d_h):
-        c1[1 + d_y + j, :nx, :nx] = -h_basis[j]
-    lmi1 = maxdet.AffineMatFn(np.zeros((dim1, dim1)), c1)
-
-    # block 2: [[I_T, Y], [Y^T, Xhat Y]] > 0
-    dim2 = t + nx
-    k2 = np.zeros((dim2, dim2))
+    k2 = np.zeros((t + nx, t + nx))
     k2[:t, :t] = np.eye(t)
-    c2 = np.zeros((nvar, dim2, dim2))
-    for i in range(d_y):
-        yi = y_basis[i]
-        c2[1 + i, :t, t:] = yi
-        c2[1 + i, t:, :t] = yi.T
-        c2[1 + i, t:, t:] = linalg.symmetrize(xhat @ yi)
-    lmi2 = maxdet.AffineMatFn(k2, c2)
+    c2 = np.zeros((nvar, t + nx, t + nx))
+    c2[ys, :t, t:] = y_basis
+    c2[ys, t:, :t] = y_basis.swapaxes(1, 2)
+    c2[ys, t:, t:] = py
 
-    # block 3: H > 0 (determinant objective)
     c3 = np.zeros((nvar, nx, nx))
-    c3[1 + d_y:] = h_basis
-    hblock = maxdet.AffineMatFn(np.zeros((nx, nx)), c3)
+    c3[hs] = h_basis
 
-    # block 4: varsigma > 0
     c4 = np.zeros((nvar, 1, 1))
     c4[0, 0, 0] = 1.0
-    positive = maxdet.AffineMatFn(np.zeros((1, 1)), c4)
 
     problem = maxdet.SdpProblem(
         num_vars=nvar,
-        constraints=[lmi1, lmi2, hblock, positive],
+        constraints=[maxdet.AffineMatFn(np.zeros((2 * nx, 2 * nx)), c1),
+                     maxdet.AffineMatFn(k2, c2),
+                     maxdet.AffineMatFn(np.zeros((nx, nx)), c3),
+                     maxdet.AffineMatFn(np.zeros((1, 1)), c4)],
         det_block=2,
     )
     return _DesignProblem(problem=problem, y_basis=y_basis, h_basis=h_basis)
@@ -250,11 +250,6 @@ def synthesize(w, eps_F=DEFAULT_EPS_F, opts=None):
     return extract_bundle(w, design, sol, eps_F=eps_F)
 
 
-def _sym(a):
-    """Symmetric part of each matrix in a stack."""
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
-
-
 @dataclass
 class PropertyReport:
     num_samples: int
@@ -301,9 +296,9 @@ def verify_property(bundle, num_samples=500, rng_seed=0, eps_values=None,
         acl = zhat_t[:, :, :nx] + zhat_t[:, :, nx:nx + nu] @ bundle.K
         # lambda_max(S^-1/2 Acl^T S Acl S^-1/2) is the smallest rate t
         # with Acl^T S Acl <= t S
-        q = s_inv_half @ _sym(np.swapaxes(acl, 1, 2) @ bundle.S @ acl) \
-            @ s_inv_half
-        lhs = np.linalg.eigvalsh(_sym(q))[:, -1]
+        q = s_inv_half @ linalg.symmetrize(
+            np.swapaxes(acl, 1, 2) @ bundle.S @ acl) @ s_inv_half
+        lhs = np.linalg.eigvalsh(linalg.symmetrize(q))[:, -1]
         excess = (lhs - rate) / max(abs(rate), 1.0)
         worst = max(worst, float(np.max(excess, initial=-np.inf)))
         violations += int(np.count_nonzero(excess > rel_tol))

@@ -5,7 +5,8 @@ import pickle
 import numpy as np
 import pytest
 
-from ltvadapt import hybrid, linalg, monitor, plants, proximity, synthesis
+from ltvadapt import (hybrid, linalg, monitor, plants, proximity, synthesis,
+                      verification)
 from ltvadapt.window import DataWindow
 from test_cli import ExplodingPlant
 
@@ -324,3 +325,19 @@ def test_stacked_theta_exact_equals_single_calls(switching_run):
         singles = [monitor.theta_exact(a, bm, b.K, b.S) for a, bm in pairs]
         assert all(type(t) is float for t in singles)
         assert _bits(stacked.tolist()) == _bits(singles)
+
+
+def test_rebuilt_window_equals_the_designed_window():
+    # the window rebuilt at an episode's record is the one its design saw
+    n = 0
+    for _, _, _, traj in verification.canonical_runs():
+        for e in traj.episodes:
+            w = e.new_bundle.window
+            idx = next(i for i, r in enumerate(traj.records) if r.k == e.k)
+            rebuilt = monitor._rebuild_window(traj, idx, w.width)
+            assert rebuilt.kappa == w.kappa == e.k
+            for name in ("Xhat", "X", "U"):
+                assert np.array_equal(getattr(rebuilt, name),
+                                      getattr(w, name)), name
+            n += 1
+    assert n > 0

@@ -148,3 +148,27 @@ def test_make_plant_constant_uses_given_matrices():
     na, nb = plants.make_plant("constant").eval(0)
     assert np.array_equal(na, plants.A_NOMINAL)
     assert np.array_equal(nb, plants.B_NOMINAL)
+
+
+@pytest.mark.parametrize("kind,cls", [
+    ("constant", plants.ConstantLti), ("switching", plants.SwitchingPlant),
+    ("sinusoidal", plants.SinusoidalPlant),
+    ("vanishing", plants.VanishingPerturbationPlant)])
+def test_make_plant_defaults_are_the_class_defaults(kind, cls):
+    made, own = plants.make_plant(kind), cls()
+    assert type(made) is cls
+    assert vars(made).keys() == vars(own).keys()
+    for key, value in vars(own).items():
+        assert np.array_equal(vars(made)[key], value), key
+    for k in range(0, 40, 3):
+        for m, o in zip(made.eval(k), own.eval(k)):
+            assert np.array_equal(m, o)
+
+
+def test_make_plant_wraps_constructor_errors():
+    with pytest.raises(linalg.InvalidInput):
+        plants.make_plant("piecewise_file", {})
+    with pytest.raises(linalg.InvalidInput):
+        plants.make_plant("switching", {"p": "twelve"})
+    with pytest.raises(linalg.InvalidInput, match="block length"):
+        plants.make_plant("switching", {"p": 0})

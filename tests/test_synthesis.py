@@ -140,6 +140,104 @@ def test_synthesize_declines_below_data_bound_without_solving(
     assert len(solve_calls) == 2
 
 
+def _reference_design(w):
+    # the design problem filled one basis element at a time, as the
+    # stacked assembly must reproduce bit for bit
+    xhat, x = w.Xhat, w.X
+    nx, t = xhat.shape
+    pairs = [(r, c) for r in range(nx) for c in range(r + 1, nx)]
+    if not pairs:
+        y_basis = np.eye(t * nx).reshape(-1, t, nx)
+    else:
+        cmat = np.zeros((len(pairs), t * nx))
+        for row, (r, c) in enumerate(pairs):
+            for s in range(t):
+                cmat[row, s * nx + c] += xhat[r, s]
+                cmat[row, s * nx + r] -= xhat[c, s]
+        _, sig, vt = np.linalg.svd(cmat)
+        tol = max(cmat.shape) * np.finfo(float).eps * sig[0]
+        y_basis = vt[int(np.sum(sig > tol)):].reshape(-1, t, nx)
+    h_list = []
+    for i in range(nx):
+        for j in range(i, nx):
+            e = np.zeros((nx, nx))
+            e[i, j] = 1.0
+            e[j, i] = 1.0
+            h_list.append(e)
+    h_basis = np.array(h_list)
+    d_y, d_h = y_basis.shape[0], h_basis.shape[0]
+    nvar = 1 + d_y + d_h
+    c1 = np.zeros((nvar, 2 * nx, 2 * nx))
+    c1[0, :nx, :nx] = -(x @ x.T)
+    for i in range(d_y):
+        yi = y_basis[i]
+        py = linalg.symmetrize(xhat @ yi)
+        xy = x @ yi
+        c1[1 + i, :nx, :nx] = py
+        c1[1 + i, :nx, nx:] = xy
+        c1[1 + i, nx:, :nx] = xy.T
+        c1[1 + i, nx:, nx:] = py
+    for j in range(d_h):
+        c1[1 + d_y + j, :nx, :nx] = -h_basis[j]
+    k2 = np.zeros((t + nx, t + nx))
+    k2[:t, :t] = np.eye(t)
+    c2 = np.zeros((nvar, t + nx, t + nx))
+    for i in range(d_y):
+        yi = y_basis[i]
+        c2[1 + i, :t, t:] = yi
+        c2[1 + i, t:, :t] = yi.T
+        c2[1 + i, t:, t:] = linalg.symmetrize(xhat @ yi)
+    c3 = np.zeros((nvar, nx, nx))
+    c3[1 + d_y:] = h_basis
+    c4 = np.zeros((nvar, 1, 1))
+    c4[0, 0, 0] = 1.0
+    blocks = [(np.zeros((2 * nx, 2 * nx)), c1), (k2, c2),
+              (np.zeros((nx, nx)), c3), (np.zeros((1, 1)), c4)]
+    return y_basis, h_basis, blocks
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _design_windows():
+    rng = np.random.default_rng(3)
+    hand = DataWindow(kappa=2, Xhat=np.array([[1.0, 0.5]]),
+                      X=np.array([[0.5, 0.25]]), U=np.array([[0.0, 0.0]]))
+    # closed-loop data: U = K Xhat leaves the regressor rank-deficient
+    plant = plants.ConstantLti()
+    a_mat, b_mat = plant.eval(0)
+    k_gain = np.array([[-0.4, 0.1], [0.2, -0.3]])
+    xhat = rng.standard_normal((2, 5))
+    closed = DataWindow(kappa=5, Xhat=xhat, X=(a_mat + b_mat @ k_gain) @ xhat,
+                        U=k_gain @ xhat)
+    wide = DataWindow(kappa=6, Xhat=rng.standard_normal((3, 6)),
+                      X=rng.standard_normal((3, 6)),
+                      U=rng.standard_normal((2, 6)))
+    return [hand, exploration_window(), closed, wide]
+
+
+@pytest.mark.parametrize("idx", range(4))
+def test_stacked_design_assembly_matches_per_basis_reference(idx):
+    w = _design_windows()[idx]
+    design = synthesis.build_design_problem(w)
+    y_basis, h_basis, blocks = _reference_design(w)
+    assert _same_bits(design.y_basis, y_basis)
+    assert _same_bits(design.h_basis, h_basis)
+    problem = design.problem
+    assert problem.num_vars == 1 + y_basis.shape[0] + h_basis.shape[0]
+    assert problem.det_block == 2
+    assert len(problem.constraints) == len(blocks)
+    for fn, (constant, coeffs) in zip(problem.constraints, blocks):
+        assert _same_bits(fn.constant, constant)
+        assert _same_bits(fn.coeffs, coeffs)
+    if idx == 0:
+        # nx = 1 leaves nothing to constrain: the identity basis
+        assert _same_bits(y_basis, np.eye(2).reshape(2, 2, 1))
+    if idx == 2:
+        assert np.linalg.matrix_rank(w.z_matrix()) < w.nx + w.nu
+
+
 def test_fallback_bundle():
     w = DataWindow.empty(2, 2, 4)
     b = synthesis.fallback_bundle(w)
