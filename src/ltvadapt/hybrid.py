@@ -253,8 +253,7 @@ def write_trajectory_csv(traj, path, nx, nu):
     header = (["k", "j"]
               + ["x_%d" % (i + 1) for i in range(nx)]
               + ["u_%d" % (i + 1) for i in range(nu)]
-              + ["V", "sigma_a1", "a1", "trigger", "synth_feasible",
-                 "kappa"])
+              + ["V", "sigma_a1", "a1", "trigger", "synth_feasible"])
     with open(path, "w", newline="") as fh:
         wtr = csv.writer(fh)
         wtr.writerow(header)
@@ -266,5 +265,5 @@ def write_trajectory_csv(traj, path, nx, nu):
             else:
                 row += [_fmt(float(v)) for v in r.u]
             row += [_fmt(r.V), _fmt(r.sigma_a1), _fmt(r.a1),
-                    _fmt(bool(r.trigger)), _fmt(r.synth_feasible), r.k]
+                    _fmt(bool(r.trigger)), _fmt(r.synth_feasible)]
             wtr.writerow(row)

@@ -6,16 +6,17 @@ per-jump growth factor nu_d, the per-step contraction factors theta, the
 running certificate product pi, the step bound check, and the long-run
 rate diagnostics with the membership test of the consistency set.
 
-The product pi uses sigma(a1) on every step in the decrease set T1 and a
-contraction factor theta only on the steps outside it, so theta is
-evaluated only outside T1. The walk behind `default_rates` and
-`thm_diagnostics` gathers the steps into arrays and evaluates them as
-stacks: one quadratic form for every successor value, one comparison for
-T1, one closeness test that picks the open-loop steps, and one stacked
-exact factor per bundle. `thm_diagnostics` adds the data-based
-a1 + a2 * eps with one stacked minimal inflation per triggered bundle.
-Every factor equals bit for bit the one a single-step evaluation gives.
-A record's own V is read from the trajectory.
+The walk behind `default_rates` and `thm_diagnostics` keeps its per-step
+quantities as arrays: sigma(a1) of each record's bundle, the decrease set
+T1 from one stacked quadratic form and one comparison, the exact factors
+from one stacked `synthesis.theta_exact` per bundle on the feedback steps
+outside T1 (the realized ratio of V on open-loop steps), and nu_d per
+record. The product pi is one cumulative product of sigma(a1) on the
+steps in T1, a factor theta on the steps outside it, and nu_d at jumps.
+`thm_diagnostics` adds the data-based a1 + a2 * eps with one stacked
+minimal inflation per triggered bundle. Every factor equals bit for bit
+the one a single-step evaluation gives. A record's own V is read from the
+trajectory.
 """
 
 import csv
@@ -25,6 +26,7 @@ import numpy as np
 
 from . import linalg, proximity
 from .hybrid import sigma
+from .synthesis import theta_exact
 from .window import DataWindow
 
 BOUND_TOL = 1e-9
@@ -35,33 +37,21 @@ def nu_d(s, s_next):
     return float(linalg.gen_eig_max(s_next, s))
 
 
-def theta_exact(a, b, k_gain, s):
-    """Tight one-step contraction of V(., s) under the true closed loop.
-
-    a and b may be stacks of plant pairs along a leading axis, all under
-    the one gain and certificate; the result is then an array with one
-    factor per pair, each equal bit for bit to the float a single call
-    returns.
-    """
-    acl = np.asarray(a, dtype=float) + np.asarray(b, dtype=float) @ k_gain
-    # an overflow leaves non-finite entries, which symmetrize rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = np.swapaxes(acl, -2, -1) @ s @ acl
-    return linalg.gen_eig_max(linalg.symmetrize(m), s)
-
-
 @dataclass
 class _StepWalk:
-    """Per-step quantities shared by the rates and the diagnostics."""
+    """Per-step quantities shared by the rates and the diagnostics; the
+    monitored segment has records 0..n and steps 0..n-1."""
 
     records: list
     bundles: list            # bundle in effect at each monitored record
-    in_T1: list              # decrease branch flag per step (departure)
-    th_exact: dict           # step index -> factor, steps outside T1 only
+    sig: np.ndarray          # sigma(a1) of each record's bundle
+    in_T1: np.ndarray        # decrease branch flag per step (departure)
+    theta: np.ndarray        # exact factor per step, read outside T1 only
+    nu: np.ndarray           # nu_d per record, 1 where there is no jump
+    nu_events: list          # (record index, nu_d) at jumps
     triggered: list          # (bundle, steps, A stack, B stack) for the
                              # feedback steps outside T1 under each
                              # triggered bundle
-    nu_events: list          # (record index, nu_d) at jumps
 
 
 def _walk(traj, plant, c_sigma):
@@ -87,8 +77,10 @@ def _walk(traj, plant, c_sigma):
 
     n = len(recs) - 1
     nu, nx = traj.initial_bundle.K.shape
-    nus = [(i + 1, nu_d(bundles[i].S, bundles[i + 1].S)) for i in range(n)
-           if recs[i + 1].tau == 0 and bundles[i + 1] is not bundles[i]]
+    jumps = [i for i in range(1, n + 1)
+             if recs[i].tau == 0 and bundles[i] is not bundles[i - 1]]
+    nus = np.ones(n + 1)
+    nus[jumps] = [nu_d(bundles[i - 1].S, bundles[i].S) for i in jumps]
 
     # the record's V uses its own bundle; the successor is measured with
     # the departure's bundle too, since the bundle changes at jumps. V is
@@ -96,7 +88,7 @@ def _walk(traj, plant, c_sigma):
     x = np.array([r.x for r in recs]).reshape(n + 1, nx)
     s_dep = np.array([b.S for b in bundles[:-1]]).reshape(n, nx, nx)
     v = np.array([r.V for r in recs[:-1]], dtype=float)
-    sig = np.array([sigma(b.a1, c_sigma) for b in bundles[:-1]])
+    sig = np.array([sigma(b.a1, c_sigma) for b in bundles])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         v_next = (x[1:, None, :] @ s_dep @ x[1:, :, None])[:, 0, 0]
         v_next[~np.isfinite(v_next)] = np.inf
@@ -105,7 +97,7 @@ def _walk(traj, plant, c_sigma):
         # one-step ratio of V; the feedback steps are overwritten below
         theta = np.where(v > 0.0, v_next / v,
                          np.where(v_next > 0.0, np.inf, 1.0))
-    in_t1 = v_next <= sig * v * (1.0 + BOUND_TOL)
+    in_t1 = v_next <= sig[:-1] * v * (1.0 + BOUND_TOL)
 
     out = np.flatnonzero(~in_t1)
     k_gains = np.array([bundles[i].K for i in out]).reshape(len(out), nu, nx)
@@ -130,23 +122,20 @@ def _walk(traj, plant, c_sigma):
         # which only the forced design creates) keeps the exact factor
         if b is not bundles[0]:
             trig.append((b, steps, a_mats, b_mats))
-    th_e = dict(zip(out.tolist(), theta[out].tolist()))
-    return _StepWalk(records=recs, bundles=bundles, in_T1=in_t1.tolist(),
-                     th_exact=th_e, triggered=trig, nu_events=nus)
+    return _StepWalk(records=recs, bundles=bundles, sig=sig, in_T1=in_t1,
+                     theta=theta, nu=nus,
+                     nu_events=list(zip(jumps, nus[jumps].tolist())),
+                     triggered=trig)
 
 
-def pi_product(walk, thetas, c_sigma):
-    """Certificate product pi over a walk's monitored segment, pi[0] = 1,
-    with factor thetas[i] on each step i outside T1."""
-    nus = dict(walk.nu_events)
-    pi = np.ones(len(walk.records))
+def pi_product(walk, thetas):
+    """Certificate product pi over a walk's monitored segment: pi[0] = 1,
+    and step i multiplies in sigma(a1) if it lies in T1 and thetas[i]
+    otherwise, times nu_d of record i + 1. thetas holds one factor per
+    step; its entries on the steps in T1 are not read."""
     with np.errstate(over="ignore"):
-        for i in range(len(walk.records) - 1):
-            b = walk.bundles[i]
-            factor = sigma(b.a1, c_sigma) if walk.in_T1[i] else thetas[i]
-            factor *= nus.get(i + 1, 1.0)
-            pi[i + 1] = pi[i] * factor
-    return pi
+        factors = np.where(walk.in_T1, walk.sig[:-1], thetas) * walk.nu[1:]
+        return np.cumprod(np.concatenate(([1.0], factors)))
 
 
 def check_bound(traj, pi_seq):
@@ -154,12 +143,8 @@ def check_bound(traj, pi_seq):
     recs = traj.records[traj.monitor_start:]
     if len(pi_seq) != len(recs):
         raise linalg.InvalidInput("pi sequence does not match trajectory")
-    v0 = recs[0].V
-    flags = []
-    for r, p in zip(recs, pi_seq):
-        v = r.V if r.V is not None else np.inf
-        flags.append(bool(v <= p * v0 * (1.0 + BOUND_TOL)))
-    return flags
+    v = np.array([np.inf if r.V is None else r.V for r in recs])
+    return (v <= np.asarray(pi_seq) * recs[0].V * (1.0 + BOUND_TOL)).tolist()
 
 
 @dataclass
@@ -171,7 +156,7 @@ class DiagnosticsReport:
     thm4_lhs: np.ndarray
     m1: float
     m2: float
-    Tstar_estimate: int | None
+    Tstar_estimate: int
     cor1_membership: bool | None
     nu_d_events: list
     theta_exact: dict        # step index -> factor, steps outside T1 only
@@ -182,14 +167,9 @@ class DiagnosticsReport:
 def default_rates(traj, plant, c_sigma=0.1):
     """A (lambda_c, lambda_d) pair that dominates the observed factors."""
     walk = _walk(traj, plant, c_sigma)
-    lam_c = max(sigma(b.a1, c_sigma) for b in walk.bundles)
-    lam_c = min(lam_c, 1.0)
-    lam_d = lam_c
-    for th in walk.th_exact.values():
-        lam_d = max(lam_d, th)
-    for _, nu in walk.nu_events:
-        lam_d = max(lam_d, nu)
-    return lam_c, lam_d
+    lam_c = min(float(np.max(walk.sig)), 1.0)
+    return lam_c, max([lam_c, *walk.theta[~walk.in_T1].tolist(),
+                       *(nu for _, nu in walk.nu_events)])
 
 
 def _rebuild_window(traj, idx, width):
@@ -232,50 +212,41 @@ def thm_diagnostics(traj, lambda_c, lambda_d, plant, c_sigma=0.1):
     m2 = max(0.0, -slope)
     m1 = float(np.max(lhs + m2 * t))
 
-    # T*: physical time after which every step stays in the decrease branch
-    tstar = None
-    last_out = max(walk.th_exact, default=-1)  # last step outside T1
-    if last_out + 1 < len(recs):
-        tstar = recs[last_out + 1].k
-
+    # T*: physical time after which every step stays in the decrease
+    # branch, the record after the last step outside T1
+    out = np.flatnonzero(~walk.in_T1).tolist()
+    first = out[-1] + 1 if out else 0
+    b = walk.bundles[first]
+    try:
+        w_star = _rebuild_window(traj, traj.monitor_start + first,
+                                 b.window.width)
+    except linalg.InvalidInput:
+        w_star = None
     cor1 = None
-    if tstar is not None:
-        idx = traj.monitor_start + last_out + 1
-        b = walk.bundles[last_out + 1]
-        width = b.window.width
-        try:
-            w_star = _rebuild_window(traj, idx, width)
-        except linalg.InvalidInput:
-            w_star = None
-        if w_star is not None:
-            cor1 = True
-            for r in recs[last_out + 1:]:
-                a_mat, b_mat = plant.eval(r.k)
-                if not proximity.contains(w_star, b.F, a_mat, b_mat):
-                    cor1 = False
-                    break
+    if w_star is not None:
+        cor1 = all(proximity.contains(w_star, b.F, *plant.eval(r.k))
+                   for r in recs[first:])
 
     # data-based factors a1 + a2 * eps on the triggered feedback steps,
     # one stacked minimal inflation per bundle
-    th_d = dict(walk.th_exact)
+    th_d = walk.theta.copy()
     for b, steps, a_mats, b_mats in walk.triggered:
-        eps = proximity.min_inflation(b.window, b.F, b.S, a_mats, b_mats)
-        for i, e in zip(steps, eps.tolist()):
-            th_d[i] = b.rate(e)
-    pi_e = pi_product(walk, walk.th_exact, c_sigma)
+        th_d[steps] = b.rate(proximity.min_inflation(b.window, b.F, b.S,
+                                                     a_mats, b_mats))
+    pi_e = pi_product(walk, walk.theta)
     return DiagnosticsReport(
         pi_exact=pi_e,
-        pi_databased=pi_product(walk, th_d, c_sigma),
+        pi_databased=pi_product(walk, th_d),
         bound_ok=check_bound(traj, pi_e),
-        T1_membership=walk.in_T1,
+        T1_membership=walk.in_T1.tolist(),
         thm4_lhs=lhs,
         m1=m1,
         m2=m2,
-        Tstar_estimate=tstar,
+        Tstar_estimate=recs[first].k,
         cor1_membership=cor1,
         nu_d_events=walk.nu_events,
-        theta_exact=walk.th_exact,
-        theta_databased=th_d,
+        theta_exact=dict(zip(out, walk.theta[out].tolist())),
+        theta_databased=dict(zip(out, th_d[out].tolist())),
         records=recs,
     )
 

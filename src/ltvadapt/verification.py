@@ -195,17 +195,23 @@ def suite_property1(num_samples=500, rng_seed=0):
     n_bundles = 0
     violations = 0
     worst = -np.inf
+    vacuous = []
     for name, plant, cfg, traj in canonical_runs():
-        for b in [e.new_bundle for e in traj.episodes]:
-            rep = synthesis.verify_property(b, num_samples=num_samples,
+        for e in traj.episodes:
+            rep = synthesis.verify_property(e.new_bundle,
+                                            num_samples=num_samples,
                                             rng_seed=rng_seed)
             n_bundles += 1
             violations += rep.num_violations
-            if not rep.vacuous:
+            if rep.vacuous:
+                vacuous.append("%s k=%d" % (name, e.k))
+            else:
                 worst = max(worst, rep.max_relative_excess)
+    named = " (%s)" % ", ".join(vacuous) if vacuous else ""
     res.add("decrease-on-sampled-plants", violations == 0,
-            "%d bundles x %d samples, %d violations, worst excess %.3g"
-            % (n_bundles, num_samples, violations, worst))
+            "%d bundles x %d samples, %d vacuous%s, %d violations, "
+            "worst excess %.3g" % (n_bundles, num_samples, len(vacuous),
+                                   named, violations, worst))
     return res
 
 
@@ -213,11 +219,22 @@ def suite_property1(num_samples=500, rng_seed=0):
 # Lyapunov product bound along every run
 
 
+def _bound_ratio(v, pi):
+    """Largest V / (pi V0) over the records after the first (record 0 is
+    1 by construction), skipping those where V and pi are both infinite."""
+    keep = ~(np.isinf(v[1:]) & np.isinf(pi[1:]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = v[1:][keep] / (pi[1:][keep] * v[0])
+    return float(np.max(ratio, initial=-np.inf))
+
+
 def suite_lemma5():
     res = SuiteResult("lemma5")
     all_ok = True
     dominated = True
     n_runs = 0
+    worst_e = worst_d = -np.inf
+    least_dominance = np.inf
     for name, plant, cfg, traj in canonical_runs():
         rep = monitor.thm_diagnostics(
             traj, *monitor.default_rates(traj, plant, cfg.c_sigma), plant,
@@ -230,9 +247,18 @@ def suite_lemma5():
         if not all(d >= e * (1.0 - 1e-9) for e, d in zip(pi_e, pi_d)):
             dominated = False
             logger.warning("databased bound below exact on %s", name)
+        v = np.array([np.inf if r.V is None else r.V for r in rep.records])
+        worst_e = max(worst_e, _bound_ratio(v, pi_e))
+        worst_d = max(worst_d, _bound_ratio(v, pi_d))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            least_dominance = min(least_dominance,
+                                  float(np.min(pi_d / pi_e)))
         n_runs += 1
-    res.add("product-bound-holds", all_ok, "%d runs" % n_runs)
-    res.add("databased-dominates-exact", dominated)
+    res.add("product-bound-holds", all_ok,
+            "%d runs, largest V/(pi V0) %.3g exact, %.3g data-based"
+            % (n_runs, worst_e, worst_d))
+    res.add("databased-dominates-exact", dominated,
+            "smallest pi_databased/pi_exact %.3g" % least_dominance)
     return res
 
 

@@ -192,5 +192,5 @@ def test_trajectory_csv(tmp_path, event_run):
     hybrid.write_trajectory_csv(traj, str(path), 2, 2)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == ("k,j,x_1,x_2,u_1,u_2,V,sigma_a1,a1,trigger,"
-                        "synth_feasible,kappa")
+                        "synth_feasible")
     assert len(lines) == len(traj.records) + 1

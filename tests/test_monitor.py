@@ -18,8 +18,8 @@ def test_nu_d_scalar():
 
 def test_theta_exact_scalar():
     # closed loop 0.5 + 1 * (-0.2) = 0.3; theta = 0.3^2
-    th = monitor.theta_exact(np.array([[0.5]]), np.array([[1.0]]),
-                             np.array([[-0.2]]), np.array([[2.0]]))
+    th = synthesis.theta_exact(np.array([[0.5]]), np.array([[1.0]]),
+                               np.array([[-0.2]]), np.array([[2.0]]))
     assert abs(th - 0.09) < 1e-12
 
 
@@ -142,7 +142,7 @@ def test_theta_databased_upper_bounds_exact_on_worked_instance(
     for i in outside:
         b, r = bundles[i], rep.records[i]
         a_mat, b_mat = plant.eval(r.k)
-        te = monitor.theta_exact(a_mat, b_mat, b.K, b.S)
+        te = synthesis.theta_exact(a_mat, b_mat, b.K, b.S)
         td = te
         if b is not bundles[0]:
             td = b.rate(proximity.min_inflation(b.window, b.F, b.S, a_mat,
@@ -254,8 +254,30 @@ def _reference_walk(traj, plant, c_sigma=0.1):
         if b is not bundles[0]:
             trig[i] = a_mat, b_mat
             th_d[i] = b.rate(_ref_min_inflation(b, a_mat, b_mat))
+    # the products one step at a time: pi[i + 1] = pi[i] * (factor * nu)
+    nu_at = dict(nus)
+    pis = []
+    for thetas in (th_e, th_d):
+        pi = np.ones(len(recs))
+        with np.errstate(over="ignore"):
+            for i in range(len(recs) - 1):
+                factor = hybrid.sigma(bundles[i].a1, c_sigma) if in_t1[i] \
+                    else thetas[i]
+                factor *= nu_at.get(i + 1, 1.0)
+                pi[i + 1] = pi[i] * factor
+        pis.append(pi)
+    v0 = recs[0].V
+    bound_ok = [bool((r.V if r.V is not None else np.inf)
+                     <= p * v0 * (1.0 + monitor.BOUND_TOL))
+                for r, p in zip(recs, pis[0])]
+    lam_c = min(max(hybrid.sigma(b.a1, c_sigma) for b in bundles), 1.0)
+    lam_d = lam_c
+    for factor in [*th_e.values(), *(nu for _, nu in nus)]:
+        lam_d = max(lam_d, factor)
     return dict(in_T1=in_t1, th_exact=th_e, theta_databased=th_d,
-                triggered=trig, nu_events=nus, open_loop=open_loop)
+                triggered=trig, nu_events=nus, open_loop=open_loop,
+                pi_exact=pis[0], pi_databased=pis[1], bound_ok=bound_ok,
+                rates=(lam_c, lam_d))
 
 
 def _bits(obj):
@@ -289,17 +311,22 @@ def test_stacked_walk_equals_per_step_reference(name, plant, cfg):
             monitor.default_rates(traj, plant)
         return
     walk = monitor._walk(traj, plant, 0.1)
-    rep = monitor.thm_diagnostics(traj, *monitor.default_rates(traj, plant),
-                                  plant)
+    rates = monitor.default_rates(traj, plant)
+    rep = monitor.thm_diagnostics(traj, *rates, plant)
     trig = {i: (a[j], b[j]) for _, steps, a, b in walk.triggered
             for j, i in enumerate(steps)}
-    assert _bits(walk.in_T1) == _bits(ref["in_T1"]) == \
+    out = np.flatnonzero(~walk.in_T1).tolist()
+    assert _bits(walk.in_T1.tolist()) == _bits(ref["in_T1"]) == \
         _bits(rep.T1_membership)
-    assert _bits(walk.th_exact) == _bits(ref["th_exact"]) == \
-        _bits(rep.theta_exact)
+    assert _bits(dict(zip(out, walk.theta[out].tolist()))) == \
+        _bits(ref["th_exact"]) == _bits(rep.theta_exact)
     assert _bits(rep.theta_databased) == _bits(ref["theta_databased"])
     assert _bits(walk.nu_events) == _bits(ref["nu_events"])
     assert _bits(trig) == _bits(ref["triggered"])
+    assert _bits(rep.pi_exact) == _bits(ref["pi_exact"])
+    assert _bits(rep.pi_databased) == _bits(ref["pi_databased"])
+    assert _bits(rep.bound_ok) == _bits(ref["bound_ok"])
+    assert _bits(rates) == _bits(ref["rates"])
     # each run exercises the branch it was picked for
     covers = {
         "time": ref["open_loop"],
@@ -321,8 +348,9 @@ def test_stacked_theta_exact_equals_single_calls(switching_run):
                   for _ in range(10)]
         a_mats = np.array([p[0] for p in pairs])
         b_mats = np.array([p[1] for p in pairs])
-        stacked = monitor.theta_exact(a_mats, b_mats, b.K, b.S)
-        singles = [monitor.theta_exact(a, bm, b.K, b.S) for a, bm in pairs]
+        stacked = synthesis.theta_exact(a_mats, b_mats, b.K, b.S)
+        singles = [synthesis.theta_exact(a, bm, b.K, b.S)
+                   for a, bm in pairs]
         assert all(type(t) is float for t in singles)
         assert _bits(stacked.tolist()) == _bits(singles)
 

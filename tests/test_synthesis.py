@@ -1,7 +1,10 @@
+import pickle
+
 import numpy as np
 import pytest
 
-from ltvadapt import linalg, maxdet, plants, proximity, synthesis
+from ltvadapt import (linalg, maxdet, plants, proximity, synthesis,
+                      verification)
 from ltvadapt.window import DataWindow
 
 
@@ -319,3 +322,63 @@ def test_verify_property_matches_per_sample_reference(bundle):
                                     rel_tol=mid)
     assert 0 < violations < 900
     assert rep.num_violations == violations
+
+
+def _per_level_verify_property(b, num_samples=500, rng_seed=0, rel_tol=1e-7):
+    # the property check with its own S^-1/2 sandwich and eigvalsh on each
+    # inflation level, in place of one stacked theta_exact
+    eps_values = [0.0, b.a / (2.0 * b.a2), 2.0 * b.a / b.a2] if b.a2 > 0 \
+        else [0.0]
+    rng = np.random.default_rng(rng_seed)
+    w = b.window
+    nx, nu = w.nx, w.nu
+    s_inv_half = linalg.inv_sqrt_pd(b.S)
+    worst, violations, vacuous = -np.inf, 0, True
+    for eps in eps_values:
+        params = proximity.ellipsoid_params(
+            w, proximity.inflated(b.F, b.S, eps))
+        if not proximity.is_nonempty(params):
+            continue
+        vacuous = False
+        rate = b.rate(eps)
+        zhat_t = np.swapaxes(
+            proximity.sample_members(params, num_samples, rng), 1, 2)
+        acl = zhat_t[:, :, :nx] + zhat_t[:, :, nx:nx + nu] @ b.K
+        q = s_inv_half @ linalg.symmetrize(
+            np.swapaxes(acl, 1, 2) @ b.S @ acl) @ s_inv_half
+        lhs = np.linalg.eigvalsh(linalg.symmetrize(q))[:, -1]
+        excess = (lhs - rate) / max(abs(rate), 1.0)
+        worst = max(worst, float(np.max(excess, initial=-np.inf)))
+        violations += int(np.count_nonzero(excess > rel_tol))
+    return synthesis.PropertyReport(
+        num_samples=num_samples, eps_values=list(eps_values),
+        max_relative_excess=(worst if np.isfinite(worst) else 0.0),
+        num_violations=violations, vacuous=vacuous)
+
+
+def test_verify_property_equals_per_level_kernel_on_canonical_bundles():
+    n_bundles = n_vacuous = 0
+    for _, _, _, traj in verification.canonical_runs():
+        for e in traj.episodes:
+            rep = synthesis.verify_property(e.new_bundle)
+            ref = _per_level_verify_property(e.new_bundle)
+            assert pickle.dumps(rep) == pickle.dumps(ref), e.k
+            n_bundles += 1
+            n_vacuous += rep.vacuous
+    # every bundle of the canonical runs, the vacuous ones included
+    assert n_bundles == 77 and n_vacuous == 4
+
+
+def test_verify_property_per_level_kernel_on_three_states():
+    # at nx = 3, eigh and eigvalsh may round the largest eigenvalue apart
+    a_mat = np.array([[1.1, 0.2, 0.0], [0.0, 0.9, 0.3], [0.1, 0.0, 1.05]])
+    b_mat = np.array([[1.0, 0.0], [0.0, 0.5], [0.3, 1.0]])
+    plant = plants.ConstantLti(a_mat, b_mat)
+    b = synthesis.synthesize(exploration_window(plant, width=8))
+    assert b is not None and b.K.shape == (2, 3)
+    rep = synthesis.verify_property(b, num_samples=300, rng_seed=2)
+    ref = _per_level_verify_property(b, num_samples=300, rng_seed=2)
+    assert not rep.vacuous and not ref.vacuous
+    assert rep.num_violations == ref.num_violations == 0
+    assert abs(rep.max_relative_excess - ref.max_relative_excess) <= \
+        1e-14 * abs(ref.max_relative_excess)

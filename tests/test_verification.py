@@ -19,6 +19,7 @@ def test_property1_reports_negative_slack(monkeypatch):
     assert not rep.vacuous and rep.max_relative_excess < 0.0
     assert res.checks[0].detail.endswith(
         "worst excess %.3g" % rep.max_relative_excess)
+    assert "1 bundles x 50 samples, 0 vacuous, " in res.checks[0].detail
 
 
 def _loop_oracle(det, ub, strict_margin, n):
@@ -53,3 +54,31 @@ def test_grid_oracle_matches_point_loop():
         want = _loop_oracle(det, ub, 1e-6, n=21)
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1])
+
+
+
+def test_property1_names_vacuous_bundles():
+    # an empty inflated set passes, but the detail names the bundle
+    res = verification.suite_property1(num_samples=20, rng_seed=0)
+    assert res.passed
+    assert "77 bundles x 20 samples, 4 vacuous (switching-event k=15, " \
+        "switching-event k=16, time-np16-s1 k=56, time-np16-s2 k=88), " \
+        "0 violations" in res.checks[0].detail
+
+
+def test_lemma5_reports_worst_slacks():
+    res = verification.suite_lemma5()
+    assert res.passed
+    assert [c.detail for c in res.checks] == [
+        "16 runs, largest V/(pi V0) 0.707 exact, 0.707 data-based",
+        "smallest pi_databased/pi_exact 1"]
+
+
+def test_bound_ratio_skips_first_and_doubly_infinite_records():
+    v = np.array([2.0, 1.0, np.inf, np.inf, 0.5])
+    pi = np.array([1.0, 1.0, np.inf, 2.0, 0.25])
+    # record 0 and the record where V and pi are both inf are left out;
+    # an infinite V under a finite pi is the largest ratio
+    assert verification._bound_ratio(v, pi) == np.inf
+    assert verification._bound_ratio(v[[0, 1, 2, 4]], pi[[0, 1, 2, 4]]) \
+        == 1.0
