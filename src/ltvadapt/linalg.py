@@ -92,25 +92,30 @@ def pinv(m):
 
 
 def inv_sqrt_pd(b):
-    """B^(-1/2) of a symmetric positive definite B; raises
-    NotPositiveDefinite when lambda_min <= 1e-12 * lambda_max."""
+    """B^(-1/2) of a symmetric positive definite B, or of each matrix of a
+    stack along a leading axis; raises NotPositiveDefinite when
+    lambda_min <= 1e-12 * lambda_max for B or for any member of the
+    stack."""
     w, v = sym_eig(b)
-    if w[0] <= 1e-12 * max(float(w[-1]), 1e-12):
+    if np.any(w[..., 0] <= 1e-12 * np.maximum(w[..., -1], 1e-12)):
         raise NotPositiveDefinite("matrix is not positive definite")
-    return (v / np.sqrt(w)) @ v.T
+    return (v / np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -2, -1)
 
 
 def gen_eig_max(a, b):
     """Largest generalized eigenvalue of (A, B) with B > 0.
 
-    Equals lambda_max(B^{-1/2} A B^{-1/2}) = min{t : A <= t B}. A may be a
-    stack of matrices along a leading axis, all paired with the one B; then
-    B^{-1/2} is taken once and the result is an array with one value per
-    matrix, which equals the value of each single call bit for bit.
+    Equals lambda_max(B^{-1/2} A B^{-1/2}) = min{t : A <= t B}, taken from
+    the eigenvalues alone (numpy.linalg.eigvalsh) of the symmetrized
+    sandwich. A may be a stack of matrices along a leading axis, all paired
+    with the one B, which is then factored once; or B may be a stack too,
+    paired member by member with the stack of A. The result is then an
+    array with one value per pair, which equals the value of each single
+    call bit for bit.
     """
     a = symmetrize(a)
     bmh = inv_sqrt_pd(b)
-    w, _ = sym_eig(bmh @ a @ bmh)
+    w = np.linalg.eigvalsh(symmetrize(bmh @ a @ bmh))
     return float(w[-1]) if w.ndim == 1 else w[:, -1]
 
 

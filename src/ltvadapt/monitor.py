@@ -11,11 +11,14 @@ quantities as arrays: sigma(a1) of each record's bundle, the decrease set
 T1 from one stacked quadratic form and one comparison, the exact factors
 from one stacked `synthesis.theta_exact` per bundle on the feedback steps
 outside T1 (the realized ratio of V on open-loop steps), and nu_d per
-record. The product pi is one cumulative product of sigma(a1) on the
-steps in T1, a factor theta on the steps outside it, and nu_d at jumps.
+record, with all jumps of a trajectory in one stacked `nu_d`. The product
+pi is one cumulative product of sigma(a1) on the steps in T1, a factor
+theta on the steps outside it, and nu_d at jumps.
 `thm_diagnostics` adds the data-based a1 + a2 * eps with one stacked
-minimal inflation per triggered bundle. Every factor equals bit for bit
-the one a single-step evaluation gives. A record's own V is read from the
+minimal inflation per triggered bundle, and tests terminal-set
+membership for every record from T* on with one stacked
+`proximity.contains`. Every factor and flag equals bit for bit the one a
+single-step evaluation gives. A record's own V is read from the
 trajectory.
 """
 
@@ -33,8 +36,11 @@ BOUND_TOL = 1e-9
 
 
 def nu_d(s, s_next):
-    """Smallest nu with s_next <= nu * s."""
-    return float(linalg.gen_eig_max(s_next, s))
+    """Smallest nu with s_next <= nu * s. s and s_next may be stacks of
+    certificates along a leading axis, paired member by member; the result
+    is then an array with one nu per pair, each equal bit for bit to the
+    float a single call returns."""
+    return linalg.gen_eig_max(s_next, s)
 
 
 @dataclass
@@ -80,7 +86,9 @@ def _walk(traj, plant, c_sigma):
     jumps = [i for i in range(1, n + 1)
              if recs[i].tau == 0 and bundles[i] is not bundles[i - 1]]
     nus = np.ones(n + 1)
-    nus[jumps] = [nu_d(bundles[i - 1].S, bundles[i].S) for i in jumps]
+    if jumps:
+        nus[jumps] = nu_d(np.array([bundles[i - 1].S for i in jumps]),
+                          np.array([bundles[i].S for i in jumps]))
 
     # the record's V uses its own bundle; the successor is measured with
     # the departure's bundle too, since the bundle changes at jumps. V is
@@ -224,8 +232,10 @@ def thm_diagnostics(traj, lambda_c, lambda_d, plant, c_sigma=0.1):
         w_star = None
     cor1 = None
     if w_star is not None:
-        cor1 = all(proximity.contains(w_star, b.F, *plant.eval(r.k))
-                   for r in recs[first:])
+        pairs = [plant.eval(r.k) for r in recs[first:]]
+        cor1 = bool(np.all(proximity.contains(
+            w_star, b.F, np.array([p[0] for p in pairs]),
+            np.array([p[1] for p in pairs]))))
 
     # data-based factors a1 + a2 * eps on the triggered feedback steps,
     # one stacked minimal inflation per bundle

@@ -6,6 +6,12 @@ one-step residual satisfies ([A B] Z - X)([A B] Z - X)^T <= F. The same
 set has an ellipsoidal description centered at Zc with shape matrices
 (M, Delta); both forms are implemented here together with sampling and
 inflation utilities.
+
+The noise bound may be a stack of bounds along a leading axis, one per
+inflation level: `inflated` forms the stack with S^-1 taken once,
+`ellipsoid_params` then forms M, M^+ and Zc once with one Delta per level,
+and `is_nonempty` and `sample_members` take the whole stack of Delta.
+Each level's result equals bit for bit that of a call on the level alone.
 """
 
 from dataclasses import dataclass
@@ -23,7 +29,11 @@ class EllipsoidParams:
 
 
 def ellipsoid_params(w, F):
-    """Center and shape matrices of the consistency set of window w."""
+    """Center and shape matrices of the consistency set of window w.
+
+    F may be a stack of noise bounds along a leading axis; M, its
+    pseudoinverse and Zc are then formed once, and Delta is the stack
+    (X Z^T M^+ Z X^T - X X^T) + F_l, one matrix per bound."""
     F = linalg.symmetrize(linalg.as_matrix(F, (w.nx, w.nx)))
     z = w.z_matrix()
     m = linalg.symmetrize(z @ z.T)
@@ -35,14 +45,19 @@ def ellipsoid_params(w, F):
 
 def _psd(m, tol=None):
     """Whether symmetric m has lambda_min >= -tol; the default tol is
-    1e-9 * (1 + lambda_max^+)."""
+    1e-9 * (1 + lambda_max^+). A stack of matrices along a leading axis
+    gives an array with one flag per matrix, from one stacked
+    eigendecomposition."""
     eigs, _ = linalg.sym_eig(m)
     if tol is None:
-        tol = 1e-9 * (1.0 + max(float(eigs[-1]), 0.0))
-    return bool(eigs[0] >= -tol)
+        tol = 1e-9 * (1.0 + np.maximum(eigs[..., -1], 0.0))
+    flags = eigs[..., 0] >= -tol
+    return bool(flags) if flags.ndim == 0 else flags
 
 
 def is_nonempty(params):
+    """Whether the consistency set is non-empty, that is Delta >= 0; an
+    array of flags, one per level, when Delta is a stack."""
     return _psd(params.Delta)
 
 
@@ -55,9 +70,10 @@ def dtilde(w, MA, MB):
 
 
 def contains(w, F, MA, MB, tol=None):
-    """Whether (MA, MB) lies in the consistency set of (w, F)."""
+    """Whether (MA, MB) lies in the consistency set of (w, F); an array of
+    flags, one per pair, when MA and MB are stacks of pairs."""
     d = dtilde(w, MA, MB)
-    return _psd(linalg.symmetrize(F - d @ d.T), tol)
+    return _psd(linalg.symmetrize(F - d @ np.swapaxes(d, -2, -1)), tol)
 
 
 def membership_quadratic(params, zhat):
@@ -89,17 +105,31 @@ def min_inflation(w, F, S, A_true, B_true):
 
 
 def inflated(F, S, eps):
-    """Noise bound loosened by eps in the S^-1 metric."""
-    return linalg.symmetrize(F + eps * linalg.pd_inverse(S))
+    """Noise bound loosened by eps in the S^-1 metric. eps may be a 1-D
+    array of inflations; the result is then the stack F + eps_l S^-1, with
+    S^-1 formed once."""
+    eps = np.asarray(eps, dtype=float)
+    s_inv = linalg.pd_inverse(S)
+    if eps.ndim:
+        eps = eps[:, None, None]
+    return linalg.symmetrize(F + eps * s_inv)
 
 
 def _psd_sqrt_and_pinv_sqrt(m):
+    """Square root and pseudoinverse square root of a psd matrix, or of each
+    matrix of a stack along a leading axis."""
     w, v = linalg.sym_eig(m)
-    tol = max(m.shape) * np.finfo(float).eps * max(float(w[-1]), 0.0)
+    w_max = np.maximum(w[..., -1:], 0.0)
+    tol = max(m.shape[-2:]) * np.finfo(float).eps * w_max
     w = np.clip(w, 0.0, None)
     root = np.sqrt(w)
     inv_root = np.where(w > tol, 1.0 / np.maximum(root, 1e-300), 0.0)
-    return v @ np.diag(root) @ v.T, v @ np.diag(inv_root) @ v.T
+    # explicit diagonal factors, so each matrix rounds as
+    # v @ np.diag(root) @ v.T does
+    eye = np.eye(w.shape[-1])
+    vt = np.swapaxes(v, -2, -1)
+    return (v @ (root[..., :, None] * eye) @ vt,
+            v @ (inv_root[..., :, None] * eye) @ vt)
 
 
 def sample_members(params, num_samples, rng):
@@ -110,16 +140,27 @@ def sample_members(params, num_samples, rng):
     construction. Directions in the kernel of M are pinned to the center.
     The radius is drawn as u^(1/4), concentrating samples near the
     boundary where violations would show up first.
-    Returns an array of shape (num_samples, rows, cols).
+    Returns an array of shape (num_samples, rows, cols). When Delta is a
+    stack of L levels, each level draws its normal block and then its
+    radii, level by level, and the result has shape
+    (L * num_samples, rows, cols), level after level; M^(+1/2) is formed
+    once and the spectral norms of all draws come from one stacked
+    eigenvalue call.
     """
     _, m_pinv_sqrt = _psd_sqrt_and_pinv_sqrt(params.M)
     d_sqrt, _ = _psd_sqrt_and_pinv_sqrt(params.Delta)
     rows, cols = params.Zc.shape
-    g = rng.standard_normal((num_samples, rows, cols))
-    r = rng.uniform(size=num_samples) ** 0.25
+    d_stack = d_sqrt.reshape(-1, cols, cols)
+    gs, rs = [], []
+    for _ in d_stack:
+        gs.append(rng.standard_normal((num_samples, rows, cols)))
+        rs.append(rng.uniform(size=num_samples) ** 0.25)
+    g, r = np.concatenate(gs), np.concatenate(rs)
     gt = np.swapaxes(g, 1, 2)
     gram = g @ gt if rows <= cols else gt @ g
     s = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
     # a zero block stays zero, as the radius scaling would leave it
-    scale = np.divide(r, s, out=np.zeros(num_samples), where=s > 0.0)
-    return params.Zc + m_pinv_sqrt @ (scale[:, None, None] * g) @ d_sqrt
+    scale = np.divide(r, s, out=np.zeros(len(g)), where=s > 0.0)
+    v = (m_pinv_sqrt @ (scale[:, None, None] * g)).reshape(
+        len(d_stack), num_samples, rows, cols)
+    return (params.Zc + v @ d_stack[:, None]).reshape(-1, rows, cols)

@@ -16,7 +16,7 @@ which includes every window with Xhat = 0. Every other window goes to
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,10 +72,11 @@ def theta_exact(a, b, k_gain, s):
     overflows raises InvalidInput.
     """
     acl = np.asarray(a, dtype=float) + np.asarray(b, dtype=float) @ k_gain
-    # an overflow leaves non-finite entries, which symmetrize rejects
+    # an overflow leaves non-finite entries, which gen_eig_max's
+    # symmetrize rejects
     with np.errstate(over="ignore", invalid="ignore"):
         m = np.swapaxes(acl, -2, -1) @ s @ acl
-    return linalg.gen_eig_max(linalg.symmetrize(m), s)
+    return linalg.gen_eig_max(m, s)
 
 
 def fallback_bundle(w):
@@ -284,11 +285,15 @@ def verify_property(bundle, num_samples=500, rng_seed=0, eps_values=None,
 
     For each eps, every sampled pair (A, B) must satisfy
     (A + B K)^T S (A + B K) <= (a1 + a2 eps) S up to the relative
-    tolerance, that is theta_exact(A, B, K, S) <= a1 + a2 eps. Sampling is
-    boundary biased and draws the levels in the order of eps_values; the
-    samples of every non-empty level go through one stacked theta_exact.
-    A report with vacuous=True means every inflated set was empty so the
-    claim holds trivially.
+    tolerance, that is theta_exact(A, B, K, S) <= a1 + a2 eps. The noise
+    bounds of all levels form one stack, so the consistency set's M, M^+
+    and Zc are formed once, and one stacked eigendecomposition of the
+    Delta stack tells which levels are non-empty. Sampling is boundary
+    biased and draws the non-empty levels in the order of eps_values, in
+    one call; all samples go through one stacked theta_exact. A report
+    with vacuous=True means every inflated set was empty so the claim
+    holds trivially. An empty eps_values or num_samples < 1 would check
+    nothing and raises InvalidInput.
     """
     if eps_values is None:
         if bundle.a2 > 0:
@@ -296,28 +301,30 @@ def verify_property(bundle, num_samples=500, rng_seed=0, eps_values=None,
                           2.0 * bundle.a / bundle.a2]
         else:
             eps_values = [0.0]
+    if len(eps_values) == 0:
+        raise linalg.InvalidInput("need at least one inflation value")
     if any(e < 0 for e in eps_values):
         raise linalg.InvalidInput("inflation values must be nonnegative")
+    if num_samples < 1:
+        raise linalg.InvalidInput("need at least one sample per level")
     rng = np.random.default_rng(rng_seed)
     w = bundle.window
     nx, nu = w.nx, w.nu
-    levels, members = [], []
-    for eps in eps_values:
-        f_eps = proximity.inflated(bundle.F, bundle.S, eps)
-        params = proximity.ellipsoid_params(w, f_eps)
-        if proximity.is_nonempty(params):
-            levels.append(eps)
-            members.append(proximity.sample_members(params, num_samples,
-                                                    rng))
+    eps = np.array(eps_values, dtype=float)
+    params = proximity.ellipsoid_params(
+        w, proximity.inflated(bundle.F, bundle.S, eps))
+    keep = proximity.is_nonempty(params)
+    vacuous = not keep.any()
     worst = -np.inf
     violations = 0
-    if levels and num_samples:
+    if not vacuous:
+        members = proximity.sample_members(
+            replace(params, Delta=params.Delta[keep]), num_samples, rng)
         # members are stacked [A B]^T; transposed, each sample is [A B]
-        zhat_t = np.swapaxes(np.concatenate(members), 1, 2)
+        zhat_t = np.swapaxes(members, 1, 2)
         lhs = theta_exact(zhat_t[:, :, :nx], zhat_t[:, :, nx:nx + nu],
                           bundle.K, bundle.S)
-        rate = np.repeat(bundle.rate(np.array(levels, dtype=float)),
-                         num_samples)
+        rate = np.repeat(bundle.rate(eps[keep]), num_samples)
         excess = (lhs - rate) / np.maximum(np.abs(rate), 1.0)
         worst = float(np.max(excess))
         violations = int(np.count_nonzero(excess > rel_tol))
@@ -326,5 +333,5 @@ def verify_property(bundle, num_samples=500, rng_seed=0, eps_values=None,
         eps_values=list(eps_values),
         max_relative_excess=(worst if np.isfinite(worst) else 0.0),
         num_violations=violations,
-        vacuous=not levels,
+        vacuous=vacuous,
     )

@@ -136,8 +136,9 @@ def suite_lemma3(rng_seed=0):
         for b in [e.new_bundle for e in traj.episodes]:
             w, F = b.window, b.F
             par = proximity.ellipsoid_params(w, F)
+            nonempty = proximity.is_nonempty(par)
             for _ in range(500):
-                if rng.uniform() < 0.5 and proximity.is_nonempty(par):
+                if rng.uniform() < 0.5 and nonempty:
                     zh = proximity.sample_members(par, 1, rng)[0]
                     zh = zh + 0.05 * rng.standard_normal(zh.shape)
                 else:

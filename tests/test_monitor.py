@@ -369,3 +369,56 @@ def test_rebuilt_window_equals_the_designed_window():
                                       getattr(w, name)), name
             n += 1
     assert n > 0
+
+
+def _certify_runs():
+    # the runs of the certify benchmark: the time-triggered switching plant
+    # at n_p = 8, 12, 16 over seeds 0-6, and the vanishing perturbation
+    for n_p in (8, 12, 16):
+        for seed in range(7):
+            yield plants.SwitchingPlant(), hybrid.ScenarioConfig(
+                mode="time", horizon=100, seed=seed, n_p=n_p)
+    yield plants.make_plant("vanishing", {"p": 10, "t_delta": 30}), \
+        hybrid.ScenarioConfig(mode="event", horizon=100, seed=2)
+
+
+def _per_record_cor1(traj, plant, c_sigma):
+    # terminal-set membership one record at a time from T* on
+    walk = monitor._walk(traj, plant, c_sigma)
+    out = np.flatnonzero(~walk.in_T1).tolist()
+    first = out[-1] + 1 if out else 0
+    b = walk.bundles[first]
+    try:
+        w = monitor._rebuild_window(traj, traj.monitor_start + first,
+                                    b.window.width)
+    except linalg.InvalidInput:
+        return None
+    return all(proximity.contains(w, b.F, *plant.eval(r.k))
+               for r in walk.records[first:])
+
+
+def test_stacked_cor1_membership_equals_per_record_reference():
+    runs = [(plant, cfg, traj)
+            for _, plant, cfg, traj in verification.canonical_runs()]
+    runs += [(plant, cfg, hybrid.run(plant, cfg))
+             for plant, cfg in _certify_runs()]
+    assert len(runs) == 38
+    seen = set()
+    for plant, cfg, traj in runs:
+        rep = monitor.thm_diagnostics(
+            traj, *monitor.default_rates(traj, plant, cfg.c_sigma), plant,
+            cfg.c_sigma)
+        ref = _per_record_cor1(traj, plant, cfg.c_sigma)
+        assert _bits(rep.cor1_membership) == _bits(ref)
+        seen.add(ref)
+    assert {True, False} <= seen
+
+
+def test_stacked_nu_d_equals_single_calls(switching_run):
+    _, traj = switching_run
+    certs = [traj.initial_bundle.S] + [e.new_bundle.S for e in traj.episodes]
+    assert len(certs) > 2
+    singles = [monitor.nu_d(s, s_next) for s, s_next in zip(certs, certs[1:])]
+    stacked = monitor.nu_d(np.array(certs[:-1]), np.array(certs[1:]))
+    assert all(type(nu) is float for nu in singles)
+    assert _bits(stacked.tolist()) == _bits(singles)

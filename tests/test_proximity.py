@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltvadapt import proximity
+from ltvadapt import proximity, verification
 from ltvadapt.window import DataWindow
 
 
@@ -175,3 +177,83 @@ def test_stacked_min_inflation_equals_single_calls():
         pairs = [(rng.standard_normal((3, 3)), rng.standard_normal((3, 2)))
                  for _ in range(12)]
         check(w, 0.05 * np.eye(3), s @ s.T + np.eye(3), pairs)
+
+
+def _check_stacked_levels(w, F, S, eps, num_samples, seed):
+    """Stacked inflated, ellipsoid_params, is_nonempty and sample_members
+    against one call per level, bit for bit and draw for draw; returns the
+    per-level non-empty flags."""
+    f_stack = proximity.inflated(F, S, np.array(eps))
+    par = proximity.ellipsoid_params(w, f_stack)
+    flags = proximity.is_nonempty(par)
+    singles = []
+    for e, f_l, d_l in zip(eps, f_stack, par.Delta):
+        f_one = proximity.inflated(F, S, e)
+        one = proximity.ellipsoid_params(w, f_one)
+        assert f_one.shape == F.shape
+        assert f_l.tobytes() == f_one.tobytes()
+        for name in ("M", "Zc"):
+            assert getattr(par, name).tobytes() == \
+                getattr(one, name).tobytes()
+        assert d_l.tobytes() == one.Delta.tobytes()
+        singles.append(one)
+    flags_one = [proximity.is_nonempty(one) for one in singles]
+    assert all(type(f) is bool for f in flags_one)
+    assert flags.tolist() == flags_one
+    rng_a = np.random.default_rng(seed)
+    rng_b = np.random.default_rng(seed)
+    got = proximity.sample_members(
+        dataclasses.replace(par, Delta=par.Delta[flags]), num_samples, rng_a)
+    want = [proximity.sample_members(one, num_samples, rng_b)
+            for one, f in zip(singles, flags_one) if f]
+    assert got.shape == (len(want) * num_samples,) + par.Zc.shape
+    assert got.tobytes() == np.concatenate(want).tobytes()
+    # both consumed the same draws
+    assert rng_a.uniform() == rng_b.uniform()
+    return flags.tolist()
+
+
+def test_stacked_levels_equal_per_level_calls():
+    # switching-event k=15 is vacuous at its own inflations and has a
+    # rank-deficient regressor; a large added eps makes its set non-empty
+    runs = {name: traj for name, _, _, traj in verification.canonical_runs()}
+    b = next(e.new_bundle for e in runs["switching-event"].episodes
+             if e.k == 15)
+    flags = _check_stacked_levels(b.window, b.F, b.S,
+                                  [0.0, b.a / (2.0 * b.a2), 0.1, 2.0, 10.0],
+                                  50, 3)
+    assert flags == [False, False, False, True, True]
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        w = _random_full_rank_window(rng, nx=3, nu=2, width=6)
+        s = rng.standard_normal((3, 3))
+        flags = _check_stacked_levels(w, 0.05 * np.eye(3),
+                                      s @ s.T + np.eye(3),
+                                      [0.0, 0.01, 0.5], 30, 5)
+        assert all(flags)
+
+
+def test_stacked_contains_equals_single_calls():
+    def check(w, F, pairs):
+        stacked = proximity.contains(w, F, np.array([p[0] for p in pairs]),
+                                     np.array([p[1] for p in pairs]))
+        singles = [proximity.contains(w, F, a, b) for a, b in pairs]
+        assert all(type(f) is bool for f in singles)
+        assert stacked.tolist() == singles
+        return singles
+
+    pairs = [(np.array([[x]]), np.array([[0.0]])) for x in (0.3, 0.5, 0.55)]
+    assert check(hand_window(), np.array([[0.01]]), pairs) == \
+        [False, True, True]
+    rng = np.random.default_rng(13)
+    n_in = n_out = 0
+    for _ in range(5):
+        w = _random_full_rank_window(rng, nx=3, nu=2, width=6)
+        par = proximity.ellipsoid_params(w, 0.05 * np.eye(3))
+        zh = proximity.sample_members(par, 8, rng)
+        zh = np.concatenate([zh, zh + 0.05 * rng.standard_normal(zh.shape)])
+        flags = check(w, 0.05 * np.eye(3),
+                      [(z[:3].T, z[3:].T) for z in zh])
+        n_in += sum(flags)
+        n_out += len(flags) - sum(flags)
+    assert n_in and n_out

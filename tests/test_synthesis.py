@@ -263,6 +263,22 @@ def test_verify_property_rejects_negative_eps(bundle):
         synthesis.verify_property(b, eps_values=[-0.1])
 
 
+def test_verify_property_rejects_empty_eps_values(bundle):
+    # no inflated set is built, so nothing could be vacuous or checked
+    with pytest.raises(linalg.InvalidInput, match="inflation value"):
+        synthesis.verify_property(bundle, eps_values=[])
+
+
+def test_verify_property_rejects_zero_samples(bundle):
+    with pytest.raises(linalg.InvalidInput, match="sample"):
+        synthesis.verify_property(bundle, num_samples=0)
+
+
+def test_verify_property_rejects_negative_samples(bundle):
+    with pytest.raises(linalg.InvalidInput, match="sample"):
+        synthesis.verify_property(bundle, num_samples=-1)
+
+
 def test_decay_rate_bound(bundle):
     # the certified decay rate is ControllerBundle.rate
     b = bundle
