@@ -142,11 +142,15 @@ def build_scenario(cfg_dict, seed_override=None, out_override=None):
 
 
 def write_norm_svg(traj, path):
-    """Static 640 x 360 log-scale plot of ||x(k)|| with episode markers."""
+    """Static 640 x 360 log-scale plot of ||x(k)|| with episode markers.
+    Only the finite norms are scaled and drawn: a diverged run may end on
+    a state that overflowed."""
     width, height = 640, 360
     norms = traj.state_norms()
-    ks = [r.k for r in traj.records]
-    vals = np.log10(np.maximum(norms, 1e-300))
+    finite = np.isfinite(norms)
+    recs = [r for r, ok in zip(traj.records, finite) if ok]
+    ks = [r.k for r in recs]
+    vals = np.log10(np.maximum(norms[finite], 1e-300))
     lo, hi = float(np.min(vals)), float(np.max(vals))
     if hi - lo < 1e-12:
         hi = lo + 1.0
@@ -159,12 +163,8 @@ def write_norm_svg(traj, path):
         return height - pad - (height - 2 * pad) * (v - lo) / (hi - lo)
 
     pts = " ".join("%.2f,%.2f" % (sx(k), sy(v)) for k, v in zip(ks, vals))
-    marks = []
-    for e in traj.episodes:
-        i = next((i for i, r in enumerate(traj.records) if r.k == e.k), None)
-        if i is not None:
-            marks.append('<circle cx="%.2f" cy="%.2f" r="4" fill="none" '
-                         'stroke="red"/>' % (sx(e.k), sy(vals[i])))
+    marks = ['<circle cx="%.2f" cy="%.2f" r="4" fill="none" stroke="red"/>'
+             % (sx(r.k), sy(v)) for r, v in zip(recs, vals) if r.tau == 0]
     body = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d">'
         % (width, height),

@@ -8,7 +8,10 @@ steps after each n_p-periodic tick in time mode, never in fixed mode),
 makes that one design call and adopts a feasible result as an episode
 jump, applies an exploration input or the feedback K x, records itself
 and advances the plant and the data window. A jump at step k is folded
-into that step's record and marked by tau = 0.
+into that step's record and marked by tau = 0. A trajectory is its
+records: each carries the bundle in force at its step, and the episodes,
+the initial bundle and the start of the monitored segment are read from
+them.
 """
 
 import csv
@@ -51,7 +54,7 @@ class StepRecord:
     u: np.ndarray | None
     V: float | None
     sigma_a1: float | None
-    a1: float | None
+    bundle: synthesis.ControllerBundle | None  # None before the first design
     trigger: bool
     synth_feasible: bool | None
     tau: int
@@ -66,10 +69,25 @@ class Episode:
 @dataclass
 class Trajectory:
     records: list = field(default_factory=list)
-    episodes: list = field(default_factory=list)
     status: str = COMPLETED
-    monitor_start: int = 0  # index of the first record with a certificate
-    initial_bundle: synthesis.ControllerBundle | None = None
+
+    @property
+    def monitor_start(self):
+        """Index of the first record with a certificate, else the number
+        of records (a run that diverged while exploring)."""
+        return next((i for i, r in enumerate(self.records)
+                     if r.bundle is not None), len(self.records))
+
+    @property
+    def initial_bundle(self):
+        """Bundle of the forced design at k = T, None without one."""
+        return next((r.bundle for r in self.records if r.bundle is not None),
+                    None)
+
+    @property
+    def episodes(self):
+        """One episode per jump, the records marked tau = 0."""
+        return [Episode(r.k, r.bundle) for r in self.records if r.tau == 0]
 
     @property
     def num_episodes(self):
@@ -151,7 +169,7 @@ def _record(k, j, x, u, bundle, c_sigma, trigger=False, synth_feasible=None,
         V=_lyapunov(bundle, x) if certified and np.all(np.isfinite(x))
         else None,
         sigma_a1=sigma(bundle.a1, c_sigma) if certified else None,
-        a1=bundle.a1 if certified else None,
+        bundle=bundle,
         trigger=trigger, synth_feasible=synth_feasible, tau=tau,
     )
 
@@ -163,7 +181,6 @@ def run(plant, cfg):
     rng = np.random.default_rng(cfg.seed)
     x = (np.ones(plant.nx) if cfg.x0 is None
          else linalg.as_vector(cfg.x0, plant.nx))
-    x_prev = None
     w = DataWindow.empty(plant.nx, plant.nu, t_width)
     traj = Trajectory()
     bundle = None
@@ -176,9 +193,11 @@ def run(plant, cfg):
         # 1. is a design due? The forced design at k = T and each
         # scheduled one wait for the end of the exploration before them.
         if cfg.mode == EVENT_TRIGGERED and k > t_width:
-            # ties in the decrease test resolve to no design
-            due = bundle.lyapunov(x) > sigma(bundle.a1, cfg.c_sigma) * \
-                bundle.lyapunov(x_prev) * (1.0 + TIE_TOL)
+            # ties in the decrease test resolve to no design; the previous
+            # record holds V(x(k-1)) and sigma(a1) of the current bundle
+            prev = traj.records[-1]
+            due = bundle.lyapunov(x) > \
+                prev.sigma_a1 * prev.V * (1.0 + TIE_TOL)
         else:
             due = design_pending and explore_left == 0
             design_pending = design_pending and not due
@@ -201,7 +220,6 @@ def run(plant, cfg):
                 bundle = cand
                 j += 1
                 jumped = True
-                traj.episodes.append(Episode(k=k, new_bundle=bundle))
             elif bundle is None:
                 logger.warning("initial design infeasible at k=%d; "
                                "running with zero fallback gain", k)
@@ -209,9 +227,6 @@ def run(plant, cfg):
             elif cfg.mode == TIME_TRIGGERED:
                 logger.info("scheduled design infeasible at k=%d; "
                             "keeping previous gain", k)
-            if k == t_width:
-                traj.initial_bundle = bundle
-                traj.monitor_start = len(traj.records)
 
         # 3. input: exploration or state feedback
         if explore_left > 0:
@@ -236,8 +251,6 @@ def run(plant, cfg):
         w = w.push(x_prev, u, x)
 
     traj.records.append(_record(k, j, x, None, bundle, cfg.c_sigma))
-    if bundle is None:  # diverged while exploring: nothing is certified
-        traj.monitor_start = len(traj.records)
     return traj
 
 
@@ -264,6 +277,7 @@ def write_trajectory_csv(traj, path, nx, nu):
                 row += [""] * nu
             else:
                 row += [_fmt(float(v)) for v in r.u]
-            row += [_fmt(r.V), _fmt(r.sigma_a1), _fmt(r.a1),
+            row += [_fmt(r.V), _fmt(r.sigma_a1),
+                    _fmt(None if r.bundle is None else r.bundle.a1),
                     _fmt(bool(r.trigger)), _fmt(r.synth_feasible)]
             wtr.writerow(row)

@@ -102,29 +102,32 @@ def inv_sqrt_pd(b):
     return (v / np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -2, -1)
 
 
+def _gen_eigvals(a, b):
+    """Generalized eigenvalues of (A, B) with B > 0, ascending: the
+    eigenvalues alone (numpy.linalg.eigvalsh) of the symmetrized sandwich
+    B^{-1/2} A B^{-1/2}, for one pair or for stacks as `gen_eig_max` takes
+    them."""
+    a = symmetrize(a)
+    bmh = inv_sqrt_pd(b)
+    return np.linalg.eigvalsh(symmetrize(bmh @ a @ bmh))
+
+
 def gen_eig_max(a, b):
     """Largest generalized eigenvalue of (A, B) with B > 0.
 
-    Equals lambda_max(B^{-1/2} A B^{-1/2}) = min{t : A <= t B}, taken from
-    the eigenvalues alone (numpy.linalg.eigvalsh) of the symmetrized
-    sandwich. A may be a stack of matrices along a leading axis, all paired
-    with the one B, which is then factored once; or B may be a stack too,
-    paired member by member with the stack of A. The result is then an
-    array with one value per pair, which equals the value of each single
-    call bit for bit.
+    Equals lambda_max(B^{-1/2} A B^{-1/2}) = min{t : A <= t B}. A may be
+    a stack of matrices along a leading axis, all paired with the one B,
+    which is then factored once; or B may be a stack too, paired member by
+    member with the stack of A. The result is then an array with one value
+    per pair, which equals the value of each single call bit for bit.
     """
-    a = symmetrize(a)
-    bmh = inv_sqrt_pd(b)
-    w = np.linalg.eigvalsh(symmetrize(bmh @ a @ bmh))
+    w = _gen_eigvals(a, b)
     return float(w[-1]) if w.ndim == 1 else w[:, -1]
 
 
 def gen_eig_min(a, b):
     """Smallest generalized eigenvalue of (A, B) with B > 0."""
-    a = symmetrize(a)
-    bmh = inv_sqrt_pd(b)
-    w, _ = sym_eig(bmh @ a @ bmh)
-    return float(w[0])
+    return float(_gen_eigvals(a, b)[0])
 
 
 def pd_inverse(s):

@@ -71,20 +71,13 @@ def _walk(traj, plant, c_sigma):
     grouped by triggered bundle, for the data-based factors.
     """
     recs = traj.records[traj.monitor_start:]
-    if not recs or traj.initial_bundle is None:
+    if not recs:
         raise linalg.InvalidInput("trajectory has no certified segment")
-    by_k = {e.k: e for e in traj.episodes}
-    bundles = []
-    current = traj.initial_bundle
-    for r in recs:
-        if r.tau == 0 and r.k in by_k:
-            current = by_k[r.k].new_bundle
-        bundles.append(current)
+    bundles = [r.bundle for r in recs]
 
     n = len(recs) - 1
-    nu, nx = traj.initial_bundle.K.shape
-    jumps = [i for i in range(1, n + 1)
-             if recs[i].tau == 0 and bundles[i] is not bundles[i - 1]]
+    nu, nx = bundles[0].K.shape
+    jumps = [i for i in range(1, n + 1) if recs[i].tau == 0]
     nus = np.ones(n + 1)
     if jumps:
         nus[jumps] = nu_d(np.array([bundles[i - 1].S for i in jumps]),

@@ -115,21 +115,29 @@ def inflated(F, S, eps):
     return linalg.symmetrize(F + eps * s_inv)
 
 
-def _psd_sqrt_and_pinv_sqrt(m):
-    """Square root and pseudoinverse square root of a psd matrix, or of each
-    matrix of a stack along a leading axis."""
+def _from_eig(v, d):
+    """v diag(d) v^T, for one matrix or a stack along a leading axis."""
+    # an explicit diagonal factor, so each matrix rounds as
+    # v @ np.diag(d) @ v.T does
+    return v @ (d[..., :, None] * np.eye(d.shape[-1])) @ np.swapaxes(v, -2, -1)
+
+
+def _psd_sqrt(m):
+    """Square root of a psd matrix, or of each matrix of a stack along a
+    leading axis."""
+    w, v = linalg.sym_eig(m)
+    return _from_eig(v, np.sqrt(np.clip(w, 0.0, None)))
+
+
+def _psd_pinv_sqrt(m):
+    """Pseudoinverse square root of a psd matrix; eigenvalues up to
+    n * eps * lambda_max count as zero."""
     w, v = linalg.sym_eig(m)
     w_max = np.maximum(w[..., -1:], 0.0)
     tol = max(m.shape[-2:]) * np.finfo(float).eps * w_max
     w = np.clip(w, 0.0, None)
-    root = np.sqrt(w)
-    inv_root = np.where(w > tol, 1.0 / np.maximum(root, 1e-300), 0.0)
-    # explicit diagonal factors, so each matrix rounds as
-    # v @ np.diag(root) @ v.T does
-    eye = np.eye(w.shape[-1])
-    vt = np.swapaxes(v, -2, -1)
-    return (v @ (root[..., :, None] * eye) @ vt,
-            v @ (inv_root[..., :, None] * eye) @ vt)
+    inv_root = np.where(w > tol, 1.0 / np.maximum(np.sqrt(w), 1e-300), 0.0)
+    return _from_eig(v, inv_root)
 
 
 def sample_members(params, num_samples, rng):
@@ -147,8 +155,8 @@ def sample_members(params, num_samples, rng):
     once and the spectral norms of all draws come from one stacked
     eigenvalue call.
     """
-    _, m_pinv_sqrt = _psd_sqrt_and_pinv_sqrt(params.M)
-    d_sqrt, _ = _psd_sqrt_and_pinv_sqrt(params.Delta)
+    m_pinv_sqrt = _psd_pinv_sqrt(params.M)
+    d_sqrt = _psd_sqrt(params.Delta)
     rows, cols = params.Zc.shape
     d_stack = d_sqrt.reshape(-1, cols, cols)
     gs, rs = [], []

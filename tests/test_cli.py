@@ -108,6 +108,12 @@ def test_simulate_writes_artifacts(tmp_path):
     for name in ("trajectory.csv", "diagnostics.csv", "summary.txt",
                  "norms.svg"):
         assert os.path.isfile(os.path.join(out, name)), name
+    # one marker per episode
+    summary = pathlib.Path(out, "summary.txt").read_text()
+    episodes = int(summary.split("episodes = ", 1)[1].split()[0])
+    assert episodes > 1
+    svg = pathlib.Path(out, "norms.svg").read_text()
+    assert svg.count("<circle") == episodes
 
 
 def test_simulate_deterministic(tmp_path):
@@ -197,6 +203,30 @@ x0 = 1e10, 1e10
     assert code == cli.EXIT_DIVERGED
     for name in ("trajectory.csv", "summary.txt"):
         assert os.path.isfile(os.path.join(out, name)), name
+
+
+def test_overflow_norm_plot_draws_only_finite_norms(tmp_path):
+    # the last state overflows to inf; the plot scales and draws the finite
+    # norms only, so it neither warns (RuntimeWarnings are errors in this
+    # suite) nor writes a nan coordinate
+    cfg = write_cfg(tmp_path, """
+[plant]
+kind = constant
+a = 1e300, 0; 0, 1e300
+b = 1, 0; 0, 1
+[run]
+mode = fixed
+horizon = 40
+x0 = 1e10, 1e10
+[output]
+svg = true
+""")
+    out = str(tmp_path / "ovf")
+    assert cli.main(["simulate", "--config", cfg, "--out", out]) == \
+        cli.EXIT_DIVERGED
+    svg = pathlib.Path(out, "norms.svg").read_text()
+    assert "nan" not in svg and "inf" not in svg
+    assert 'points="40.00,320.00"' in svg
 
 
 class ExplodingPlant(plants.LtvPlant):

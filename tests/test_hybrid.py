@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ltvadapt import hybrid, linalg, plants
+from ltvadapt import hybrid, linalg, plants, verification
 
 
 def run_switching(mode="event", seed=53, horizon=100, **kw):
@@ -14,6 +14,56 @@ def event_run():
     """One switching-plant event run (seed 53) shared by the read-only
     tests."""
     return run_switching(seed=53)
+
+
+def check_timeline(traj):
+    """The records are the one timeline: j counts the jumps (tau = 0) so
+    far, no record before the first certificate carries a bundle, and from
+    there the bundle changes exactly at the jumps."""
+    recs = traj.records
+    jumps = 0
+    for r in recs:
+        jumps += r.tau == 0
+        assert r.j == jumps
+    start = traj.monitor_start
+    assert all(r.bundle is None for r in recs[:start])
+    for prev, r in zip(recs[start:], recs[start + 1:]):
+        assert (r.bundle is not prev.bundle) == (r.tau == 0)
+
+
+# episode instants of the canonical runs, as the run recorded them when
+# it kept its episode list alongside the records
+CANONICAL_EPISODES = {
+    "switching-event": [4, 15, 16],
+    "switching-fixed-mild": [4],
+    "switching-fixed-strong": [4],
+    "sinusoidal-p10": [4],
+    "sinusoidal-p20": [4],
+    "sinusoidal-p40": [4],
+    "vanishing": [4],
+    "time-np8-s0": [4, 16, 24, 32, 40, 48, 56, 64, 72, 80, 88, 96],
+    "time-np8-s1": [4, 16, 24, 32, 40, 48, 56, 64, 72, 80],
+    "time-np8-s2": [4, 16, 24, 32, 40, 48, 56, 64, 72],
+    "time-np12-s0": [4, 20, 32, 44, 56, 68, 80, 92],
+    "time-np12-s1": [4, 20, 32, 44, 56, 68, 80, 92],
+    "time-np12-s2": [4, 20, 32, 44, 56, 68, 80, 92],
+    "time-np16-s0": [4, 24, 40, 56],
+    "time-np16-s1": [4, 24, 40, 56],
+    "time-np16-s2": [4, 24, 56, 72, 88],
+}
+
+
+def test_canonical_timeline_is_read_from_the_records():
+    runs = verification.canonical_runs()
+    assert [name for name, _, _, _ in runs] == list(CANONICAL_EPISODES)
+    for name, _, _, traj in runs:
+        check_timeline(traj)
+        # every canonical forced design at k = T = 4 is adopted
+        assert [e.k for e in traj.episodes] == CANONICAL_EPISODES[name]
+        assert traj.monitor_start == 4
+        assert traj.initial_bundle is traj.episodes[0].new_bundle
+        assert all(e.new_bundle is traj.records[e.k].bundle
+                   for e in traj.episodes)
 
 
 def test_sigma_rule():
@@ -146,9 +196,10 @@ def test_divergence_while_exploring():
     traj = hybrid.run(plants.ConstantLti(a=1e4 * np.eye(2)), cfg)
     assert traj.status == hybrid.DIVERGED
     assert traj.records[-1].k < 4  # before the forced design at k = T
-    assert all(r.V is None and r.a1 is None for r in traj.records)
+    assert all(r.V is None and r.bundle is None for r in traj.records)
     assert traj.episodes == [] and traj.initial_bundle is None
     assert traj.monitor_start == len(traj.records)
+    check_timeline(traj)
 
 
 @pytest.mark.parametrize("mode", ["event", "time", "fixed"])
@@ -176,7 +227,8 @@ def test_infeasible_forced_design_falls_back(mode):
     assert all(r.j == 0 for r in traj.records)
     rec = traj.records[4]
     assert rec.k == 4 and rec.synth_feasible is False and rec.tau == 1
-    assert rec.a1 == traj.initial_bundle.a1
+    assert rec.bundle is traj.initial_bundle
+    check_timeline(traj)
 
 
 def test_determinism(event_run):

@@ -7,10 +7,13 @@ from test_synthesis import exploration_window
 def test_property1_reports_negative_slack(monkeypatch):
     plant = plants.ConstantLti()
     b = synthesis.synthesize(exploration_window(plant))
-    # a run records its initial design as its first episode
-    traj = hybrid.Trajectory(
-        episodes=[hybrid.Episode(k=b.window.kappa, new_bundle=b)],
-        initial_bundle=b)
+    # a run records its initial design as its first episode: the record
+    # of the design step carries the bundle and is marked tau = 0
+    x = b.window.X[:, -1]
+    traj = hybrid.Trajectory(records=[hybrid.StepRecord(
+        k=b.window.kappa, j=1, x=x, u=b.K @ x, V=b.lyapunov(x),
+        sigma_a1=hybrid.sigma(b.a1), bundle=b, trigger=False,
+        synth_feasible=True, tau=0)])
     monkeypatch.setattr(verification, "canonical_runs",
                         lambda: [("nominal", plant, None, traj)])
     res = verification.suite_property1(num_samples=50, rng_seed=3)
