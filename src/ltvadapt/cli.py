@@ -24,7 +24,7 @@ EXIT_SOLVER = 3
 EXIT_DIVERGED = 4
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
@@ -35,12 +35,35 @@ def _parse_bool(text):
         raise ValueError("expected true, false, 1 or 0, got %r" % text)
 
 
+def _parse_vector(text):
+    try:
+        return np.array([float(v) for v in text.split(",")])
+    except ValueError as exc:
+        raise ConfigError("bad vector %r: %s" % (text, exc))
+
+
+def _parse_matrix(text):
+    try:
+        return np.array([[float(v) for v in row.split(",")]
+                         for row in text.split(";")])
+    except ValueError as exc:
+        raise ConfigError("bad matrix %r: %s" % (text, exc))
+
+
+def _parse_dir(text):
+    if not text:
+        raise ValueError("empty directory name")
+    return text
+
+
 _PLANT_KEYS = {"kind": str, "p": int, "ell": float, "delta_a": float,
-               "t_delta": int, "path": str, "a": str, "b": str}
+               "t_delta": int, "path": str, "a": _parse_matrix,
+               "b": _parse_matrix}
 _RUN_KEYS = {"mode": str, "horizon": int, "seed": int, "T": int,
-             "eps_F": float, "c_sigma": float, "n_p": int, "x0": str}
+             "eps_F": float, "c_sigma": float, "n_p": int,
+             "x0": _parse_vector}
 _SOLVER_KEYS = {"strict_margin": float, "max_newton": int}
-_OUTPUT_KEYS = {"dir": str, "svg": _parse_bool}
+_OUTPUT_KEYS = {"dir": _parse_dir, "svg": _parse_bool}
 _SECTIONS = {"plant": _PLANT_KEYS, "run": _RUN_KEYS, "solver": _SOLVER_KEYS,
              "output": _OUTPUT_KEYS}
 
@@ -86,53 +109,27 @@ def parse_config(path):
     return out
 
 
-def _parse_vector(text):
-    try:
-        return np.array([float(v) for v in text.split(",")])
-    except ValueError as exc:
-        raise ConfigError("bad vector %r: %s" % (text, exc))
-
-
-def _parse_matrix(text):
-    try:
-        return np.array([[float(v) for v in row.split(",")]
-                         for row in text.split(";")])
-    except ValueError as exc:
-        raise ConfigError("bad matrix %r: %s" % (text, exc))
-
-
 def build_scenario(cfg_dict, seed_override=None, out_override=None):
     """Turn a parsed config into (plant, ScenarioConfig, out_dir, svg)."""
     psec = dict(cfg_dict["plant"])
     kind = psec.pop("kind", None)
     if kind is None:
         raise ConfigError("[plant] needs a kind")
-    if "a" in psec:
-        psec["a"] = _parse_matrix(psec["a"])
-    if "b" in psec:
-        psec["b"] = _parse_matrix(psec["b"])
     try:
         plant = plants.make_plant(kind, psec)
     except Exception as exc:
         raise ConfigError("bad plant spec: %s" % exc)
 
     rsec = dict(cfg_dict["run"])
-    mode = rsec.pop("mode", hybrid.EVENT_TRIGGERED)
-    x0 = rsec.pop("x0", None)
-    if x0 is not None:
-        x0 = _parse_vector(x0)
-    seed = rsec.pop("seed", 0)
     if seed_override is not None:
-        seed = seed_override
+        rsec["seed"] = seed_override
     ssec = cfg_dict["solver"]
     try:
         opts = maxdet.SolverOptions(**ssec) if ssec else None
     except Exception as exc:
         raise ConfigError("bad solver config: %s" % exc)
     try:
-        scen = hybrid.ScenarioConfig(
-            mode=mode, seed=seed, x0=x0, solver_options=opts,
-            **{k: v for k, v in rsec.items()})
+        scen = hybrid.ScenarioConfig(solver_options=opts, **rsec)
         scen.validate(plant)
     except Exception as exc:
         raise ConfigError("bad run config: %s" % exc)

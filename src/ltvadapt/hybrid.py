@@ -2,16 +2,17 @@
 
 The plant runs in physical time k; controller updates are episode jumps
 counted by j. `run` is one step loop: a step decides whether a design is
-due (the forced design at k = T after T open-loop exploration steps; then
-a failed certified decrease in event mode, the end of the T re-excitation
-steps after each n_p-periodic tick in time mode, never in fixed mode),
-makes that one design call and adopts a feasible result as an episode
-jump, applies an exploration input or the feedback K x, records itself
-and advances the plant and the data window. A jump at step k is folded
-into that step's record and marked by tau = 0. A trajectory is its
-records: each carries the bundle in force at its step, and the episodes,
-the initial bundle and the start of the monitored segment are read from
-them.
+due (at the first step after an exploration: the forced design at k = T
+after T open-loop steps and, in time mode, the design at the end of the
+T re-excitation steps after each n_p-periodic tick; in event mode also
+when the certified decrease fails), makes that one design call and
+adopts a feasible result as an episode jump, applies an exploration
+input or the feedback K x, records itself and advances the plant and the
+data window. A jump at step k is folded into that step's record and
+marked by tau = 0, and a record marks an exploration input by `explore`.
+A trajectory is its records: each carries the bundle in force at its
+step, and the episodes, the initial bundle and the start of the
+monitored segment are read from them.
 """
 
 import csv
@@ -46,6 +47,13 @@ def sigma(a1, c_sigma=0.1):
     return 1.0 - c_sigma * (1.0 - a1)
 
 
+def decreased(v_next, sig_v):
+    """Certified decrease test V(x+) <= sigma(a1) V(x), given V(x+) and
+    sigma(a1) V(x); ties within TIE_TOL count as a decrease. Elementwise
+    on arrays."""
+    return v_next <= sig_v * (1.0 + TIE_TOL)
+
+
 @dataclass
 class StepRecord:
     k: int
@@ -55,7 +63,7 @@ class StepRecord:
     V: float | None
     sigma_a1: float | None
     bundle: synthesis.ControllerBundle | None  # None before the first design
-    trigger: bool
+    explore: bool  # u is an exploration draw, not K x
     synth_feasible: bool | None
     tau: int
 
@@ -160,8 +168,7 @@ def _lyapunov(bundle, x):
     return v if math.isfinite(v) else np.inf
 
 
-def _record(k, j, x, u, bundle, c_sigma, trigger=False, synth_feasible=None,
-            tau=1):
+def _record(k, j, x, u, bundle, c_sigma, explore=False, synth_feasible=None):
     """Record of step k; no certificate fields before the first design."""
     certified = bundle is not None
     return StepRecord(
@@ -170,7 +177,8 @@ def _record(k, j, x, u, bundle, c_sigma, trigger=False, synth_feasible=None,
         else None,
         sigma_a1=sigma(bundle.a1, c_sigma) if certified else None,
         bundle=bundle,
-        trigger=trigger, synth_feasible=synth_feasible, tau=tau,
+        explore=explore, synth_feasible=synth_feasible,
+        tau=0 if synth_feasible else 1,
     )
 
 
@@ -186,32 +194,25 @@ def run(plant, cfg):
     bundle = None
     j = 0
     explore_left = t_width  # open-loop i.i.d. uniform inputs still to apply
-    design_pending = True   # a design waits for the exploration to end
 
     k = 0
     while k < cfg.horizon:
-        # 1. is a design due? The forced design at k = T and each
-        # scheduled one wait for the end of the exploration before them.
-        if cfg.mode == EVENT_TRIGGERED and k > t_width:
-            # ties in the decrease test resolve to no design; the previous
-            # record holds V(x(k-1)) and sigma(a1) of the current bundle
-            prev = traj.records[-1]
-            due = bundle.lyapunov(x) > \
-                prev.sigma_a1 * prev.V * (1.0 + TIE_TOL)
-        else:
-            due = design_pending and explore_left == 0
-            design_pending = design_pending and not due
+        # 1. is a design due? One runs at the first step after each
+        # exploration and, in event mode, after a failed decrease; the
+        # previous record holds V(x(k-1)) and sigma(a1) of the current
+        # bundle
+        prev = traj.records[-1] if k else None
+        due = explore_left == 0 and (
+            prev.explore or cfg.mode == EVENT_TRIGGERED and not decreased(
+                bundle.lyapunov(x), prev.sigma_a1 * prev.V))
         # a time-mode tick re-excites the plant for T steps so that the
         # design window is not rank-deficient closed-loop data
-        scheduled = (cfg.mode == TIME_TRIGGERED and k > t_width
-                     and (k - t_width) % cfg.n_p == 0)
-        if scheduled:
+        if (cfg.mode == TIME_TRIGGERED and k > t_width
+                and (k - t_width) % cfg.n_p == 0):
             explore_left = t_width
-            design_pending = True
 
         # 2. design; adopt a feasible gain, else keep the current one or,
         # at the forced design, fall back to the open-loop zero gain
-        jumped = False
         synth_feasible = None
         if due:
             cand = synthesis.synthesize(w, eps_F=cfg.eps_F, opts=opts)
@@ -219,7 +220,6 @@ def run(plant, cfg):
             if cand is not None:
                 bundle = cand
                 j += 1
-                jumped = True
             elif bundle is None:
                 logger.warning("initial design infeasible at k=%d; "
                                "running with zero fallback gain", k)
@@ -229,18 +229,16 @@ def run(plant, cfg):
                             "keeping previous gain", k)
 
         # 3. input: exploration or state feedback
-        if explore_left > 0:
+        explore = explore_left > 0
+        if explore:
             u = rng.uniform(-1.0, 1.0, plant.nu)
             explore_left -= 1
         else:
             u = bundle.K @ x
 
         # 4. record, then step the plant and the data window
-        trigger = (scheduled or (jumped and k == t_width)
-                   if cfg.mode == TIME_TRIGGERED else jumped and k > t_width)
-        traj.records.append(_record(
-            k, j, x, u, bundle, cfg.c_sigma, trigger=trigger,
-            synth_feasible=synth_feasible, tau=0 if jumped else 1))
+        traj.records.append(_record(k, j, x, u, bundle, cfg.c_sigma,
+                                    explore, synth_feasible))
         x_prev, x = x, plant.step(k, x, u)
         k += 1
         if _diverged(x):
@@ -266,7 +264,7 @@ def write_trajectory_csv(traj, path, nx, nu):
     header = (["k", "j"]
               + ["x_%d" % (i + 1) for i in range(nx)]
               + ["u_%d" % (i + 1) for i in range(nu)]
-              + ["V", "sigma_a1", "a1", "trigger", "synth_feasible"])
+              + ["V", "sigma_a1", "a1", "explore", "synth_feasible"])
     with open(path, "w", newline="") as fh:
         wtr = csv.writer(fh)
         wtr.writerow(header)
@@ -279,5 +277,5 @@ def write_trajectory_csv(traj, path, nx, nu):
                 row += [_fmt(float(v)) for v in r.u]
             row += [_fmt(r.V), _fmt(r.sigma_a1),
                     _fmt(None if r.bundle is None else r.bundle.a1),
-                    _fmt(bool(r.trigger)), _fmt(r.synth_feasible)]
+                    _fmt(r.explore), _fmt(r.synth_feasible)]
             wtr.writerow(row)

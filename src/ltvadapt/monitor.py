@@ -8,12 +8,13 @@ rate diagnostics with the membership test of the consistency set.
 
 The walk behind `default_rates` and `thm_diagnostics` keeps its per-step
 quantities as arrays: sigma(a1) of each record's bundle, the decrease set
-T1 from one stacked quadratic form and one comparison, the exact factors
-from one stacked `synthesis.theta_exact` per bundle on the feedback steps
-outside T1 (the realized ratio of V on open-loop steps), and nu_d per
-record, with all jumps of a trajectory in one stacked `nu_d`. The product
-pi is one cumulative product of sigma(a1) on the steps in T1, a factor
-theta on the steps outside it, and nu_d at jumps.
+T1 from one stacked quadratic form and the run's `hybrid.decreased`, the
+exact factors from one stacked `synthesis.theta_exact` per bundle on the
+feedback steps outside T1 (the realized ratio of V on the steps whose
+records mark an exploration input), and nu_d per record, with all jumps
+of a trajectory in one stacked `nu_d`. The product pi is one cumulative
+product of sigma(a1) on the steps in T1, a factor theta on the steps
+outside it, and nu_d at jumps.
 `thm_diagnostics` adds the data-based a1 + a2 * eps with one stacked
 minimal inflation per triggered bundle, and tests terminal-set
 membership for every record from T* on with one stacked
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, proximity
-from .hybrid import sigma
+from .hybrid import decreased, sigma
 from .synthesis import theta_exact
 from .window import DataWindow
 
@@ -64,11 +65,11 @@ def _walk(traj, plant, c_sigma):
     """One pass over the monitored segment, evaluated as stacks.
 
     All successor values V(x_{i+1}, S_i) come from one stacked quadratic
-    form and decide T1 in one comparison; the steps outside T1 are split
-    into open-loop and feedback steps by one closeness test of u against
-    K x, and the exact factors of the feedback steps come from one stacked
-    `theta_exact` per bundle. The plant pairs of those steps are kept,
-    grouped by triggered bundle, for the data-based factors.
+    form and decide T1 with the run's own decrease test; the steps outside
+    T1 are split into open-loop and feedback steps by their records'
+    `explore` flags, and the exact factors of the feedback steps come from
+    one stacked `theta_exact` per bundle. The plant pairs of those steps
+    are kept, grouped by triggered bundle, for the data-based factors.
     """
     recs = traj.records[traj.monitor_start:]
     if not recs:
@@ -76,7 +77,6 @@ def _walk(traj, plant, c_sigma):
     bundles = [r.bundle for r in recs]
 
     n = len(recs) - 1
-    nu, nx = bundles[0].K.shape
     jumps = [i for i in range(1, n + 1) if recs[i].tau == 0]
     nus = np.ones(n + 1)
     if jumps:
@@ -86,7 +86,8 @@ def _walk(traj, plant, c_sigma):
     # the record's V uses its own bundle; the successor is measured with
     # the departure's bundle too, since the bundle changes at jumps. V is
     # inf where the state is not finite or x S x overflows.
-    x = np.array([r.x for r in recs]).reshape(n + 1, nx)
+    x = np.array([r.x for r in recs])
+    nx = x.shape[1]
     s_dep = np.array([b.S for b in bundles[:-1]]).reshape(n, nx, nx)
     v = np.array([r.V for r in recs[:-1]], dtype=float)
     sig = np.array([sigma(b.a1, c_sigma) for b in bundles])
@@ -98,18 +99,11 @@ def _walk(traj, plant, c_sigma):
         # one-step ratio of V; the feedback steps are overwritten below
         theta = np.where(v > 0.0, v_next / v,
                          np.where(v_next > 0.0, np.inf, 1.0))
-    in_t1 = v_next <= sig[:-1] * v * (1.0 + BOUND_TOL)
-
-    out = np.flatnonzero(~in_t1)
-    k_gains = np.array([bundles[i].K for i in out]).reshape(len(out), nu, nx)
-    kx = (k_gains @ x[out, :, None])[:, :, 0]
-    # a departure record without an input counts as a feedback step
-    us = np.array([kx[j] if recs[i].u is None else recs[i].u
-                   for j, i in enumerate(out)]).reshape(len(out), nu)
-    feedback = np.isclose(us, kx, rtol=1e-9, atol=1e-12).all(axis=1)
+    in_t1 = decreased(v_next, sig[:-1] * v)
+    explore = np.array([r.explore for r in recs[:-1]], dtype=bool)
 
     groups = {}
-    for i in out[feedback].tolist():
+    for i in np.flatnonzero(~in_t1 & ~explore).tolist():
         groups.setdefault(id(bundles[i]), []).append(i)
     trig = []
     for steps in groups.values():

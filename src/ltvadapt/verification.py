@@ -276,10 +276,11 @@ def suite_prop3():
         ks = [r.k for r in traj.records]
         if any(a == b for a, b in zip(ks, ks[1:])):
             no_dup = False
-        episode_ks = {e.k for e in traj.episodes}
+        # j starts at 0 and advances by one exactly at the tau = 0 records
+        jumps = 0
         for r in traj.records:
-            if (r.tau == 0) != (r.k in episode_ks):
-                tau_ok = False
+            jumps += r.tau == 0
+            tau_ok = tau_ok and r.j == jumps
         pairs = [(r.k, r.j) for r in traj.records]
         for (k0, j0), (k1, j1) in zip(pairs, pairs[1:]):
             if not (k1 == k0 + 1 and j1 >= j0):

@@ -161,6 +161,22 @@ def test_simulate_config_error_exit(tmp_path):
                          str(tmp_path / "out")]) == cli.EXIT_CONFIG
 
 
+def test_bad_vector_matrix_and_dir_values_name_their_line(tmp_path, capsys):
+    # an empty output directory would otherwise reach os.makedirs('')
+    for text, lineno, key in (
+            ("[plant]\nkind = switching\n[run]\nx0 = 1, x\n", 4, "x0"),
+            ("[plant]\nkind = constant\na = 1, 0; 0, y\n", 3, "a"),
+            ("[plant]\nkind = constant\nb = ;\n", 3, "b"),
+            ("[plant]\nkind = switching\n[output]\ndir =\n", 4, "dir")):
+        cfg = write_cfg(tmp_path, text)
+        with pytest.raises(cli.ConfigError,
+                           match=r"scen\.cfg:%d: bad value for %s: "
+                           % (lineno, key)):
+            cli.parse_config(cfg)
+        assert cli.main(["simulate", "--config", cfg]) == cli.EXIT_CONFIG
+        assert "scen.cfg:%d: " % lineno in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line", ["strict_margin = 0", "strict_margin = -1e-6",
                                   "strict_margin = 1", "max_newton = 0"])
 def test_invalid_solver_options_exit(tmp_path, line):

@@ -16,6 +16,20 @@ def event_run():
     return run_switching(seed=53)
 
 
+def check_time_schedule(traj, n_p, t_width=4):
+    """Time mode: the inputs of [0, T) and of [tick, tick + T) after each
+    tick are exploration draws, and a design runs at T and at each
+    tick + T within the run."""
+    n = len(traj.records) - 1  # the last record has no input
+    ticks = range(t_width + n_p, n, n_p)
+    explored = set(range(t_width)).union(
+        *(range(tk, min(tk + t_width, n)) for tk in ticks))
+    assert [r.k for r in traj.records if r.explore] == sorted(explored)
+    designs = [r.k for r in traj.records if r.synth_feasible is not None]
+    assert designs == [t_width] + [tk + t_width for tk in ticks
+                                   if tk + t_width < n]
+
+
 def check_timeline(traj):
     """The records are the one timeline: j counts the jumps (tau = 0) so
     far, no record before the first certificate carries a bundle, and from
@@ -114,13 +128,6 @@ def test_records_one_per_step(event_run):
     assert ks == list(range(len(ks)))
 
 
-def test_toggle_zero_exactly_after_episodes(event_run):
-    traj = event_run
-    episode_ks = {e.k for e in traj.episodes}
-    for r in traj.records:
-        assert (r.tau == 0) == (r.k in episode_ks)
-
-
 def test_event_mode_converges_and_triggers_after_switch(event_run):
     traj = event_run
     n = traj.state_norms()
@@ -132,7 +139,9 @@ def test_event_mode_converges_and_triggers_after_switch(event_run):
 
 def test_fixed_mode_never_triggers():
     traj = run_switching(mode="fixed", seed=1)
-    assert all(not r.trigger for r in traj.records)
+    assert [r.k for r in traj.records if r.explore] == [0, 1, 2, 3]
+    assert [r.k for r in traj.records
+            if r.synth_feasible is not None] == [4]
     assert traj.num_episodes == 1  # only the forced initial design
 
 
@@ -147,8 +156,28 @@ def test_fixed_mode_divergence_flag():
 
 def test_time_mode_triggers_on_schedule():
     traj = run_switching(mode="time", seed=0, n_p=12)
-    trigger_ks = [r.k for r in traj.records if r.trigger]
-    assert trigger_ks == [k for k in range(4, 100) if (k - 4) % 12 == 0]
+    check_time_schedule(traj, 12)
+
+
+def test_canonical_time_runs_explore_before_each_design():
+    # n_p = 8 leaves 4 feedback steps between the explorations
+    seen = set()
+    for _, _, cfg, traj in verification.canonical_runs():
+        if cfg.mode == hybrid.TIME_TRIGGERED:
+            check_time_schedule(traj, cfg.n_p)
+            seen.add(cfg.n_p)
+    assert seen == {8, 12, 16}
+
+
+def test_explore_marks_the_inputs_that_are_not_feedback():
+    # the flag agrees with a closeness test of u against K x of the
+    # bundle in force; before the first design every input is a draw
+    for name, _, _, traj in verification.canonical_runs():
+        for r in traj.records[:-1]:
+            feedback = r.bundle is not None and np.isclose(
+                r.u, r.bundle.K @ r.x, rtol=1e-9, atol=1e-12).all()
+            assert r.explore is not feedback, (name, r.k)
+        assert traj.records[-1].u is None and not traj.records[-1].explore
 
 
 @pytest.mark.parametrize("n_p", [2, 4])
@@ -163,10 +192,10 @@ def test_time_mode_period_at_most_T(n_p):
             run_switching(mode="time", seed=1, n_p=n_p, horizon=30)
         return
     traj = run_switching(mode="time", seed=1, n_p=n_p, horizon=30)
-    ticks = list(range(4 + n_p, 30, n_p))
-    assert [r.k for r in traj.records if r.trigger] == [4] + ticks
-    designs = [r.k for r in traj.records if r.synth_feasible is not None]
-    assert designs == [4] + [t + 4 for t in ticks if t + 4 < 30]
+    # the explorations run without a break from the first tick on
+    check_time_schedule(traj, n_p)
+    assert [r.k for r in traj.records if r.explore] == \
+        [0, 1, 2, 3] + list(range(8, 30))
     rng = np.random.default_rng(1)
     for r in traj.records[:-1]:
         if r.k < 4 or r.k >= 4 + n_p:
@@ -243,6 +272,6 @@ def test_trajectory_csv(tmp_path, event_run):
     path = tmp_path / "traj.csv"
     hybrid.write_trajectory_csv(traj, str(path), 2, 2)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == ("k,j,x_1,x_2,u_1,u_2,V,sigma_a1,a1,trigger,"
+    assert lines[0] == ("k,j,x_1,x_2,u_1,u_2,V,sigma_a1,a1,explore,"
                         "synth_feasible")
     assert len(lines) == len(traj.records) + 1

@@ -236,7 +236,7 @@ def _reference_walk(traj, plant, c_sigma=0.1):
                 v_next = float(rn.x @ b.S @ rn.x)
             v_next = v_next if np.isfinite(v_next) else np.inf
         in_t1.append(v_next <= hybrid.sigma(b.a1, c_sigma) * r.V *
-                     (1.0 + monitor.BOUND_TOL))
+                     (1.0 + hybrid.TIE_TOL))
         if in_t1[-1]:
             continue
         if r.u is not None and not np.allclose(r.u, b.K @ r.x, rtol=1e-9,
@@ -336,6 +336,23 @@ def test_stacked_walk_equals_per_step_reference(name, plant, cfg):
         "one-step": len(walk.records) == 2 and ref["th_exact"],
     }
     assert covers[name]
+
+
+def test_event_designs_follow_the_steps_outside_T1():
+    # the run's trigger and the walk's T1 are one decrease test: in event
+    # mode a design runs right after each step outside T1, and the last
+    # step has no step after it
+    n = 0
+    for name, plant, cfg, traj in verification.canonical_runs():
+        if cfg.mode != hybrid.EVENT_TRIGGERED:
+            continue
+        walk = monitor._walk(traj, plant, cfg.c_sigma)
+        out = np.flatnonzero(~walk.in_T1[:-1]).tolist()
+        departures = [i - 1 for i, r in enumerate(walk.records)
+                      if i > 0 and r.synth_feasible is not None]
+        assert out == departures, name
+        n += len(out)
+    assert n == 124
 
 
 def test_stacked_theta_exact_equals_single_calls(switching_run):

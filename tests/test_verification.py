@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 
 from ltvadapt import hybrid, plants, synthesis, verification
@@ -12,7 +14,7 @@ def test_property1_reports_negative_slack(monkeypatch):
     x = b.window.X[:, -1]
     traj = hybrid.Trajectory(records=[hybrid.StepRecord(
         k=b.window.kappa, j=1, x=x, u=b.K @ x, V=b.lyapunov(x),
-        sigma_a1=hybrid.sigma(b.a1), bundle=b, trigger=False,
+        sigma_a1=hybrid.sigma(b.a1), bundle=b, explore=False,
         synth_feasible=True, tau=0)])
     monkeypatch.setattr(verification, "canonical_runs",
                         lambda: [("nominal", plant, None, traj)])
@@ -23,6 +25,20 @@ def test_property1_reports_negative_slack(monkeypatch):
     assert res.checks[0].detail.endswith(
         "worst excess %.3g" % rep.max_relative_excess)
     assert "1 bundles x 50 samples, 0 vacuous, " in res.checks[0].detail
+
+
+def test_prop3_toggle_check_counts_the_jumps(monkeypatch):
+    # a tau = 0 mark without a jump in j fails the check, and only it
+    assert verification.suite_prop3().passed
+    name, plant, cfg, traj = verification.canonical_runs()[0]
+    recs = list(traj.records)
+    i = next(i for i, r in enumerate(recs) if i > 0 and r.tau == 1)
+    recs[i] = dataclasses.replace(recs[i], tau=0)
+    monkeypatch.setattr(verification, "canonical_runs", lambda: [
+        (name, plant, cfg, hybrid.Trajectory(records=recs))])
+    res = verification.suite_prop3()
+    assert [c.name for c in res.checks if not c.passed] == \
+        ["toggle-marks-episodes"]
 
 
 def _loop_oracle(det, ub, strict_margin, n):
