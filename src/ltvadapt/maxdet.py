@@ -110,7 +110,6 @@ class SdpSolution:
     x: np.ndarray
     status: str
     min_margins: np.ndarray
-    logdet_value: float | None = None
     iterations: int = 0
     kkt_residual: float | None = None
 
@@ -433,6 +432,5 @@ def solve_maxdet(problem, opts=None):
 
     return SdpSolution(x=x, status=OPTIMAL if finished else MAXITER,
                        min_margins=check_point(problem, x),
-                       logdet_value=_logdet(det_fn, x),
                        iterations=phase1.iterations + total,
                        kkt_residual=residual)

@@ -30,6 +30,10 @@ DEFAULT_EPS_F = 0.1
 # status logged when a window is declined by the data bound, before any solve
 DATA_BOUND = "DataBound"
 
+# relative excess of a contraction factor over its certified rate that
+# verify_property still accepts
+PROPERTY_REL_TOL = 1e-7
+
 
 @dataclass(frozen=True)
 class ControllerBundle:
@@ -42,8 +46,6 @@ class ControllerBundle:
     a2: float
     a: float
     varsigma: float
-    H: np.ndarray
-    eps_F: float
     window: DataWindow
     solver_status: str = ""
 
@@ -91,8 +93,6 @@ def fallback_bundle(w):
         a2=0.0,
         a=0.0,
         varsigma=0.0,
-        H=np.eye(nx),
-        eps_F=DEFAULT_EPS_F,
         window=w,
         solver_status="Fallback",
     )
@@ -227,8 +227,6 @@ def extract_bundle(w, design, solution, eps_F=DEFAULT_EPS_F):
         a2=a2,
         a=a,
         varsigma=varsigma,
-        H=h,
-        eps_F=eps_F,
         window=w,
         solver_status=solution.status,
     )
@@ -272,7 +270,6 @@ def synthesize(w, eps_F=DEFAULT_EPS_F, opts=None):
 
 @dataclass
 class PropertyReport:
-    num_samples: int
     eps_values: list
     max_relative_excess: float
     num_violations: int
@@ -280,7 +277,7 @@ class PropertyReport:
 
 
 def verify_property(bundle, num_samples=500, rng_seed=0, eps_values=None,
-                    rel_tol=1e-7):
+                    rel_tol=PROPERTY_REL_TOL):
     """Sample the inflated consistency sets and check the certified rate.
 
     For each eps, every sampled pair (A, B) must satisfy
@@ -329,7 +326,6 @@ def verify_property(bundle, num_samples=500, rng_seed=0, eps_values=None,
         worst = float(np.max(excess))
         violations = int(np.count_nonzero(excess > rel_tol))
     return PropertyReport(
-        num_samples=num_samples,
         eps_values=list(eps_values),
         max_relative_excess=(worst if np.isfinite(worst) else 0.0),
         num_violations=violations,

@@ -131,7 +131,7 @@ def suite_lemma3(rng_seed=0):
     mism = 0
     n_samp = 0
     for name, plant, cfg, traj in canonical_runs():
-        if not name.startswith(("switching-event", "sinusoidal", "vanish")):
+        if cfg.mode != hybrid.EVENT_TRIGGERED:
             continue
         for b in [e.new_bundle for e in traj.episodes]:
             w, F = b.window, b.F
@@ -233,9 +233,9 @@ def suite_lemma5():
     res = SuiteResult("lemma5")
     all_ok = True
     dominated = True
-    n_runs = 0
+    n_runs = n_trig = 0
     worst_e = worst_d = -np.inf
-    least_dominance = np.inf
+    least_ratio = np.inf
     for name, plant, cfg, traj in canonical_runs():
         rep = monitor.thm_diagnostics(
             traj, *monitor.default_rates(traj, plant, cfg.c_sigma), plant,
@@ -251,15 +251,23 @@ def suite_lemma5():
         v = np.array([np.inf if r.V is None else r.V for r in rep.records])
         worst_e = max(worst_e, _bound_ratio(v, pi_e))
         worst_d = max(worst_d, _bound_ratio(v, pi_d))
+        # the two factors differ only on the feedback steps outside T1
+        # under a triggered bundle, that is one other than the first
+        recs = rep.records
+        trig = [i for i in rep.theta_exact if not recs[i].explore
+                and recs[i].bundle is not recs[0].bundle]
         with np.errstate(divide="ignore", invalid="ignore"):
-            least_dominance = min(least_dominance,
-                                  float(np.min(pi_d / pi_e)))
+            ratio = np.array([rep.theta_databased[i] for i in trig]) / \
+                np.array([rep.theta_exact[i] for i in trig])
+        least_ratio = min(least_ratio, float(np.min(ratio, initial=np.inf)))
+        n_trig += len(trig)
         n_runs += 1
     res.add("product-bound-holds", all_ok,
             "%d runs, largest V/(pi V0) %.3g exact, %.3g data-based"
             % (n_runs, worst_e, worst_d))
     res.add("databased-dominates-exact", dominated,
-            "smallest pi_databased/pi_exact %.3g" % least_dominance)
+            "%d triggered feedback steps, smallest "
+            "theta_databased/theta_exact %.3g" % (n_trig, least_ratio))
     return res
 
 
@@ -269,23 +277,18 @@ def suite_lemma5():
 
 def suite_prop3():
     res = SuiteResult("prop3")
-    no_dup = True
     tau_ok = True
     dom_ok = True
     for name, plant, cfg, traj in canonical_runs():
-        ks = [r.k for r in traj.records]
-        if any(a == b for a, b in zip(ks, ks[1:])):
-            no_dup = False
         # j starts at 0 and advances by one exactly at the tau = 0 records
         jumps = 0
         for r in traj.records:
             jumps += r.tau == 0
             tau_ok = tau_ok and r.j == jumps
-        pairs = [(r.k, r.j) for r in traj.records]
-        for (k0, j0), (k1, j1) in zip(pairs, pairs[1:]):
-            if not (k1 == k0 + 1 and j1 >= j0):
-                dom_ok = False
-    res.add("one-record-per-step", no_dup)
+        # k advances by exactly one, so no two records share a step; j
+        # never decreases, since it counts the tau = 0 records
+        ks = [r.k for r in traj.records]
+        dom_ok = dom_ok and all(k1 == k0 + 1 for k0, k1 in zip(ks, ks[1:]))
     res.add("toggle-marks-episodes", tau_ok)
     res.add("hybrid-domain-monotone", dom_ok)
     return res
@@ -395,12 +398,22 @@ def suite_solver(rng_seed=0):
             "20 instances, worst gap %.3g" % worst_gap)
 
     # (c) accepted design solutions keep interior margins, and
-    # (d) the extracted certificate identity holds exactly
+    # (d) the certified rate a1 dominates the exact contraction at the
+    # centre Zc of every non-empty consistency set, which is a member
     marg_ok = True
-    ident_ok = True
-    n_designs = 0
+    n_designs = n_center = 0
+    worst_center = -np.inf
     for name, plant, cfg, traj in canonical_runs():
         for b in [e.new_bundle for e in traj.episodes]:
+            par = proximity.ellipsoid_params(b.window, b.F)
+            if proximity.is_nonempty(par):
+                # Zc is stacked [A B]^T
+                nx = b.window.nx
+                theta = synthesis.theta_exact(par.Zc[:nx].T, par.Zc[nx:].T,
+                                              b.K, b.S)
+                worst_center = max(worst_center,
+                                   (theta - b.a1) / max(abs(b.a1), 1.0))
+                n_center += 1
             design = synthesis.build_design_problem(b.window)
             sol = maxdet.solve_maxdet(design.problem, opts)
             if sol.status != maxdet.OPTIMAL:
@@ -409,13 +422,11 @@ def suite_solver(rng_seed=0):
             margins = maxdet.check_point(design.problem, sol.x)
             if float(np.min(margins)) < opts.strict_margin / 2:
                 marg_ok = False
-            lhs = b.H - (1.0 + 1.0 / b.varsigma) * b.F
-            rhs = b.eps_F * b.H
-            if np.max(np.abs(lhs - rhs)) > 1e-12 * (1.0 + np.max(np.abs(b.H))):
-                ident_ok = False
             n_designs += 1
     res.add("design-margins", marg_ok, "%d designs" % n_designs)
-    res.add("certificate-identity", ident_ok)
+    res.add("center-decrease", worst_center <= synthesis.PROPERTY_REL_TOL,
+            "%d non-empty sets, worst relative excess %.3g"
+            % (n_center, worst_center))
     return res
 
 

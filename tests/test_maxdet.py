@@ -75,10 +75,13 @@ def test_feasibility_detects_empty_interior():
 
 
 def test_maxdet_one_var_closed_form():
-    sol = maxdet.solve_maxdet(one_var_det_problem())
+    problem = one_var_det_problem()
+    sol = maxdet.solve_maxdet(problem)
     assert sol.status == maxdet.OPTIMAL
     assert abs(sol.x[0] - 1.5) < 1e-3
-    assert abs(np.exp(sol.logdet_value) - 4.5) < 1e-3
+    sign, logdet = np.linalg.slogdet(
+        problem.constraints[problem.det_block](sol.x))
+    assert sign > 0 and abs(np.exp(logdet) - 4.5) < 1e-3
     assert sol.kkt_residual <= 1e-7
 
 
