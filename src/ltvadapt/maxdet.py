@@ -18,11 +18,11 @@ and its last stage converged. Each Newton point costs one matrix build and
 one Cholesky factorization: the line search's F(x), its factor and the
 barrier value feed the next gradient and Hessian, and a new stage starts
 from the previous stage's F(x) and factor, recomputing only the barrier
-value under its weights. The Newton system is tested for positive
-definiteness by Cholesky; a Hessian that fails is retried once with a ridge
-of 1e-12 times its mean diagonal, a floor relative to its own scale, so that
-iterates of any magnitude keep full Newton steps, and one that fails again
-is a SolverBreakdown.
+value under its weights. The Newton system is solved by LU; retried with the
+ridge when LU finds it singular or the step is not a descent direction. The
+ridge is 1e-12 times the Hessian's mean diagonal, a floor relative to its own
+scale, so that iterates of any magnitude keep full Newton steps; a ridged
+Hessian that fails Cholesky is a SolverBreakdown.
 
 Phase I stops after any accepted step at z = (x, t) once every block's own
 lambda_min reaches the interior target, the textbook phase-I rule (Boyd &
@@ -43,8 +43,9 @@ from . import linalg
 
 
 class SolverBreakdown(RuntimeError):
-    """The iterate left the barrier domain, or the Newton Hessian failed
-    Cholesky both as is and with its relative ridge."""
+    """The iterate left the barrier domain, or the Newton Hessian, singular
+    or giving no descent direction, failed Cholesky with its relative
+    ridge."""
 
 
 FEASIBLE = "Feasible"
@@ -143,8 +144,13 @@ def check_point(problem, x):
 
 def _chol(m):
     """Cholesky factor of m, or None where m is not positive definite. A
-    NaN entry need not make LAPACK fail, but it reaches the factor's last
-    diagonal entry, so that one test rejects it."""
+    non-positive or NaN diagonal entry (the minimum propagates NaN) is
+    rejected without calling LAPACK: the j-th pivot is m_jj minus a sum of
+    squares, so potrf fails there anyway. A NaN entry need not make LAPACK
+    fail, but it reaches the factor's last diagonal entry, so that one test
+    rejects it."""
+    if not m.diagonal().min() > 0.0:
+        return None
     try:
         l = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
@@ -260,10 +266,11 @@ def _newton(barrier, x, max_steps, tol, early_stop=None, point=None):
     F, its factor and the value at an accepted point come from the line
     search, so every point is factored once; a point passed in, the previous
     stage's at the same x, lends its F and factor, and only its value is
-    recomputed under the current weights. The Hessian is used as is when
-    Cholesky accepts it; otherwise once more with 1e-12 * trace(H) / n added
-    to its diagonal, and SolverBreakdown is raised if that fails too (a zero
-    Hessian).
+    recomputed under the current weights. The Newton system is solved by LU;
+    retried with the ridge when LU finds it singular or the step is not a
+    descent direction: 1e-12 * trace(H) / n is added to the Hessian's
+    diagonal, and SolverBreakdown is raised if Cholesky rejects the ridged
+    Hessian (a zero or indefinite one).
     """
     steps = 0
     residual = np.inf
@@ -273,21 +280,25 @@ def _newton(barrier, x, max_steps, tol, early_stop=None, point=None):
     while steps < max_steps:
         val, grad, hess = barrier.terms(point)
         try:
-            np.linalg.cholesky(hess)
+            d = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
+            decrement = None
+        else:
+            decrement = float(-grad @ d)
+        if decrement is None or (not decrement > 0.0 and np.any(grad)):
             hess = hess + 1e-12 * float(np.trace(hess)) / len(x) * \
                 np.eye(len(x))
             try:
                 np.linalg.cholesky(hess)
             except np.linalg.LinAlgError as exc:
                 raise SolverBreakdown("singular Newton system") from exc
-        d = np.linalg.solve(hess, -grad)
-        decrement = float(-grad @ d)
+            d = np.linalg.solve(hess, -grad)
+            decrement = float(-grad @ d)
         residual = np.sqrt(max(decrement, 0.0))
         if residual <= tol:
             return x, point, steps, residual, True, False
         alpha = 1.0
-        gd = float(grad @ d)
+        gd = -decrement
         while alpha > 1e-14:
             trial = x + alpha * d
             trial_point = barrier.point(trial)
@@ -312,7 +323,9 @@ def _margin_reached(z, f, target):
     f = F(z), whose blocks are F_i(x) - t I. f + (t - target) I is the
     phase-I map at (x, target), so one Cholesky decides; the cap block
     t_cap - target is positive. A NaN entry reads as not reached."""
-    return _chol(f + (z[-1] - target) * np.eye(len(f))) is not None
+    g = f.copy()
+    g.flat[::len(g) + 1] += z[-1] - target
+    return _chol(g) is not None
 
 
 def _path(barrier, z, weights, budget, reached=None, stage=None):

@@ -1,7 +1,10 @@
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltvadapt import hybrid, linalg, maxdet, plants, synthesis, verification
 from test_synthesis import exploration_window
@@ -450,6 +453,36 @@ def test_newton_retries_a_singular_hessian(scale):
     assert abs(x[0] - scale) <= 1e-6 * scale and x[1] == 0.0
 
 
+def test_newton_retries_a_hessian_that_gives_no_descent(monkeypatch):
+    # an invertible indefinite Hessian whose LU step d = -H^-1 g has
+    # g.d > 0 points uphill: the step is not taken, the Hessian is retried
+    # with its ridge, Cholesky rejects the ridged matrix, and the solve
+    # breaks down
+    barrier = log_barrier(1.0, [1.0, 0.0])
+    grad = np.array([1.0, 0.0])
+    hess = np.diag([-1.0, 2.0])
+    assert grad @ np.linalg.solve(hess, grad) < 0.0
+    monkeypatch.setattr(maxdet._Barrier, "terms",
+                        lambda self, point: (point[0], grad, hess))
+    points = counting(monkeypatch, maxdet._Barrier, "point")
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def recording_cholesky(m):
+        factored.append(m.copy())
+        return cholesky(m)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
+    with pytest.raises(maxdet.SolverBreakdown, match="singular"):
+        maxdet._newton(barrier, np.array([1.3, 0.0]), 500, 1e-8)
+    # only the start was evaluated; past its F, Cholesky saw only the
+    # ridged Hessian
+    assert len(points) == 1
+    ridge = 1e-12 * np.trace(hess) / 2
+    assert len(factored) == 2
+    assert np.array_equal(factored[1], hess + ridge * np.eye(2))
+
+
 def test_newton_zero_hessian_breaks_down():
     # no variable enters the block: the Hessian is zero and no ridge
     # relative to it makes the Newton system solvable
@@ -479,3 +512,115 @@ def test_newton_from_a_nan_point_breaks_down():
     assert barrier.point(np.array([np.nan])) is None
     with pytest.raises(maxdet.SolverBreakdown, match="left the barrier"):
         maxdet._newton(barrier, np.array([np.nan]), 500, 1e-8)
+
+
+def lapack_chol(m):
+    """LAPACK's answer on m: its factor, or None where potrf fails or its
+    factor's last diagonal entry is NaN."""
+    try:
+        l = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return None
+    return None if np.isnan(l[-1, -1]) else l
+
+
+def gram_matrix(rng, n, scale):
+    """A symmetric matrix with a positive diagonal, definite or not: a Gram
+    matrix less a random share of its smallest diagonal entry."""
+    a = rng.standard_normal((n, n))
+    m = a @ a.T
+    m -= rng.uniform(0.0, 1.0) * np.min(m.diagonal()) * np.eye(n)
+    return scale * m
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 14), st.integers(0, 10 ** 6),
+       st.sampled_from([0.0, -0.0, -1e-300, -1.0, np.nan]),
+       st.sampled_from([1e-12, 1.0, 1e12]), st.booleans())
+def test_chol_decides_a_non_positive_diagonal_without_lapack(
+        n, seed, bad, scale, nan_off):
+    # potrf's j-th pivot is m_jj minus a sum of squares, so a non-positive
+    # or NaN m_jj makes it fail or leaves NaN in the factor: _chol answers
+    # None without calling it
+    rng = np.random.default_rng(seed)
+    m = gram_matrix(rng, n, scale)
+    j = rng.integers(n)
+    m[j, j] = bad
+    if nan_off and n > 1:
+        i, k = rng.choice(n, 2, replace=False)
+        m[i, k] = m[k, i] = np.nan
+    assert lapack_chol(m) is None
+    with mock.patch.object(np.linalg, "cholesky",
+                           wraps=np.linalg.cholesky) as lapack:
+        assert maxdet._chol(m) is None
+    assert lapack.call_count == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 14), st.integers(0, 10 ** 6),
+       st.sampled_from([1e-12, 1.0, 1e12]), st.booleans())
+def test_chol_with_a_positive_diagonal_is_lapacks(n, seed, scale, nan_off):
+    # with a positive diagonal _chol returns LAPACK's factor bit for bit,
+    # and None exactly where LAPACK fails or leaves NaN in the factor
+    rng = np.random.default_rng(seed)
+    m = gram_matrix(rng, n, scale)
+    if nan_off and n > 1:
+        i, k = rng.choice(n, 2, replace=False)
+        m[i, k] = m[k, i] = np.nan
+    assert np.all(m.diagonal() > 0.0)
+    ref = lapack_chol(m)
+    with mock.patch.object(np.linalg, "cholesky",
+                           wraps=np.linalg.cholesky) as lapack:
+        l = maxdet._chol(m)
+    assert lapack.call_count == 1
+    assert (l is None) == (ref is None)
+    if l is not None:
+        assert l.tobytes() == ref.tobytes()
+
+
+def test_design_solve_makes_only_the_lapack_calls_it_needs(monkeypatch):
+    # the k = 4 design window of a canonical time-triggered run: each
+    # Newton system is one LU solve, and Cholesky runs only on the F(x)
+    # whose diagonal _chol could not decide, never on a Hessian
+    name, plant, cfg = next(s for s in verification.canonical_scenarios()
+                            if s[0] == "time-np8-s0")
+    solve = maxdet.solve_maxdet
+    problems = []
+
+    def first_problem(problem, opts=None):
+        problems.append(problem)
+        raise maxdet.SolverBreakdown("recorded")
+
+    monkeypatch.setattr(maxdet, "solve_maxdet", first_problem)
+    hybrid.run(plant, cfg)
+    monkeypatch.undo()
+
+    lu = counting(monkeypatch, np.linalg, "solve")
+    hessians, chol_calls, lapack_chols = [], [], []
+    chol = maxdet._chol
+    cholesky = np.linalg.cholesky
+    terms = maxdet._Barrier.terms
+
+    def recording_terms(self, point):
+        out = terms(self, point)
+        hessians.append(out[2])
+        return out
+
+    def recording_chol(m):
+        chol_calls.append(bool(np.all(m.diagonal() > 0.0)))
+        return chol(m)
+
+    def recording_cholesky(m):
+        assert not any(m is h for h in hessians)
+        lapack_chols.append(1)
+        return cholesky(m)
+
+    monkeypatch.setattr(maxdet._Barrier, "terms", recording_terms)
+    monkeypatch.setattr(maxdet, "_chol", recording_chol)
+    monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
+    sol = solve(problems[0])
+    assert sol.status == maxdet.OPTIMAL
+    assert len(hessians) > 0 and len(lu) == len(hessians)
+    # the diagonal rule decides some factorizations outright
+    assert 0 < chol_calls.count(False) < len(chol_calls)
+    assert len(lapack_chols) == chol_calls.count(True)
