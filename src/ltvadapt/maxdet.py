@@ -24,6 +24,15 @@ ridge is 1e-12 times the Hessian's mean diagonal, a floor relative to its own
 scale, so that iterates of any magnitude keep full Newton steps; a ridged
 Hessian that fails Cholesky is a SolverBreakdown.
 
+The Newton step calls numpy's LAPACK gufuncs (`numpy.linalg._umath_linalg`:
+cholesky_lo, inv and solve1) directly. They are the calls np.linalg makes, so
+every result is the same bit for bit, but np.linalg's wrapper (array
+conversion, type dispatch, an error-state context) costs more than LAPACK
+does on matrices of 15 rows. A gufunc that fails returns its output filled
+with NaN instead of raising: a NaN factor's last diagonal entry rejects the
+matrix, and a NaN Newton decrement sends the step to the ridge, as
+LinAlgError did. The ridge retry, almost never taken, stays on np.linalg.
+
 Phase I stops after any accepted step at z = (x, t) once every block's own
 lambda_min reaches the interior target, the textbook phase-I rule (Boyd &
 Vandenberghe, Convex Optimization, sec. 11.4). The line search has just
@@ -38,6 +47,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg as _lapack
 
 from . import linalg
 
@@ -149,12 +159,11 @@ def _chol(m):
     squares, so potrf fails there anyway. A NaN entry need not make LAPACK
     fail, but it reaches the factor's last diagonal entry, so that one test
     rejects it."""
-    if not m.diagonal().min() > 0.0:
+    if not np.minimum.reduce(m.diagonal()) > 0.0:
         return None
-    try:
-        l = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return None
+    # a failed factorization comes back filled with NaN
+    with np.errstate(invalid="ignore"):
+        l = _lapack.cholesky_lo(m)
     return None if math.isnan(l[-1, -1]) else l
 
 
@@ -226,7 +235,8 @@ class _Barrier:
     def terms(self, point):
         """(value, gradient, Hessian) at x, given point = self.point(x)."""
         value, f, _ = point
-        p = np.linalg.inv(f) @ self.coeffs
+        # F has just been Cholesky-factored, so its LU cannot fail
+        p = _lapack.inv(f) @ self.coeffs
         wp = self.weights[:, None] * p
         grad = self.lin - np.einsum("kaa->k", wp)
         hess = wp.reshape(len(p), -1) @ \
@@ -267,8 +277,9 @@ def _newton(barrier, x, max_steps, tol, early_stop=None, point=None):
     search, so every point is factored once; a point passed in, the previous
     stage's at the same x, lends its F and factor, and only its value is
     recomputed under the current weights. The Newton system is solved by LU;
-    retried with the ridge when LU finds it singular or the step is not a
-    descent direction: 1e-12 * trace(H) / n is added to the Hessian's
+    retried with the ridge when LU finds it singular (the decrement is then
+    NaN, whatever the gradient) or the step is not a descent direction at a
+    non-zero gradient: 1e-12 * trace(H) / n is added to the Hessian's
     diagonal, and SolverBreakdown is raised if Cholesky rejects the ridged
     Hessian (a zero or indefinite one).
     """
@@ -279,13 +290,11 @@ def _newton(barrier, x, max_steps, tol, early_stop=None, point=None):
         raise SolverBreakdown("iterate left the barrier domain")
     while steps < max_steps:
         val, grad, hess = barrier.terms(point)
-        try:
-            d = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            decrement = None
-        else:
-            decrement = float(-grad @ d)
-        if decrement is None or (not decrement > 0.0 and np.any(grad)):
+        # a singular Hessian's LU solve comes back filled with NaN
+        with np.errstate(invalid="ignore"):
+            d = _lapack.solve1(hess, -grad)
+        decrement = float(-grad @ d)
+        if not decrement > 0.0 and (math.isnan(decrement) or np.any(grad)):
             hess = hess + 1e-12 * float(np.trace(hess)) / len(x) * \
                 np.eye(len(x))
             try:
@@ -294,7 +303,7 @@ def _newton(barrier, x, max_steps, tol, early_stop=None, point=None):
                 raise SolverBreakdown("singular Newton system") from exc
             d = np.linalg.solve(hess, -grad)
             decrement = float(-grad @ d)
-        residual = np.sqrt(max(decrement, 0.0))
+        residual = math.sqrt(max(decrement, 0.0))
         if residual <= tol:
             return x, point, steps, residual, True, False
         alpha = 1.0

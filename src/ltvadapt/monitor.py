@@ -134,12 +134,16 @@ def pi_product(walk, thetas):
 
 
 def check_bound(traj, pi_seq):
-    """Per-record flag: V(x,S) <= pi * V at the first certified record."""
+    """Per-record flag: V(x,S) <= pi * V at the first certified record. A
+    bound that is not finite, an overflowed product pi among them, bounds
+    nothing, so its record fails."""
     recs = traj.records[traj.monitor_start:]
     if len(pi_seq) != len(recs):
         raise linalg.InvalidInput("pi sequence does not match trajectory")
     v = np.array([np.inf if r.V is None else r.V for r in recs])
-    return (v <= np.asarray(pi_seq) * recs[0].V * (1.0 + BOUND_TOL)).tolist()
+    with np.errstate(over="ignore"):
+        bound = np.asarray(pi_seq) * recs[0].V * (1.0 + BOUND_TOL)
+    return (np.isfinite(bound) & (v <= bound)).tolist()
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import csv
+import types
 from unittest import mock
 
 import numpy as np
@@ -377,6 +378,25 @@ def counting(monkeypatch, owner, name):
     return calls
 
 
+def lapack_recorder():
+    """A stand-in for the LAPACK gufunc module maxdet calls, recording each
+    cholesky_lo, inv and solve1 call as (arguments, result); numpy.linalg's
+    own calls bypass it. Returns (stand-in, {name: calls})."""
+    calls = {name: [] for name in ("cholesky_lo", "inv", "solve1")}
+
+    def recorder(name):
+        fn = getattr(maxdet._lapack, name)
+
+        def call(*args):
+            out = fn(*args)
+            calls[name].append((args, out))
+            return out
+        return call
+
+    return types.SimpleNamespace(
+        **{name: recorder(name) for name in calls}), calls
+
+
 def test_newton_factors_each_point_once(monkeypatch):
     # phi(x) = x - log x from x = 0.9: every Newton step is a full step, so
     # a stage of s steps builds and factors its start and each accepted
@@ -465,22 +485,42 @@ def test_newton_retries_a_hessian_that_gives_no_descent(monkeypatch):
     monkeypatch.setattr(maxdet._Barrier, "terms",
                         lambda self, point: (point[0], grad, hess))
     points = counting(monkeypatch, maxdet._Barrier, "point")
-    factored = []
+    lapack, calls = lapack_recorder()
+    monkeypatch.setattr(maxdet, "_lapack", lapack)
+    ridged = []
     cholesky = np.linalg.cholesky
 
     def recording_cholesky(m):
-        factored.append(m.copy())
+        ridged.append(m.copy())
         return cholesky(m)
 
     monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
     with pytest.raises(maxdet.SolverBreakdown, match="singular"):
         maxdet._newton(barrier, np.array([1.3, 0.0]), 500, 1e-8)
     # only the start was evaluated; past its F, Cholesky saw only the
-    # ridged Hessian
+    # ridged Hessian, after one LU solve of the Newton system
     assert len(points) == 1
+    assert len(calls["cholesky_lo"]) == len(calls["solve1"]) == 1
     ridge = 1e-12 * np.trace(hess) / 2
-    assert len(factored) == 2
-    assert np.array_equal(factored[1], hess + ridge * np.eye(2))
+    assert len(ridged) == 1
+    assert np.array_equal(ridged[0], hess + ridge * np.eye(2))
+
+
+def test_newton_sends_a_singular_hessian_to_the_ridge_at_a_zero_gradient(
+        monkeypatch):
+    # LU fails on this Hessian, so the decrement is NaN although the
+    # gradient is zero: the step still goes to the ridge, which is zero
+    # for a traceless Hessian, Cholesky rejects it, and the solve breaks
+    # down
+    barrier = log_barrier(1.0, [1.0, 0.0, 0.0])
+    grad = np.zeros(3)
+    hess = np.diag([1.0, -1.0, 0.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(hess, -grad)
+    monkeypatch.setattr(maxdet._Barrier, "terms",
+                        lambda self, point: (point[0], grad, hess))
+    with pytest.raises(maxdet.SolverBreakdown, match="singular"):
+        maxdet._newton(barrier, np.array([1.3, 0.0, 0.0]), 500, 1e-8)
 
 
 def test_newton_zero_hessian_breaks_down():
@@ -550,10 +590,10 @@ def test_chol_decides_a_non_positive_diagonal_without_lapack(
         i, k = rng.choice(n, 2, replace=False)
         m[i, k] = m[k, i] = np.nan
     assert lapack_chol(m) is None
-    with mock.patch.object(np.linalg, "cholesky",
-                           wraps=np.linalg.cholesky) as lapack:
+    lapack, calls = lapack_recorder()
+    with mock.patch.object(maxdet, "_lapack", lapack):
         assert maxdet._chol(m) is None
-    assert lapack.call_count == 0
+    assert calls["cholesky_lo"] == []
 
 
 @settings(max_examples=80, deadline=None)
@@ -569,10 +609,10 @@ def test_chol_with_a_positive_diagonal_is_lapacks(n, seed, scale, nan_off):
         m[i, k] = m[k, i] = np.nan
     assert np.all(m.diagonal() > 0.0)
     ref = lapack_chol(m)
-    with mock.patch.object(np.linalg, "cholesky",
-                           wraps=np.linalg.cholesky) as lapack:
+    lapack, calls = lapack_recorder()
+    with mock.patch.object(maxdet, "_lapack", lapack):
         l = maxdet._chol(m)
-    assert lapack.call_count == 1
+    assert len(calls["cholesky_lo"]) == 1
     assert (l is None) == (ref is None)
     if l is not None:
         assert l.tobytes() == ref.tobytes()
@@ -595,10 +635,11 @@ def test_design_solve_makes_only_the_lapack_calls_it_needs(monkeypatch):
     hybrid.run(plant, cfg)
     monkeypatch.undo()
 
-    lu = counting(monkeypatch, np.linalg, "solve")
-    hessians, chol_calls, lapack_chols = [], [], []
+    public = {fn: counting(monkeypatch, np.linalg, fn)
+              for fn in ("inv", "solve", "cholesky")}
+    lapack, calls = lapack_recorder()
+    hessians, chol_calls = [], []
     chol = maxdet._chol
-    cholesky = np.linalg.cholesky
     terms = maxdet._Barrier.terms
 
     def recording_terms(self, point):
@@ -610,17 +651,142 @@ def test_design_solve_makes_only_the_lapack_calls_it_needs(monkeypatch):
         chol_calls.append(bool(np.all(m.diagonal() > 0.0)))
         return chol(m)
 
-    def recording_cholesky(m):
-        assert not any(m is h for h in hessians)
-        lapack_chols.append(1)
-        return cholesky(m)
-
     monkeypatch.setattr(maxdet._Barrier, "terms", recording_terms)
     monkeypatch.setattr(maxdet, "_chol", recording_chol)
-    monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
+    monkeypatch.setattr(maxdet, "_lapack", lapack)
     sol = solve(problems[0])
     assert sol.status == maxdet.OPTIMAL
-    assert len(hessians) > 0 and len(lu) == len(hessians)
+    assert len(hessians) > 0 and len(calls["solve1"]) == len(hessians)
+    assert all(args[0] is h for (args, _), h in zip(calls["solve1"],
+                                                    hessians))
+    assert len(calls["inv"]) == len(hessians)
     # the diagonal rule decides some factorizations outright
     assert 0 < chol_calls.count(False) < len(chol_calls)
-    assert len(lapack_chols) == chol_calls.count(True)
+    assert len(calls["cholesky_lo"]) == chol_calls.count(True)
+    assert not any(args[0] is h for args, _ in calls["cholesky_lo"]
+                   for h in hessians)
+    # and no call goes through numpy.linalg's wrappers
+    assert public == {"inv": [], "solve": [], "cholesky": []}
+
+
+KINDS = ("definite", "indefinite", "singular", "nan")
+
+
+def symmetric_matrix(rng, n, kind, scale):
+    """A symmetric n x n matrix of the given kind, times scale: definite;
+    indefinite; singular, with two equal rows and columns (the 1 x 1 zero
+    at n = 1), so that LU meets an exact zero pivot; or definite with a
+    NaN entry and its mirror."""
+    a = rng.standard_normal((n, n))
+    if kind == "indefinite":
+        w = rng.uniform(0.1, 2.0, n)
+        w[rng.integers(n)] *= -1.0
+        q = np.linalg.qr(a)[0]
+        m = linalg.symmetrize((q * w) @ q.T)
+    else:
+        m = a @ a.T + np.eye(n)
+    if kind == "singular":
+        if n == 1:
+            m[0, 0] = 0.0
+        else:
+            i, j = rng.choice(n, 2, replace=False)
+            m[j] = m[i]
+            m[:, j] = m[:, i]
+    elif kind == "nan":
+        i, j = rng.integers(n, size=2)
+        m[i, j] = m[j, i] = np.nan
+    return scale * m
+
+
+matrices = (st.integers(1, 15), st.integers(0, 10 ** 6),
+            st.sampled_from(KINDS), st.sampled_from([1e-12, 1.0, 1e12]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(*matrices)
+def test_chol_is_numpys_cholesky(n, seed, kind, scale):
+    # _chol answers None exactly where numpy.linalg.cholesky raises or
+    # leaves NaN in the factor, and otherwise returns its factor bit for
+    # bit; pytest's error::RuntimeWarning filter shows that no warning
+    # escapes
+    m = symmetric_matrix(np.random.default_rng(seed), n, kind, scale)
+    ref = lapack_chol(m)
+    l = maxdet._chol(m)
+    assert (l is None) == (ref is None)
+    if l is not None:
+        assert l.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 15), st.integers(0, 10 ** 6),
+       st.sampled_from([1e-12, 1.0, 1e12]))
+def test_barrier_terms_invert_f_as_numpy_does(n, seed, scale):
+    # terms inverts the factored F(x) by LU, and its inverse is
+    # numpy.linalg.inv's bit for bit
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal((3, n, n))
+    barrier = maxdet._Barrier(
+        symmetric_matrix(rng, n, "definite", scale),
+        coeffs + coeffs.transpose(0, 2, 1), rng.standard_normal(3))
+    barrier.weights = rng.uniform(0.5, 2.0, n)
+    point = barrier.point(rng.standard_normal(3) * 1e-3 * scale)
+    assert point is not None
+    lapack, calls = lapack_recorder()
+    with mock.patch.object(maxdet, "_lapack", lapack):
+        barrier.terms(point)
+    [(args, inv)] = calls["inv"]
+    assert args[0] is point[1]
+    assert inv.tobytes() == np.linalg.inv(point[1]).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(*matrices, st.booleans())
+def test_newton_lu_solve_is_numpys(n, seed, kind, scale, zero_grad):
+    # the Newton direction is numpy.linalg.solve's bit for bit, and all
+    # NaN where it raises; a failed solve, a NaN decrement or a step that
+    # is not a descent direction at a non-zero gradient goes to the ridge,
+    # which breaks down where Cholesky rejects the ridged Hessian
+    rng = np.random.default_rng(seed)
+    hess = symmetric_matrix(rng, n, kind, scale)
+    grad = np.zeros(n) if zero_grad else rng.standard_normal(n)
+    try:
+        ref = np.linalg.solve(hess, -grad)
+    except np.linalg.LinAlgError:
+        ref = None
+    ridged = hess + 1e-12 * float(np.trace(hess)) / n * np.eye(n)
+    try:
+        np.linalg.cholesky(ridged)
+        ridge_fails = False
+    except np.linalg.LinAlgError:
+        ridge_fails = True
+
+    lapack, calls = lapack_recorder()
+    ridge_tests = []
+    cholesky = np.linalg.cholesky
+
+    def recording_cholesky(m):
+        ridge_tests.append(m.copy())
+        return cholesky(m)
+
+    x0 = 1.3 * np.eye(n)[0]
+    with mock.patch.object(maxdet._Barrier, "terms",
+                           lambda self, point: (point[0], grad, hess)), \
+            mock.patch.object(maxdet, "_lapack", lapack), \
+            mock.patch.object(np.linalg, "cholesky", recording_cholesky):
+        try:
+            maxdet._newton(log_barrier(1.0, np.eye(n)[0]), x0, 1, 1e-8)
+            broke = False
+        except maxdet.SolverBreakdown:
+            broke = True
+    [(args, d)] = calls["solve1"]
+    if ref is None:
+        assert np.all(np.isnan(d))
+    else:
+        assert d.tobytes() == ref.tobytes()
+    decrement = float(-grad @ d)
+    retried = not decrement > 0.0 and (np.isnan(decrement) or np.any(grad))
+    assert retried or ref is not None
+    assert len(ridge_tests) == int(retried)
+    if retried:
+        assert ridge_tests[0].tobytes() == ridged.tobytes()
+    assert broke == (retried and ridge_fails)

@@ -86,6 +86,29 @@ def test_check_bound_length_mismatch(switching_run):
         monitor.check_bound(traj, np.ones(3))
 
 
+def test_overflowed_product_fails_the_bound(monkeypatch):
+    # over 120 steps the switching event run's data-based product
+    # overflows to inf at record 107; a bound of inf bounds nothing, so
+    # those records fail while every finite bound still holds, and the
+    # lemma5 suite fails product-bound-holds alone
+    plant = plants.SwitchingPlant()
+    cfg = hybrid.ScenarioConfig(mode="event", horizon=120, seed=53)
+    traj = hybrid.run(plant, cfg)
+    rep = _report(plant, traj)
+    finite = np.isfinite(rep.pi_databased)
+    assert np.flatnonzero(~finite)[0] == 107 and not finite[107:].any()
+    assert monitor.check_bound(traj, rep.pi_databased) == finite.tolist()
+    assert all(rep.bound_ok)
+    # a finite product whose bound pi * V0 overflows fails as well
+    assert rep.records[0].V > 1.0
+    assert not any(monitor.check_bound(traj, np.full(len(finite), 1e308)))
+    monkeypatch.setattr(verification, "canonical_runs",
+                        lambda: [("switching-event-120", plant, cfg, traj)])
+    res = verification.suite_lemma5()
+    assert [c.name for c in res.checks if not c.passed] == \
+        ["product-bound-holds"]
+
+
 def test_default_rates_dominate(switching_run):
     plant, traj = switching_run
     lam_c, lam_d = monitor.default_rates(traj, plant)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ltvadapt import hybrid, plants, synthesis, verification
+from ltvadapt import hybrid, maxdet, plants, synthesis, verification
 from test_synthesis import exploration_window
 
 
@@ -219,3 +219,53 @@ def test_wide_family_passes_the_suites(wide_runs, monkeypatch):
     assert "30 bundles x 200 samples, 0 vacuous, 0 violations" in \
         property1.checks[0].detail
     assert lemma5.checks[1].detail.startswith("0 triggered feedback steps")
+
+
+def _solver_suite_with(monkeypatch, name, mutate):
+    """The solver suite, with maxdet.name's result r replaced by
+    mutate(problem, r), after the canonical runs are cached, so that only
+    the suite's own solves see the mutation."""
+    verification.canonical_runs()
+    solve = getattr(maxdet, name)
+    monkeypatch.setattr(maxdet, name, lambda problem, opts=None: mutate(
+        problem, solve(problem, opts)))
+    return verification.suite_solver()
+
+
+def test_constant_feasibility_fails_on_a_margin_blind_answer(monkeypatch):
+    # a constant problem answered Feasible whatever its margin disagrees
+    # with the eigenvalue rule, and fails that check alone
+    res = _solver_suite_with(
+        monkeypatch, "solve_feasibility",
+        lambda problem, sol: dataclasses.replace(
+            sol, status=maxdet.FEASIBLE) if problem.num_vars == 0 else sol)
+    assert _failed(res) == ["constant-feasibility-exact"]
+    assert res.checks[0].detail == "9/100"
+
+
+def test_grid_oracle_fails_on_a_suboptimal_maximizer(monkeypatch):
+    # a two-variable solve that reports the middle of its box as optimal
+    # falls short of the grid oracle, and fails that check alone
+    def middle(problem, sol):
+        if problem.num_vars != 2:
+            return sol
+        ub = np.array([f.constant[0, 0] for f in problem.constraints[1:3]])
+        return dataclasses.replace(sol, x=0.5 * ub)
+
+    res = _solver_suite_with(monkeypatch, "solve_maxdet", middle)
+    assert _failed(res) == ["maxdet-matches-grid-oracle"]
+    assert res.checks[1].detail == "20 instances, worst gap 0.123"
+
+
+def test_design_margins_fail_on_a_boundary_design(monkeypatch):
+    # a design solution with varsigma = 0 sits on the boundary of its
+    # bound block, and fails the margin check alone
+    def boundary(problem, sol):
+        if problem.num_vars == 2:
+            return sol
+        x = sol.x.copy()
+        x[0] = 0.0
+        return dataclasses.replace(sol, x=x)
+
+    res = _solver_suite_with(monkeypatch, "solve_maxdet", boundary)
+    assert _failed(res) == ["design-margins"]
