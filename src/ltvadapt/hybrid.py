@@ -173,7 +173,7 @@ def _record(k, j, x, u, bundle, c_sigma, explore=False, synth_feasible=None):
     certified = bundle is not None
     return StepRecord(
         k=k, j=j, x=x.copy(), u=u,
-        V=_lyapunov(bundle, x) if certified and np.all(np.isfinite(x))
+        V=_lyapunov(bundle, x) if certified and np.isfinite(x).all()
         else None,
         sigma_a1=sigma(bundle.a1, c_sigma) if certified else None,
         bundle=bundle,

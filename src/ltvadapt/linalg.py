@@ -1,13 +1,27 @@
 """Dense small-matrix kernels used across the package.
 
 Everything here assumes tiny matrices (dimension well below 100). The
-symmetric eigendecomposition is LAPACK's, through numpy.linalg.eigh; the
-pseudoinverse, spectral norm, positive definite inverse and inverse square
-root, and the generalized-eigenvalue extremes are built on it. The module
-also holds input validation.
+symmetric eigensolvers are LAPACK's; the pseudoinverse, spectral norm,
+positive definite inverse and inverse square root, and the
+generalized-eigenvalue extremes are built on them. The module also holds
+input validation.
+
+LAPACK is called through numpy's gufuncs (`numpy.linalg._umath_linalg`:
+eigh_lo for `sym_eig`, eigvalsh_lo for `eigvalsh`), the calls numpy.linalg's
+eigh and eigvalsh make, so every result is the same bit for bit; their
+wrapper (array conversion, type dispatch, an error-state context) costs
+more than LAPACK does at these sizes. The gufunc module is private to
+numpy, and only numpy 2.4.6 has been run. A gufunc call that fails returns
+its output filled with NaN, so a NaN eigenvalue raises LinAlgError, as
+np.linalg does; the failed call also sets the floating-point invalid flag,
+which numpy first reports as a RuntimeWarning under the caller's error
+state. `maxdet` calls its gufuncs through the same import.
 """
 
+import math
+
 import numpy as np
+from numpy.linalg import _umath_linalg as _lapack
 
 _EPS = np.finfo(float).eps
 
@@ -30,7 +44,7 @@ def as_matrix(a, shape=None, name="matrix"):
     if m.ndim not in (2, 3) or m.size == 0:
         raise InvalidInput(f"{name} must be a non-empty 2-D array or a stack "
                            "of them")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InvalidInput(f"{name} contains non-finite entries")
     if shape is not None and m.shape[-2:] != tuple(shape):
         raise InvalidInput(f"{name} has shape {m.shape[-2:]}, expected "
@@ -42,7 +56,7 @@ def as_vector(a, length=None, name="vector"):
     v = np.asarray(a, dtype=float).reshape(-1)
     if v.size == 0:
         raise InvalidInput(f"{name} must be non-empty")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InvalidInput(f"{name} contains non-finite entries")
     if length is not None and v.size != length:
         raise InvalidInput(f"{name} has length {v.size}, expected {length}")
@@ -57,15 +71,31 @@ def symmetrize(a):
     return 0.5 * (a + (a.T if a.ndim == 2 else a.swapaxes(-2, -1)))
 
 
+def _checked(w):
+    """w, eigenvalues (one row per matrix of a stack) from a gufunc call;
+    LinAlgError where the call failed and filled a row with NaN."""
+    if math.isnan(w[0]) if w.ndim == 1 else np.isnan(w[:, 0]).any():
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w
+
+
+def eigvalsh(a):
+    """Eigenvalues, ascending, of the symmetric matrix whose lower triangle
+    is a's, or of each matrix of a stack along a leading axis: LAPACK's, bit
+    for bit those of numpy.linalg.eigvalsh. The input is neither validated
+    nor symmetrized."""
+    return _checked(_lapack.eigvalsh_lo(a))
+
+
 def sym_eig(s):
     """Eigendecomposition of a symmetric matrix, or of each one in a stack,
-    by LAPACK (numpy.linalg.eigh).
+    by LAPACK (bit for bit numpy.linalg.eigh).
 
     Returns (eigenvalues ascending, eigenvectors as columns). The input is
     symmetrized first; non-finite entries raise InvalidInput.
     """
-    w, v = np.linalg.eigh(symmetrize(s))
-    return w, v
+    w, v = _lapack.eigh_lo(symmetrize(s))
+    return _checked(w), v
 
 
 def spectral_norm(m):
@@ -82,8 +112,12 @@ def pinv(m):
     """
     m = as_matrix(m)
     n = m.shape[0]
-    if m.shape[1] != n or not np.allclose(
-            m, m.T, atol=1e-13 * (1.0 + np.max(np.abs(m)))):
+    if m.shape[1] != n:
+        raise InvalidInput("pinv needs a symmetric matrix")
+    # np.allclose(m, m.T, atol) with its default rtol 1e-5, on finite m
+    mt = m.T
+    atol = 1e-13 * (1.0 + np.abs(m).max())
+    if not (np.abs(m - mt) <= atol + 1e-5 * np.abs(mt)).all():
         raise InvalidInput("pinv needs a symmetric matrix")
     w, v = sym_eig(m)
     cut = n * _EPS * np.max(np.abs(w))
@@ -104,12 +138,12 @@ def inv_sqrt_pd(b):
 
 def _gen_eigvals(a, b):
     """Generalized eigenvalues of (A, B) with B > 0, ascending: the
-    eigenvalues alone (numpy.linalg.eigvalsh) of the symmetrized sandwich
+    eigenvalues alone (`eigvalsh`) of the symmetrized sandwich
     B^{-1/2} A B^{-1/2}, for one pair or for stacks as `gen_eig_max` takes
     them."""
     a = symmetrize(a)
     bmh = inv_sqrt_pd(b)
-    return np.linalg.eigvalsh(symmetrize(bmh @ a @ bmh))
+    return eigvalsh(symmetrize(bmh @ a @ bmh))
 
 
 def gen_eig_max(a, b):

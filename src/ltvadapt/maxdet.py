@@ -24,14 +24,18 @@ ridge is 1e-12 times the Hessian's mean diagonal, a floor relative to its own
 scale, so that iterates of any magnitude keep full Newton steps; a ridged
 Hessian that fails Cholesky is a SolverBreakdown.
 
-The Newton step calls numpy's LAPACK gufuncs (`numpy.linalg._umath_linalg`:
-cholesky_lo, inv and solve1) directly. They are the calls np.linalg makes, so
+The Newton step and `check_point` call numpy's LAPACK gufuncs
+(`numpy.linalg._umath_linalg`, imported once in `linalg`: cholesky_lo, inv,
+solve1 and eigvalsh_lo) directly. They are the calls np.linalg makes, so
 every result is the same bit for bit, but np.linalg's wrapper (array
 conversion, type dispatch, an error-state context) costs more than LAPACK
 does on matrices of 15 rows. A gufunc that fails returns its output filled
 with NaN instead of raising: a NaN factor's last diagonal entry rejects the
-matrix, and a NaN Newton decrement sends the step to the ridge, as
-LinAlgError did. The ridge retry, almost never taken, stays on np.linalg.
+matrix, a NaN Newton decrement sends the step to the ridge, as LinAlgError
+did, and a NaN margin reaches no target. A failed call also sets the
+floating-point invalid flag, so `_newton` runs each stage inside one
+errstate(invalid="ignore"), and `_logdet` inside its own; the ridge retry,
+almost never taken, stays on np.linalg.
 
 Phase I stops after any accepted step at z = (x, t) once every block's own
 lambda_min reaches the interior target, the textbook phase-I rule (Boyd &
@@ -47,9 +51,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg as _lapack
 
 from . import linalg
+
+_lapack = linalg._lapack
 
 
 class SolverBreakdown(RuntimeError):
@@ -142,13 +147,17 @@ class SolverOptions:
 
 
 def check_point(problem, x):
-    """Per-constraint lambda_min at x."""
+    """Per-constraint lambda_min at x; NaN for a block whose eigenvalue call
+    fails. A non-finite x raises InvalidInput: LAPACK can return finite
+    eigenvalues for a matrix with a NaN entry."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != problem.num_vars:
         raise linalg.InvalidInput("decision vector has wrong length")
+    if not np.isfinite(x).all():
+        raise linalg.InvalidInput("decision vector has non-finite entries")
     out = []
     for f in problem.constraints:
-        out.append(float(np.linalg.eigvalsh(f(x))[0]))
+        out.append(float(_lapack.eigvalsh_lo(f(x))[0]))
     return np.array(out)
 
 
@@ -158,18 +167,18 @@ def _chol(m):
     rejected without calling LAPACK: the j-th pivot is m_jj minus a sum of
     squares, so potrf fails there anyway. A NaN entry need not make LAPACK
     fail, but it reaches the factor's last diagonal entry, so that one test
-    rejects it."""
+    rejects it. A failed factorization comes back filled with NaN and sets
+    the invalid flag, which the caller's error state must ignore."""
     if not np.minimum.reduce(m.diagonal()) > 0.0:
         return None
-    # a failed factorization comes back filled with NaN
-    with np.errstate(invalid="ignore"):
-        l = _lapack.cholesky_lo(m)
+    l = _lapack.cholesky_lo(m)
     return None if math.isnan(l[-1, -1]) else l
 
 
 def _logdet(fn, x):
     """log det fn(x), or None where fn(x) is not positive definite."""
-    l = _chol(fn(x))
+    with np.errstate(invalid="ignore"):
+        l = _chol(fn(x))
     return None if l is None else 2.0 * float(np.sum(np.log(np.diag(l))))
 
 
@@ -281,49 +290,55 @@ def _newton(barrier, x, max_steps, tol, early_stop=None, point=None):
     NaN, whatever the gradient) or the step is not a descent direction at a
     non-zero gradient: 1e-12 * trace(H) / n is added to the Hessian's
     diagonal, and SolverBreakdown is raised if Cholesky rejects the ridged
-    Hessian (a zero or indefinite one).
+    Hessian (a zero or indefinite one) or leaves NaN on the last diagonal
+    entry of its factor (a NaN one).
     """
-    steps = 0
-    residual = np.inf
-    point = barrier.point(x, None if point is None else point[1:])
-    if point is None:
-        raise SolverBreakdown("iterate left the barrier domain")
-    while steps < max_steps:
-        val, grad, hess = barrier.terms(point)
-        # a singular Hessian's LU solve comes back filled with NaN
-        with np.errstate(invalid="ignore"):
+    # a failed gufunc call (a rejected factor, a singular LU solve) sets
+    # the invalid flag; one context covers every call of the stage
+    with np.errstate(invalid="ignore"):
+        steps = 0
+        residual = np.inf
+        point = barrier.point(x, None if point is None else point[1:])
+        if point is None:
+            raise SolverBreakdown("iterate left the barrier domain")
+        while steps < max_steps:
+            val, grad, hess = barrier.terms(point)
+            # a singular Hessian's LU solve comes back filled with NaN
             d = _lapack.solve1(hess, -grad)
-        decrement = float(-grad @ d)
-        if not decrement > 0.0 and (math.isnan(decrement) or np.any(grad)):
-            hess = hess + 1e-12 * float(np.trace(hess)) / len(x) * \
-                np.eye(len(x))
-            try:
-                np.linalg.cholesky(hess)
-            except np.linalg.LinAlgError as exc:
-                raise SolverBreakdown("singular Newton system") from exc
-            d = np.linalg.solve(hess, -grad)
             decrement = float(-grad @ d)
-        residual = math.sqrt(max(decrement, 0.0))
-        if residual <= tol:
-            return x, point, steps, residual, True, False
-        alpha = 1.0
-        gd = -decrement
-        while alpha > 1e-14:
-            trial = x + alpha * d
-            trial_point = barrier.point(trial)
-            if trial_point is not None and \
-                    trial_point[0] <= val + 1e-4 * alpha * gd:
+            if not decrement > 0.0 and (math.isnan(decrement) or np.any(grad)):
+                hess = hess + 1e-12 * float(np.trace(hess)) / len(x) * \
+                    np.eye(len(x))
+                try:
+                    l = np.linalg.cholesky(hess)
+                except np.linalg.LinAlgError as exc:
+                    raise SolverBreakdown("singular Newton system") from exc
+                # a NaN entry need not make potrf fail, as in _chol
+                if math.isnan(l[-1, -1]):
+                    raise SolverBreakdown("singular Newton system")
+                d = np.linalg.solve(hess, -grad)
+                decrement = float(-grad @ d)
+            residual = math.sqrt(max(decrement, 0.0))
+            if residual <= tol:
+                return x, point, steps, residual, True, False
+            alpha = 1.0
+            gd = -decrement
+            while alpha > 1e-14:
+                trial = x + alpha * d
+                trial_point = barrier.point(trial)
+                if trial_point is not None and \
+                        trial_point[0] <= val + 1e-4 * alpha * gd:
+                    break
+                alpha *= 0.5
+            if alpha <= 1e-14:
                 break
-            alpha *= 0.5
-        if alpha <= 1e-14:
-            break
-        x, point = trial, trial_point
-        steps += 1
-        if early_stop is not None and early_stop(x, point):
-            return x, point, steps, residual, False, True
-        if val - point[0] <= _NOISE * (1.0 + abs(val)):
-            return x, point, steps, residual, True, False
-    return x, point, steps, residual, False, False
+            x, point = trial, trial_point
+            steps += 1
+            if early_stop is not None and early_stop(x, point):
+                return x, point, steps, residual, False, True
+            if val - point[0] <= _NOISE * (1.0 + abs(val)):
+                return x, point, steps, residual, True, False
+        return x, point, steps, residual, False, False
 
 
 def _margin_reached(z, f, target):

@@ -60,9 +60,9 @@ class DataWindow:
         x_next = linalg.as_vector(x_next, self.nx, name="x_next")
         return DataWindow(
             kappa=self.kappa + 1,
-            Xhat=np.column_stack([self.Xhat[:, 1:], x_prev]),
-            X=np.column_stack([self.X[:, 1:], x_next]),
-            U=np.column_stack([self.U[:, 1:], u_prev]),
+            Xhat=np.concatenate([self.Xhat[:, 1:], x_prev[:, None]], axis=1),
+            X=np.concatenate([self.X[:, 1:], x_next[:, None]], axis=1),
+            U=np.concatenate([self.U[:, 1:], u_prev[:, None]], axis=1),
         )
 
     def z_matrix(self):

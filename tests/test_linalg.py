@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,3 +165,91 @@ def test_gen_eig_max_equals_eigh_reference():
             a, b = sa * (g @ g.T), _rand_pd(rng, n, sb)
             want = _eigh_gen_eig_max(a, b)
             assert abs(linalg.gen_eig_max(a, b) - want) <= 1e-14 * want
+
+
+# linalg calls the LAPACK gufuncs numpy.linalg's eigh and eigvalsh call,
+# without their wrapper; every result must be theirs bit for bit
+sizes = (st.integers(1, 15), st.integers(0, 15), st.integers(0, 10 ** 6),
+         st.sampled_from([1e-12, 1.0, 1e12]))
+
+
+def square_draws(rng, n, stack, scale):
+    """Random n x n matrices, neither symmetric nor definite: one matrix at
+    stack = 0, else a stack of that many."""
+    return scale * rng.standard_normal((n, n) if stack == 0 else
+                                       (stack, n, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(*sizes)
+def test_sym_eig_is_numpys_eigh_bit_for_bit(n, stack, seed, scale):
+    a = square_draws(np.random.default_rng(seed), n, stack, scale)
+    w, v = linalg.sym_eig(a)
+    w_np, v_np = np.linalg.eigh(linalg.symmetrize(a))
+    assert w.tobytes() == w_np.tobytes()
+    assert v.tobytes() == v_np.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(*sizes)
+def test_eigvalsh_is_numpys_bit_for_bit(n, stack, seed, scale):
+    # both read the lower triangle of a matrix that need not be symmetric
+    a = square_draws(np.random.default_rng(seed), n, stack, scale)
+    assert linalg.eigvalsh(a).tobytes() == np.linalg.eigvalsh(a).tobytes()
+
+
+def nan_filled(fn, member):
+    """fn with the outputs of one matrix filled with NaN, as a failed
+    LAPACK call leaves them: every output of a single matrix, or those of
+    stack member `member`."""
+    def call(a):
+        out = fn(a)
+        for o in out if isinstance(out, tuple) else (out,):
+            o[... if a.ndim == 2 else member] = np.nan
+        return out
+    return call
+
+
+@pytest.mark.parametrize("member", [0, 2])
+def test_a_failed_lapack_call_raises(monkeypatch, member):
+    # a failed call fills its output with NaN instead of raising; linalg
+    # raises LinAlgError as numpy.linalg does, for one matrix and for any
+    # member of a stack
+    rng = np.random.default_rng(member)
+    a = np.array([rand_sym(rng, 3) for _ in range(3)])
+    b = np.array([_rand_pd(rng, 3) for _ in range(3)])
+    lapack = linalg._lapack
+    monkeypatch.setattr(linalg, "_lapack", types.SimpleNamespace(
+        eigh_lo=nan_filled(lapack.eigh_lo, member),
+        eigvalsh_lo=nan_filled(lapack.eigvalsh_lo, member)))
+    calls = [lambda: linalg.sym_eig(a), lambda: linalg.eigvalsh(a),
+             lambda: linalg.gen_eig_max(a, b), lambda: linalg.sym_eig(b[0]),
+             lambda: linalg.eigvalsh(a[0]), lambda: linalg.pinv(b[0]),
+             lambda: linalg.pd_inverse(b[0]),
+             lambda: linalg.spectral_norm(a[0]),
+             lambda: linalg.gen_eig_max(a[0], b[0])]
+    for call in calls:
+        with pytest.raises(np.linalg.LinAlgError):
+            call()
+    monkeypatch.undo()
+    for call in calls:
+        call()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 10 ** 6),
+       st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e300]),
+       st.floats(-12.0, 0.0))
+def test_pinv_symmetry_rule_is_allclose(n, seed, scale, log_skew):
+    # pinv accepts m exactly where np.allclose(m, m.T) does with pinv's
+    # atol and allclose's default rtol
+    rng = np.random.default_rng(seed)
+    m = scale * rand_sym(rng, n)
+    m = m + 10.0 ** log_skew * scale * rng.standard_normal((n, n))
+    want = np.allclose(m, m.T, atol=1e-13 * (1.0 + np.max(np.abs(m))))
+    try:
+        linalg.pinv(m)
+        got = True
+    except linalg.InvalidInput:
+        got = False
+    assert got == want

@@ -1,14 +1,28 @@
 import csv
 import types
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ltvadapt import hybrid, linalg, maxdet, plants, synthesis, verification
 from test_synthesis import exploration_window
+
+
+def chol_in_stage(m):
+    """maxdet._chol(m) under the error state _newton gives it: a failed
+    factorization sets the invalid flag, which _chol leaves to its caller."""
+    with np.errstate(invalid="ignore"):
+        return maxdet._chol(m)
+
+
+def reached_in_stage(z, f, target):
+    """maxdet._margin_reached under the error state _newton gives it."""
+    with np.errstate(invalid="ignore"):
+        return maxdet._margin_reached(z, f, target)
 
 
 def one_var_det_problem():
@@ -35,6 +49,18 @@ def test_check_point_margins():
     margins = maxdet.check_point(p, np.array([1.0]))
     # blocks: det diag(2,2) -> 2, cap [2] -> 2, bound [x-0] -> 1
     assert np.allclose(sorted(margins), [1.0, 2.0, 2.0])
+
+
+@pytest.mark.parametrize("x", [[np.nan, 0.5], [np.nan, np.nan],
+                               [0.5, np.inf]])
+def test_check_point_rejects_a_non_finite_decision_vector(x):
+    # LAPACK's eigvalsh can return finite eigenvalues for a matrix with a
+    # NaN entry (this numpy gives [0, -0] for [[nan, 0], [0, 1]]), so a
+    # NaN x could read as a real margin
+    p = verification._random_2var_maxdet(np.random.default_rng(0))[0]
+    assert np.isfinite(maxdet.check_point(p, [0.5, 0.5])).all()
+    with pytest.raises(linalg.InvalidInput, match="non-finite"):
+        maxdet.check_point(p, x)
 
 
 @pytest.mark.parametrize("key,value", [
@@ -312,7 +338,7 @@ def test_early_stop_matches_min_of_check_point():
             ref = float(np.min(maxdet.check_point(p, x))) >= target
             for t in (-1.0, 0.0, 0.5):
                 z = np.append(x, t)
-                assert maxdet._margin_reached(
+                assert reached_in_stage(
                     z, barrier._matrix(z), target) == ref
             decided.add(ref)
     assert decided == {True, False}
@@ -324,7 +350,7 @@ def test_early_stop_matches_min_of_check_point():
         assert np.isnan(maxdet.check_point(q, x0)).any()
         ref = float(np.min(maxdet.check_point(q, x0))) >= -1.0
         z = np.append(x0, 0.0)
-        assert maxdet._margin_reached(
+        assert reached_in_stage(
             z, maxdet._phase1_barrier(q, 1.0)._matrix(z), -1.0) == ref
         assert ref is False
 
@@ -380,9 +406,10 @@ def counting(monkeypatch, owner, name):
 
 def lapack_recorder():
     """A stand-in for the LAPACK gufunc module maxdet calls, recording each
-    cholesky_lo, inv and solve1 call as (arguments, result); numpy.linalg's
-    own calls bypass it. Returns (stand-in, {name: calls})."""
-    calls = {name: [] for name in ("cholesky_lo", "inv", "solve1")}
+    cholesky_lo, inv, solve1 and eigvalsh_lo call as (arguments, result);
+    numpy.linalg's own calls bypass it. Returns (stand-in, {name: calls})."""
+    calls = {name: [] for name in ("cholesky_lo", "inv", "solve1",
+                                   "eigvalsh_lo")}
 
     def recorder(name):
         fn = getattr(maxdet._lapack, name)
@@ -523,6 +550,38 @@ def test_newton_sends_a_singular_hessian_to_the_ridge_at_a_zero_gradient(
         maxdet._newton(barrier, np.array([1.3, 0.0, 0.0]), 500, 1e-8)
 
 
+def boundary_maxdet_problem():
+    """Maximize log(1 + x0) subject to [[1, x0], [x0, 1]] > 0: the optimum
+    sits on the boundary x0 = 1, so full Newton steps overshoot to trial
+    points whose diagonal is positive but which are not positive definite;
+    x1 enters no block, so every Hessian is singular."""
+    box = np.zeros((2, 2, 2))
+    box[0] = [[0.0, 1.0], [1.0, 0.0]]
+    gain = np.zeros((2, 1, 1))
+    gain[0] = 1.0
+    return maxdet.SdpProblem(2, [maxdet.AffineMatFn(np.eye(1), gain),
+                                 maxdet.AffineMatFn(np.eye(2), box)],
+                             det_block=0)
+
+
+def test_failed_lapack_calls_of_a_solve_emit_no_warning(monkeypatch,
+                                                         tmp_path):
+    # a failed potrf or a singular LU solve sets the invalid flag; the
+    # solve's own error state keeps it from escaping as a RuntimeWarning,
+    # which this test, like pyproject's filter, turns into an error
+    lapack, calls = lapack_recorder()
+    monkeypatch.setattr(maxdet, "_lapack", lapack)
+    opts = maxdet.SolverOptions(trace_path=str(tmp_path / "trace.csv"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = maxdet.solve_maxdet(boundary_maxdet_problem(), opts)
+    assert sol.status == maxdet.OPTIMAL and abs(sol.x[0] - 1.0) < 1e-5
+    failed_chol = [m for (m,), l in calls["cholesky_lo"]
+                   if np.all(m.diagonal() > 0.0) and np.isnan(l[-1, -1])]
+    assert len(failed_chol) > 0
+    assert any(np.isnan(d).all() for _, d in calls["solve1"])
+
+
 def test_newton_zero_hessian_breaks_down():
     # no variable enters the block: the Hessian is zero and no ridge
     # relative to it makes the Newton system solvable
@@ -611,7 +670,7 @@ def test_chol_with_a_positive_diagonal_is_lapacks(n, seed, scale, nan_off):
     ref = lapack_chol(m)
     lapack, calls = lapack_recorder()
     with mock.patch.object(maxdet, "_lapack", lapack):
-        l = maxdet._chol(m)
+        l = chol_in_stage(m)
     assert len(calls["cholesky_lo"]) == 1
     assert (l is None) == (ref is None)
     if l is not None:
@@ -707,11 +766,10 @@ matrices = (st.integers(1, 15), st.integers(0, 10 ** 6),
 def test_chol_is_numpys_cholesky(n, seed, kind, scale):
     # _chol answers None exactly where numpy.linalg.cholesky raises or
     # leaves NaN in the factor, and otherwise returns its factor bit for
-    # bit; pytest's error::RuntimeWarning filter shows that no warning
-    # escapes
+    # bit
     m = symmetric_matrix(np.random.default_rng(seed), n, kind, scale)
     ref = lapack_chol(m)
-    l = maxdet._chol(m)
+    l = chol_in_stage(m)
     assert (l is None) == (ref is None)
     if l is not None:
         assert l.tobytes() == ref.tobytes()
@@ -741,11 +799,15 @@ def test_barrier_terms_invert_f_as_numpy_does(n, seed, scale):
 
 @settings(max_examples=150, deadline=None)
 @given(*matrices, st.booleans())
+# a NaN Hessian whose ridged copy potrf factors without failing, leaving
+# NaN in the factor, and whose ridged LU is singular
+@example(n=11, seed=474, kind="nan", scale=1e12, zero_grad=False)
 def test_newton_lu_solve_is_numpys(n, seed, kind, scale, zero_grad):
     # the Newton direction is numpy.linalg.solve's bit for bit, and all
     # NaN where it raises; a failed solve, a NaN decrement or a step that
     # is not a descent direction at a non-zero gradient goes to the ridge,
-    # which breaks down where Cholesky rejects the ridged Hessian
+    # which breaks down where Cholesky rejects the ridged Hessian or leaves
+    # NaN in its factor
     rng = np.random.default_rng(seed)
     hess = symmetric_matrix(rng, n, kind, scale)
     grad = np.zeros(n) if zero_grad else rng.standard_normal(n)
@@ -754,11 +816,7 @@ def test_newton_lu_solve_is_numpys(n, seed, kind, scale, zero_grad):
     except np.linalg.LinAlgError:
         ref = None
     ridged = hess + 1e-12 * float(np.trace(hess)) / n * np.eye(n)
-    try:
-        np.linalg.cholesky(ridged)
-        ridge_fails = False
-    except np.linalg.LinAlgError:
-        ridge_fails = True
+    ridge_fails = lapack_chol(ridged) is None
 
     lapack, calls = lapack_recorder()
     ridge_tests = []

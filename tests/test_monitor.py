@@ -107,6 +107,11 @@ def test_overflowed_product_fails_the_bound(monkeypatch):
     res = verification.suite_lemma5()
     assert [c.name for c in res.checks if not c.passed] == \
         ["product-bound-holds"]
+    # the detail counts the unbounded records rather than reading each as
+    # a ratio of 0 under the largest finite one
+    assert res.checks[0].detail == (
+        "1 runs, largest V/(pi V0) 0.495 exact, 0.495 data-based, "
+        "non-finite pi V0 on 0 exact and 10 data-based records")
 
 
 def test_default_rates_dominate(switching_run):

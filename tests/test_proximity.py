@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltvadapt import proximity, verification
+from ltvadapt import linalg, proximity, verification
 from ltvadapt.window import DataWindow
 
 
@@ -257,3 +257,22 @@ def test_stacked_contains_equals_single_calls():
         n_in += sum(flags)
         n_out += len(flags) - sum(flags)
     assert n_in and n_out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 300),
+       st.integers(0, 10 ** 6), st.sampled_from([1e-150, 1e-8, 1.0, 1e8]))
+def test_contiguous_gram_stack_is_the_strided_one(rows, cols, num, seed,
+                                                  scale):
+    # sample_members multiplies a contiguous copy of the transposed draws;
+    # the Gram stack, and its eigenvalues from linalg's gufunc call, are
+    # those of the strided view under numpy.linalg bit for bit (2 x 2 at
+    # the canonical shapes, nx = 2 and nx + nu = 4)
+    g = scale * np.random.default_rng(seed).standard_normal((num, rows, cols))
+    gt = np.swapaxes(g, 1, 2)
+    strided = g @ gt if rows <= cols else gt @ g
+    gt = np.ascontiguousarray(gt)
+    contiguous = g @ gt if rows <= cols else gt @ g
+    assert contiguous.tobytes() == strided.tobytes()
+    assert linalg.eigvalsh(contiguous).tobytes() == \
+        np.linalg.eigvalsh(strided).tobytes()

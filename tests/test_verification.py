@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ltvadapt import hybrid, maxdet, plants, synthesis, verification
+from ltvadapt import (hybrid, maxdet, plants, proximity, synthesis,
+                      verification)
+from ltvadapt.window import DataWindow
 from test_synthesis import exploration_window
 
 
@@ -101,6 +103,74 @@ def test_dominance_fails_without_the_inflation_term(monkeypatch):
     assert res.checks[1].detail.endswith("theta_databased/theta_exact 0.0856")
 
 
+class _MisstatedPlant:
+    """A plant whose A(k) is 1% larger than the one that made the data."""
+
+    def __init__(self, plant):
+        self.plant = plant
+
+    def eval(self, k):
+        a, b = self.plant.eval(k)
+        return 1.01 * a, b
+
+
+def test_window_consistency_fails_on_a_misstated_plant(monkeypatch):
+    # windows checked against a plant that did not generate them leave a
+    # residual, which fails that check alone
+    name, plant, cfg, traj = verification.canonical_runs()[0]
+    monkeypatch.setattr(verification, "canonical_runs", lambda: [
+        (name, _MisstatedPlant(plant), cfg, traj)])
+    res = verification.suite_lemma3()
+    assert _failed(res) == ["window-consistency"]
+    assert not res.checks[0].detail.endswith("worst residual ratio 0")
+
+
+def test_set_equivalence_fails_on_a_grown_ellipsoid(monkeypatch):
+    # an ellipsoid test that reads Delta 1e6 times too large accepts
+    # candidates the direct test rejects, which fails that check alone (a
+    # shrunken one would pass: on the canonical runs no candidate is a
+    # member, since the 0.05 noise is far wider than any set)
+    contains_ellipsoid = proximity.contains_ellipsoid
+    monkeypatch.setattr(proximity, "contains_ellipsoid", lambda par, zh:
+                        contains_ellipsoid(dataclasses.replace(
+                            par, Delta=1e6 * par.Delta), zh))
+    res = verification.suite_lemma3()
+    assert _failed(res) == ["set-equivalence"]
+    assert not res.checks[1].detail.endswith(" 0 disagreements")
+
+
+def test_min_inflation_certificate_fails_on_half_an_inflation(monkeypatch):
+    # a set loosened by half of the certified inflation misses the true
+    # pair, which fails that check alone
+    inflated = proximity.inflated
+    monkeypatch.setattr(proximity, "inflated",
+                        lambda F, S, eps: inflated(F, S, 0.5 * eps))
+    assert _failed(verification.suite_lemma3()) == \
+        ["min-inflation-certificate"]
+
+
+def test_scalar_hand_values_fail_on_other_data(monkeypatch):
+    # the hand values belong to the hand window; other successor states
+    # move Zc, Delta and the inflation, which fails that check alone
+    monkeypatch.setattr(verification, "_hand_window", lambda: DataWindow(
+        kappa=2, Xhat=np.array([[1.0, 0.5]]), X=np.array([[0.5, 0.3]]),
+        U=np.array([[0.0, 0.0]])))
+    res = verification.suite_lemma3()
+    assert _failed(res) == ["scalar-hand-values"]
+    assert res.checks[3].detail != "eps=0.040000000000000008"
+
+
+def test_decrease_fails_on_a_halved_rate(monkeypatch):
+    # a certified rate a1 halved lies below the exact contraction of
+    # sampled plants, which fails property1's check
+    recs = verification.canonical_runs()[0][3].records
+    _first_run_with(monkeypatch, _with_bundles(
+        recs, lambda b: dataclasses.replace(b, a1=0.5 * b.a1)))
+    res = verification.suite_property1(num_samples=50)
+    assert _failed(res) == ["decrease-on-sampled-plants"]
+    assert ", 0 violations," not in res.checks[0].detail
+
+
 def _loop_oracle(det, ub, strict_margin, n):
     """Point-by-point grid search, the reference for the batched oracle."""
     best = -np.inf
@@ -149,7 +219,8 @@ def test_lemma5_reports_worst_slacks():
     res = verification.suite_lemma5()
     assert res.passed
     assert [c.detail for c in res.checks] == [
-        "16 runs, largest V/(pi V0) 0.707 exact, 0.707 data-based",
+        "16 runs, largest V/(pi V0) 0.707 exact, 0.707 data-based, "
+        "non-finite pi V0 on 0 exact and 0 data-based records",
         "236 triggered feedback steps, smallest "
         "theta_databased/theta_exact 1.7e+05"]
 
@@ -157,11 +228,17 @@ def test_lemma5_reports_worst_slacks():
 def test_bound_ratio_skips_first_and_doubly_infinite_records():
     v = np.array([2.0, 1.0, np.inf, np.inf, 0.5])
     pi = np.array([1.0, 1.0, np.inf, 2.0, 0.25])
-    # record 0 and the record where V and pi are both inf are left out;
-    # an infinite V under a finite pi is the largest ratio
-    assert verification._bound_ratio(v, pi) == np.inf
+    # record 0 and the record where V and pi are both inf are left out, the
+    # latter counted as a bound that is not finite; an infinite V under a
+    # finite pi is the largest ratio
+    assert verification._bound_ratio(v, pi) == (np.inf, 1)
     assert verification._bound_ratio(v[[0, 1, 2, 4]], pi[[0, 1, 2, 4]]) \
-        == 1.0
+        == (1.0, 1)
+    # an overflowed pi under a finite V is counted, not read as ratio 0, and
+    # so is a finite pi whose bound pi V0 overflows
+    v = np.array([2.0, 1.0, 3.0, 0.5])
+    pi = np.array([1.0, 1.0, np.inf, 1e308])
+    assert verification._bound_ratio(v, pi) == (1.0 / 2.0, 2)
 
 
 # a family at nx >= 3, kept out of canonical_scenarios(): three constant
