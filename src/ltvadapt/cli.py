@@ -14,7 +14,8 @@ import sys
 
 import numpy as np
 
-from . import __version__, hybrid, maxdet, monitor, plants, verification
+from . import __version__, hybrid, linalg, maxdet, monitor, plants, \
+    verification
 
 logger = logging.getLogger(__name__)
 
@@ -188,7 +189,10 @@ def run_scenario(plant, scen, out_dir, svg=False):
                                          scen.c_sigma)
         paths["diagnostics"] = os.path.join(out_dir, "diagnostics.csv")
         monitor.write_diagnostics_csv(report, paths["diagnostics"])
-    except Exception as exc:
+    # a trajectory without a certified segment, or one whose matrices the
+    # kernels reject; any other error is a fault and propagates
+    except (linalg.InvalidInput, linalg.NotPositiveDefinite,
+            np.linalg.LinAlgError) as exc:
         logger.warning("diagnostics unavailable: %s", exc)
         report = None
     paths["summary"] = os.path.join(out_dir, "summary.txt")
@@ -258,7 +262,7 @@ def cmd_batch(args):
 
 
 def cmd_verify(args):
-    res = verification.run_suite(args.suite)
+    res = verification.SUITES[args.suite]()
     for line in res.lines():
         print(line)
     return EXIT_OK if res.passed else 1

@@ -1,10 +1,12 @@
 """Dense small-matrix kernels used across the package.
 
 Everything here assumes tiny matrices (dimension well below 100). The
-symmetric eigensolvers are LAPACK's; the pseudoinverse, spectral norm,
-positive definite inverse and inverse square root, and the
-generalized-eigenvalue extremes are built on them. The module also holds
-input validation.
+symmetric eigensolvers are LAPACK's; the pseudoinverse, the psd square root
+and pseudoinverse square root, the spectral norm, the positive definite
+inverse and inverse square root, and the generalized-eigenvalue extremes
+are built on them. The pseudoinverse and the psd roots map eigenvalues
+through one form, (v * d) v^T; both positive definite kernels reject a
+matrix by one rule, `_pd_eig`'s. The module also holds input validation.
 
 LAPACK is called through numpy's gufuncs (`numpy.linalg._umath_linalg`:
 eigh_lo for `sym_eig`, eigvalsh_lo for `eigvalsh`), the calls numpy.linalg's
@@ -121,18 +123,48 @@ def pinv(m):
         raise InvalidInput("pinv needs a symmetric matrix")
     w, v = sym_eig(m)
     cut = n * _EPS * np.max(np.abs(w))
-    inv = np.where(np.abs(w) > cut, 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
-    return (v * inv) @ v.T
+    return _eig_map(v, np.where(np.abs(w) > cut,
+                                 1.0 / np.where(w == 0.0, 1.0, w), 0.0))
+
+
+def _eig_map(v, d):
+    """v diag(d) v^T, for one matrix or a stack along a leading axis."""
+    return (v * d[..., None, :]) @ np.swapaxes(v, -2, -1)
+
+
+def psd_sqrt(m):
+    """Square root of a psd matrix, or of each matrix of a stack along a
+    leading axis; negative eigenvalues count as zero."""
+    w, v = sym_eig(m)
+    return _eig_map(v, np.sqrt(np.clip(w, 0.0, None)))
+
+
+def psd_pinv_sqrt(m):
+    """Pseudoinverse square root of a psd matrix, or of each matrix of a
+    stack along a leading axis; eigenvalues up to n * eps * lambda_max
+    count as zero."""
+    w, v = sym_eig(m)
+    tol = max(m.shape[-2:]) * _EPS * np.maximum(w[..., -1:], 0.0)
+    w = np.clip(w, 0.0, None)
+    return _eig_map(v, np.where(
+        w > tol, 1.0 / np.maximum(np.sqrt(w), 1e-300), 0.0))
+
+
+def _pd_eig(s):
+    """sym_eig(s) of a symmetric positive definite matrix, or of a stack of
+    them; raises NotPositiveDefinite when lambda_min <= 1e-12 *
+    max(lambda_max, 1e-12) for the matrix or for any member of the
+    stack."""
+    w, v = sym_eig(s)
+    if np.any(w[..., 0] <= 1e-12 * np.maximum(w[..., -1], 1e-12)):
+        raise NotPositiveDefinite("matrix is not positive definite")
+    return w, v
 
 
 def inv_sqrt_pd(b):
     """B^(-1/2) of a symmetric positive definite B, or of each matrix of a
-    stack along a leading axis; raises NotPositiveDefinite when
-    lambda_min <= 1e-12 * lambda_max for B or for any member of the
-    stack."""
-    w, v = sym_eig(b)
-    if np.any(w[..., 0] <= 1e-12 * np.maximum(w[..., -1], 1e-12)):
-        raise NotPositiveDefinite("matrix is not positive definite")
+    stack along a leading axis, checked as `_pd_eig` checks."""
+    w, v = _pd_eig(b)
     return (v / np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -2, -1)
 
 
@@ -165,9 +197,8 @@ def gen_eig_min(a, b):
 
 
 def pd_inverse(s):
-    """Inverse of a symmetric positive definite matrix."""
-    w, v = sym_eig(s)
-    if w[0] <= 1e-12 * max(float(w[-1]), 1e-12):
-        raise NotPositiveDefinite("matrix is not positive definite")
+    """Inverse of a symmetric positive definite matrix, checked as
+    `_pd_eig` checks."""
+    w, v = _pd_eig(s)
     return (v / w) @ v.T
 

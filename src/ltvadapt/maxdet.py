@@ -24,18 +24,18 @@ ridge is 1e-12 times the Hessian's mean diagonal, a floor relative to its own
 scale, so that iterates of any magnitude keep full Newton steps; a ridged
 Hessian that fails Cholesky is a SolverBreakdown.
 
-The Newton step and `check_point` call numpy's LAPACK gufuncs
-(`numpy.linalg._umath_linalg`, imported once in `linalg`: cholesky_lo, inv,
-solve1 and eigvalsh_lo) directly. They are the calls np.linalg makes, so
-every result is the same bit for bit, but np.linalg's wrapper (array
-conversion, type dispatch, an error-state context) costs more than LAPACK
-does on matrices of 15 rows. A gufunc that fails returns its output filled
-with NaN instead of raising: a NaN factor's last diagonal entry rejects the
-matrix, a NaN Newton decrement sends the step to the ridge, as LinAlgError
-did, and a NaN margin reaches no target. A failed call also sets the
-floating-point invalid flag, so `_newton` runs each stage inside one
-errstate(invalid="ignore"), and `_logdet` inside its own; the ridge retry,
-almost never taken, stays on np.linalg.
+The Newton step, its ridge retry included, and `check_point` call numpy's
+LAPACK gufuncs (`numpy.linalg._umath_linalg`, imported once in `linalg`:
+cholesky_lo, inv, solve1 and eigvalsh_lo) directly. They are the calls
+np.linalg makes, so every result is the same bit for bit, but np.linalg's
+wrapper (array conversion, type dispatch, an error-state context) costs
+more than LAPACK does on matrices of 15 rows. A gufunc that fails returns
+its output filled with NaN instead of raising: a NaN factor's last
+diagonal entry rejects the matrix, a NaN Newton decrement sends the step
+to the ridge, as LinAlgError did, and a NaN margin reaches no target. A
+failed call also sets the floating-point invalid flag, so `_newton` runs
+each stage inside one errstate(invalid="ignore"), and `_logdet` inside
+its own.
 
 Phase I stops after any accepted step at z = (x, t) once every block's own
 lambda_min reaches the interior target, the textbook phase-I rule (Boyd &
@@ -289,9 +289,8 @@ def _newton(barrier, x, max_steps, tol, early_stop=None, point=None):
     retried with the ridge when LU finds it singular (the decrement is then
     NaN, whatever the gradient) or the step is not a descent direction at a
     non-zero gradient: 1e-12 * trace(H) / n is added to the Hessian's
-    diagonal, and SolverBreakdown is raised if Cholesky rejects the ridged
-    Hessian (a zero or indefinite one) or leaves NaN on the last diagonal
-    entry of its factor (a NaN one).
+    diagonal, and SolverBreakdown is raised if `_chol` rejects the ridged
+    Hessian (a zero, indefinite or NaN one); otherwise LU solves it.
     """
     # a failed gufunc call (a rejected factor, a singular LU solve) sets
     # the invalid flag; one context covers every call of the stage
@@ -309,14 +308,9 @@ def _newton(barrier, x, max_steps, tol, early_stop=None, point=None):
             if not decrement > 0.0 and (math.isnan(decrement) or np.any(grad)):
                 hess = hess + 1e-12 * float(np.trace(hess)) / len(x) * \
                     np.eye(len(x))
-                try:
-                    l = np.linalg.cholesky(hess)
-                except np.linalg.LinAlgError as exc:
-                    raise SolverBreakdown("singular Newton system") from exc
-                # a NaN entry need not make potrf fail, as in _chol
-                if math.isnan(l[-1, -1]):
+                if _chol(hess) is None:
                     raise SolverBreakdown("singular Newton system")
-                d = np.linalg.solve(hess, -grad)
+                d = _lapack.solve1(hess, -grad)
                 decrement = float(-grad @ d)
             residual = math.sqrt(max(decrement, 0.0))
             if residual <= tol:

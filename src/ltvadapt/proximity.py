@@ -73,7 +73,7 @@ def contains(w, F, MA, MB, tol=None):
     """Whether (MA, MB) lies in the consistency set of (w, F); an array of
     flags, one per pair, when MA and MB are stacks of pairs."""
     d = dtilde(w, MA, MB)
-    return _psd(linalg.symmetrize(F - d @ np.swapaxes(d, -2, -1)), tol)
+    return _psd(F - d @ np.swapaxes(d, -2, -1), tol)
 
 
 def membership_quadratic(params, zhat):
@@ -95,8 +95,7 @@ def min_inflation(w, F, S, A_true, B_true):
     """
     S = linalg.as_matrix(S, (w.nx, w.nx))
     d = dtilde(w, A_true, B_true)
-    gap = linalg.symmetrize(d @ np.swapaxes(d, -2, -1) -
-                            linalg.as_matrix(F, (w.nx, w.nx)))
+    gap = d @ np.swapaxes(d, -2, -1) - linalg.as_matrix(F, (w.nx, w.nx))
     s_inv = linalg.pd_inverse(S)
     # a NaN clamps to 0 as well, as max(0.0, nan) does
     eps = np.asarray(linalg.gen_eig_max(gap, s_inv))
@@ -115,31 +114,6 @@ def inflated(F, S, eps):
     return linalg.symmetrize(F + eps * s_inv)
 
 
-def _from_eig(v, d):
-    """v diag(d) v^T, for one matrix or a stack along a leading axis."""
-    # an explicit diagonal factor, so each matrix rounds as
-    # v @ np.diag(d) @ v.T does
-    return v @ (d[..., :, None] * np.eye(d.shape[-1])) @ np.swapaxes(v, -2, -1)
-
-
-def _psd_sqrt(m):
-    """Square root of a psd matrix, or of each matrix of a stack along a
-    leading axis."""
-    w, v = linalg.sym_eig(m)
-    return _from_eig(v, np.sqrt(np.clip(w, 0.0, None)))
-
-
-def _psd_pinv_sqrt(m):
-    """Pseudoinverse square root of a psd matrix; eigenvalues up to
-    n * eps * lambda_max count as zero."""
-    w, v = linalg.sym_eig(m)
-    w_max = np.maximum(w[..., -1:], 0.0)
-    tol = max(m.shape[-2:]) * np.finfo(float).eps * w_max
-    w = np.clip(w, 0.0, None)
-    inv_root = np.where(w > tol, 1.0 / np.maximum(np.sqrt(w), 1e-300), 0.0)
-    return _from_eig(v, inv_root)
-
-
 def sample_members(params, num_samples, rng):
     """Draw members of the ellipsoidal form of the consistency set.
 
@@ -155,8 +129,8 @@ def sample_members(params, num_samples, rng):
     once and the spectral norms of all draws come from one stacked
     eigenvalue call.
     """
-    m_pinv_sqrt = _psd_pinv_sqrt(params.M)
-    d_sqrt = _psd_sqrt(params.Delta)
+    m_pinv_sqrt = linalg.psd_pinv_sqrt(params.M)
+    d_sqrt = linalg.psd_sqrt(params.Delta)
     rows, cols = params.Zc.shape
     d_stack = d_sqrt.reshape(-1, cols, cols)
     gs, rs = [], []

@@ -31,7 +31,7 @@ DEFAULT_EPS_F = 0.1
 DATA_BOUND = "DataBound"
 
 # relative excess of a contraction factor over its certified rate that
-# verify_property still accepts
+# verify_property accepts
 PROPERTY_REL_TOL = 1e-7
 
 
@@ -276,32 +276,27 @@ class PropertyReport:
     vacuous: bool
 
 
-def verify_property(bundle, num_samples=500, rng_seed=0, eps_values=None,
-                    rel_tol=PROPERTY_REL_TOL):
+def verify_property(bundle, num_samples=500, rng_seed=0):
     """Sample the inflated consistency sets and check the certified rate.
 
-    For each eps, every sampled pair (A, B) must satisfy
+    The inflation levels are eps = 0, a / (2 a2) and 2 a / a2, or eps = 0
+    alone when a2 = 0. For each eps, every sampled pair (A, B) must satisfy
     (A + B K)^T S (A + B K) <= (a1 + a2 eps) S up to the relative
-    tolerance, that is theta_exact(A, B, K, S) <= a1 + a2 eps. The noise
-    bounds of all levels form one stack, so the consistency set's M, M^+
-    and Zc are formed once, and one stacked eigendecomposition of the
-    Delta stack tells which levels are non-empty. Sampling is boundary
-    biased and draws the non-empty levels in the order of eps_values, in
+    tolerance PROPERTY_REL_TOL, that is theta_exact(A, B, K, S) <=
+    a1 + a2 eps. The noise bounds of all levels form one stack, so the
+    consistency set's M, M^+ and Zc are formed once, and one stacked
+    eigendecomposition of the Delta stack tells which levels are non-empty.
+    Sampling is boundary biased and draws the non-empty levels in order, in
     one call; all samples go through one stacked theta_exact. A report
     with vacuous=True means every inflated set was empty so the claim
-    holds trivially. An empty eps_values or num_samples < 1 would check
-    nothing and raises InvalidInput.
+    holds trivially. num_samples < 1 would check nothing and raises
+    InvalidInput.
     """
-    if eps_values is None:
-        if bundle.a2 > 0:
-            eps_values = [0.0, bundle.a / (2.0 * bundle.a2),
-                          2.0 * bundle.a / bundle.a2]
-        else:
-            eps_values = [0.0]
-    if len(eps_values) == 0:
-        raise linalg.InvalidInput("need at least one inflation value")
-    if any(e < 0 for e in eps_values):
-        raise linalg.InvalidInput("inflation values must be nonnegative")
+    if bundle.a2 > 0:
+        eps_values = [0.0, bundle.a / (2.0 * bundle.a2),
+                      2.0 * bundle.a / bundle.a2]
+    else:
+        eps_values = [0.0]
     if num_samples < 1:
         raise linalg.InvalidInput("need at least one sample per level")
     rng = np.random.default_rng(rng_seed)
@@ -324,9 +319,9 @@ def verify_property(bundle, num_samples=500, rng_seed=0, eps_values=None,
         rate = np.repeat(bundle.rate(eps[keep]), num_samples)
         excess = (lhs - rate) / np.maximum(np.abs(rate), 1.0)
         worst = float(np.max(excess))
-        violations = int(np.count_nonzero(excess > rel_tol))
+        violations = int(np.count_nonzero(excess > PROPERTY_REL_TOL))
     return PropertyReport(
-        eps_values=list(eps_values),
+        eps_values=eps_values,
         max_relative_excess=(worst if np.isfinite(worst) else 0.0),
         num_violations=violations,
         vacuous=vacuous,

@@ -447,10 +447,3 @@ SUITES = {
     "prop3": suite_prop3,
     "solver": suite_solver,
 }
-
-
-def run_suite(name):
-    if name not in SUITES:
-        raise linalg.InvalidInput("unknown suite %r; choose from %s"
-                                  % (name, sorted(SUITES)))
-    return SUITES[name]()

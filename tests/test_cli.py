@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from ltvadapt import cli, hybrid, linalg, monitor, plants
+from ltvadapt import cli, hybrid, linalg, monitor, plants, verification
 
 
 SWITCHING_CFG = """
@@ -219,6 +219,22 @@ x0 = 1e10, 1e10
     assert code == cli.EXIT_DIVERGED
     for name in ("trajectory.csv", "summary.txt"):
         assert os.path.isfile(os.path.join(out, name)), name
+    # the run has no certified segment, which the certificate walk declines
+    assert not os.path.exists(os.path.join(out, "diagnostics.csv"))
+
+
+def test_simulate_propagates_a_fault_in_the_certificate_walk(tmp_path,
+                                                             monkeypatch):
+    # only the numerical errors of a walk that cannot certify are logged;
+    # any other error is a fault and is not reported as a finished run
+    def broken(*args, **kwargs):
+        raise TypeError("broken walk")
+
+    monkeypatch.setattr(monitor, "thm_diagnostics", broken)
+    cfg = write_cfg(tmp_path, SWITCHING_CFG)
+    with pytest.raises(TypeError, match="broken walk"):
+        cli.main(["simulate", "--config", cfg,
+                  "--out", str(tmp_path / "out")])
 
 
 def test_overflow_norm_plot_draws_only_finite_norms(tmp_path):
@@ -301,6 +317,19 @@ def test_batch_empty_dir(tmp_path):
                      "--out", out]) == cli.EXIT_OK
     table = open(os.path.join(out, "batch_summary.csv")).read().splitlines()
     assert len(table) == 1  # header only
+
+
+def test_verify_runs_the_named_suite(monkeypatch, capsys):
+    # argparse offers exactly the suites there are
+    for passed, code in ((True, 0), (False, 1)):
+        res = verification.SuiteResult("lemma3")
+        res.add("check", passed)
+        monkeypatch.setitem(verification.SUITES, "lemma3", lambda: res)
+        assert cli.main(["verify", "--suite", "lemma3"]) == code
+        assert capsys.readouterr().out.splitlines() == res.lines()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "nosuch"])
+    assert exc.value.code == 2
 
 
 def test_version(capsys):

@@ -253,3 +253,88 @@ def test_pinv_symmetry_rule_is_allclose(n, seed, scale, log_skew):
     except linalg.InvalidInput:
         got = False
     assert got == want
+
+
+def _diagonal_form(v, d):
+    # the explicit-diagonal product v @ diag(d) @ v^T that the psd roots
+    # used before they shared pinv's (v * d) @ v^T
+    return v @ (d[..., :, None] * np.eye(d.shape[-1])) @ \
+        np.swapaxes(v, -2, -1)
+
+
+def psd_draws(rng, n, stack, kind, scale):
+    """Random n x n psd matrices of the given rank kind (full, deficient,
+    zero, or a mix of ranks across a stack): one matrix at stack = 0, else
+    a stack of that many."""
+    def one():
+        rank = {"full": n, "deficient": int(rng.integers(0, n)), "zero": 0,
+                "mixed": int(rng.integers(0, n + 1))}[kind]
+        g = rng.standard_normal((n, rank))
+        return scale * (g @ g.T)
+    return one() if stack == 0 else np.array([one() for _ in range(stack)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 5), st.integers(0, 10 ** 6),
+       st.sampled_from(["full", "deficient", "zero", "mixed"]),
+       st.sampled_from([1e-12, 1.0, 1e12]))
+def test_psd_roots_equal_the_explicit_diagonal_form(n, stack, seed, kind,
+                                                    scale):
+    m = psd_draws(np.random.default_rng(seed), n, stack, kind, scale)
+    w, v = np.linalg.eigh(linalg.symmetrize(m))
+    root = _diagonal_form(v, np.sqrt(np.clip(w, 0.0, None)))
+    assert linalg.psd_sqrt(m).tobytes() == root.tobytes()
+    tol = n * np.finfo(float).eps * np.maximum(w[..., -1:], 0.0)
+    wc = np.clip(w, 0.0, None)
+    pinv_root = _diagonal_form(v, np.where(
+        wc > tol, 1.0 / np.maximum(np.sqrt(wc), 1e-300), 0.0))
+    assert linalg.psd_pinv_sqrt(m).tobytes() == pinv_root.tobytes()
+
+
+def _old_pd_rule(w):
+    # the threshold pd_inverse wrote out for itself
+    return w[0] <= 1e-12 * max(float(w[-1]), 1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 10 ** 6),
+       st.sampled_from([1e-14, 1e-12, 1.0, 1e12]),
+       st.floats(-14.0, -10.0), st.sampled_from([-1.0, 0.0, 1.0]))
+def test_pd_kernels_reject_what_they_rejected(n, seed, scale, log_gap,
+                                              sign):
+    # eigenvalues straddling lambda_min = 1e-12 * max(lambda_max, 1e-12):
+    # pd_inverse and inv_sqrt_pd, alone and on a stack, reject exactly the
+    # matrices the written-out rules rejected, and return the same bits
+    # where they accept
+    rng = np.random.default_rng(seed)
+    members = []
+    for _ in range(3):
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        w = scale * rng.uniform(0.5, 2.0, n)
+        w[0] = sign * 10.0 ** log_gap * max(w.max(), 1e-12)
+        members.append(linalg.symmetrize((q * w) @ q.T))
+    b = np.array(members)
+    rejected = []
+    for m in members:
+        w, v = np.linalg.eigh(m)
+        rejected.append(_old_pd_rule(w))
+        try:
+            got = linalg.pd_inverse(m)
+        except linalg.NotPositiveDefinite:
+            got = None
+        assert (got is None) == rejected[-1]
+        if got is not None:
+            assert got.tobytes() == ((v / w) @ v.T).tobytes()
+        try:
+            got = linalg.inv_sqrt_pd(m)
+        except linalg.NotPositiveDefinite:
+            got = None
+        assert (got is None) == rejected[-1]
+        if got is not None:
+            assert got.tobytes() == ((v / np.sqrt(w)) @ v.T).tobytes()
+    try:
+        linalg.inv_sqrt_pd(b)
+        stack_rejected = False
+    except linalg.NotPositiveDefinite:
+        stack_rejected = True
+    assert stack_rejected == any(rejected)

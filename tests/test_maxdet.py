@@ -1,4 +1,5 @@
 import csv
+import sys
 import types
 import warnings
 from unittest import mock
@@ -424,6 +425,21 @@ def lapack_recorder():
         **{name: recorder(name) for name in calls}), calls
 
 
+def ridge_recorder():
+    """A stand-in for maxdet._chol that records a copy of each matrix
+    `_newton` itself tests, which is the ridged Hessian; the line search's
+    calls, made from `_Barrier.point`, are not recorded. Returns
+    (stand-in, recorded matrices)."""
+    chol = maxdet._chol
+    ridged = []
+
+    def call(m):
+        if sys._getframe(1).f_code is maxdet._newton.__code__:
+            ridged.append(m.copy())
+        return chol(m)
+    return call, ridged
+
+
 def test_newton_factors_each_point_once(monkeypatch):
     # phi(x) = x - log x from x = 0.9: every Newton step is a full step, so
     # a stage of s steps builds and factors its start and each accepted
@@ -514,18 +530,13 @@ def test_newton_retries_a_hessian_that_gives_no_descent(monkeypatch):
     points = counting(monkeypatch, maxdet._Barrier, "point")
     lapack, calls = lapack_recorder()
     monkeypatch.setattr(maxdet, "_lapack", lapack)
-    ridged = []
-    cholesky = np.linalg.cholesky
-
-    def recording_cholesky(m):
-        ridged.append(m.copy())
-        return cholesky(m)
-
-    monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
+    chol, ridged = ridge_recorder()
+    monkeypatch.setattr(maxdet, "_chol", chol)
     with pytest.raises(maxdet.SolverBreakdown, match="singular"):
         maxdet._newton(barrier, np.array([1.3, 0.0]), 500, 1e-8)
-    # only the start was evaluated; past its F, Cholesky saw only the
-    # ridged Hessian, after one LU solve of the Newton system
+    # only the start was evaluated, after one LU solve of the Newton
+    # system; the ridged Hessian's negative diagonal entry rejects it
+    # without a LAPACK call, so potrf saw only the start's F
     assert len(points) == 1
     assert len(calls["cholesky_lo"]) == len(calls["solve1"]) == 1
     ridge = 1e-12 * np.trace(hess) / 2
@@ -819,24 +830,19 @@ def test_newton_lu_solve_is_numpys(n, seed, kind, scale, zero_grad):
     ridge_fails = lapack_chol(ridged) is None
 
     lapack, calls = lapack_recorder()
-    ridge_tests = []
-    cholesky = np.linalg.cholesky
-
-    def recording_cholesky(m):
-        ridge_tests.append(m.copy())
-        return cholesky(m)
+    chol, ridge_tests = ridge_recorder()
 
     x0 = 1.3 * np.eye(n)[0]
     with mock.patch.object(maxdet._Barrier, "terms",
                            lambda self, point: (point[0], grad, hess)), \
             mock.patch.object(maxdet, "_lapack", lapack), \
-            mock.patch.object(np.linalg, "cholesky", recording_cholesky):
+            mock.patch.object(maxdet, "_chol", chol):
         try:
             maxdet._newton(log_barrier(1.0, np.eye(n)[0]), x0, 1, 1e-8)
             broke = False
         except maxdet.SolverBreakdown:
             broke = True
-    [(args, d)] = calls["solve1"]
+    (_, d), *ridge_solves = calls["solve1"]
     if ref is None:
         assert np.all(np.isnan(d))
     else:
@@ -848,3 +854,8 @@ def test_newton_lu_solve_is_numpys(n, seed, kind, scale, zero_grad):
     if retried:
         assert ridge_tests[0].tobytes() == ridged.tobytes()
     assert broke == (retried and ridge_fails)
+    # a ridged Hessian that factors is solved by LU, as numpy.linalg.solve
+    # solves it
+    assert len(ridge_solves) == int(retried and not broke)
+    for _, d in ridge_solves:
+        assert d.tobytes() == np.linalg.solve(ridged, -grad).tobytes()
