@@ -1,5 +1,7 @@
 """Command line front end: seeded closed-loop experiments from config
-files, batch sweeps, and the verification suites.
+files, batch sweeps, and the verification suites. It writes every run
+artifact (trajectory.csv, diagnostics.csv, summary.txt, norms.svg and
+batch_summary.csv), with one formatter for every CSV cell.
 
 Config files are plain line-oriented text: `[section]` headers followed
 by `key = value` lines, with `#` comments. Recognized sections and keys
@@ -175,20 +177,78 @@ def write_norm_svg(traj, path):
         fh.write("\n".join(body) + "\n")
 
 
+def _fmt(v):
+    """One artifact cell: blank for None, 1 or 0 for a flag, %.17g for a
+    number; a string is its own cell."""
+    if v is None:
+        return ""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    return "%.17g" % v
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        wtr = csv.writer(fh)
+        wtr.writerow(header)
+        wtr.writerows([_fmt(v) for v in row] for row in rows)
+
+
+def write_trajectory_csv(traj, path):
+    """One row per record: k, j, the state, the input (blank on the final
+    record), V, sigma(a1), the bundle's a1 and the explore and
+    synth_feasible flags. The first record always has an input, since
+    the horizon exceeds the window width."""
+    nx, nu = traj.records[0].x.size, traj.records[0].u.size
+    header = (["k", "j"]
+              + ["x_%d" % (i + 1) for i in range(nx)]
+              + ["u_%d" % (i + 1) for i in range(nu)]
+              + ["V", "sigma_a1", "a1", "explore", "synth_feasible"])
+    _write_csv(path, header, (
+        [r.k, r.j, *r.x.tolist(),
+         *([None] * nu if r.u is None else r.u.tolist()),
+         r.V, r.sigma_a1, None if r.bundle is None else r.bundle.a1,
+         r.explore, r.synth_feasible] for r in traj.records))
+
+
+def write_diagnostics_csv(report, path):
+    """One row per monitored record; step-indexed columns sit on the
+    departure row and stay blank on the final record, and the theta
+    columns are filled only on steps outside T1 (in_C1 = 0). A V that is
+    not recorded reads inf."""
+    nus = dict(report.nu_d_events)
+    _write_csv(path, ["k", "j", "V", "pi_exact", "pi_databased", "in_C1",
+                      "nu_d_event", "theta_exact", "theta_databased",
+                      "thm4_lhs"], (
+        [r.k, r.j, np.inf if r.V is None else r.V, report.pi_exact[i],
+         report.pi_databased[i], in_c1, nus.get(i),
+         report.theta_exact.get(i), report.theta_databased.get(i),
+         report.thm4_lhs[i]]
+        for i, (r, in_c1) in enumerate(zip(report.records,
+                                           report.T1_membership + [None]))))
+
+
+def _run_summary(traj):
+    """(status, final state norm, episode instants) of a run."""
+    return (traj.status, hybrid.state_norm(traj.records[-1].x),
+            [e.k for e in traj.episodes])
+
+
 def run_scenario(plant, scen, out_dir, svg=False):
     """Run one scenario and write its artifacts; returns (traj, paths)."""
     os.makedirs(out_dir, exist_ok=True)
     traj = hybrid.run(plant, scen)
     paths = {}
     paths["trajectory"] = os.path.join(out_dir, "trajectory.csv")
-    hybrid.write_trajectory_csv(traj, paths["trajectory"], plant.nx,
-                                plant.nu)
+    write_trajectory_csv(traj, paths["trajectory"])
     try:
         lam_c, lam_d = monitor.default_rates(traj, plant, scen.c_sigma)
         report = monitor.thm_diagnostics(traj, lam_c, lam_d, plant,
                                          scen.c_sigma)
         paths["diagnostics"] = os.path.join(out_dir, "diagnostics.csv")
-        monitor.write_diagnostics_csv(report, paths["diagnostics"])
+        write_diagnostics_csv(report, paths["diagnostics"])
     # a trajectory without a certified segment, or one whose matrices the
     # kernels reject; any other error is a fault and propagates
     except (linalg.InvalidInput, linalg.NotPositiveDefinite,
@@ -196,13 +256,12 @@ def run_scenario(plant, scen, out_dir, svg=False):
         logger.warning("diagnostics unavailable: %s", exc)
         report = None
     paths["summary"] = os.path.join(out_dir, "summary.txt")
-    final = hybrid.state_norm(traj.records[-1].x)
+    status, final, instants = _run_summary(traj)
     with open(paths["summary"], "w") as fh:
-        fh.write("status = %s\n" % traj.status)
-        fh.write("final_norm = %.17g\n" % final)
-        fh.write("episodes = %d\n" % traj.num_episodes)
-        fh.write("episode_instants = %s\n"
-                 % ",".join(str(e.k) for e in traj.episodes))
+        fh.write("status = %s\n" % status)
+        fh.write("final_norm = %s\n" % _fmt(final))
+        fh.write("episodes = %d\n" % len(instants))
+        fh.write("episode_instants = %s\n" % ",".join(map(_fmt, instants)))
         if report is not None and report.cor1_membership is not None:
             fh.write("cor1_membership = %s\n" % report.cor1_membership)
     if svg:
@@ -215,10 +274,10 @@ def cmd_simulate(args):
     cfg = parse_config(args.config)
     plant, scen, out_dir, svg = build_scenario(cfg, args.seed, args.out)
     traj, paths = run_scenario(plant, scen, out_dir, svg)
+    status, final, instants = _run_summary(traj)
     print("status=%s final_norm=%.6g episodes=%d out=%s"
-          % (traj.status, hybrid.state_norm(traj.records[-1].x),
-             traj.num_episodes, out_dir))
-    return EXIT_DIVERGED if traj.status == hybrid.DIVERGED else EXIT_OK
+          % (status, final, len(instants), out_dir))
+    return EXIT_DIVERGED if status == hybrid.DIVERGED else EXIT_OK
 
 
 def cmd_batch(args):
@@ -231,32 +290,21 @@ def cmd_batch(args):
     rows = []
     for name in files:
         stem = name[:-4]
-        row = {"name": stem, "status": "", "final_norm": "",
-               "episodes": "", "episode_instants": "", "error": ""}
         try:
             cfg = parse_config(os.path.join(args.config_dir, name))
             plant, scen, _, svg = build_scenario(
                 cfg, None, os.path.join(out_root, stem))
             traj, _ = run_scenario(plant, scen,
                                    os.path.join(out_root, stem), svg)
-            row["status"] = traj.status
-            row["final_norm"] = "%.17g" % hybrid.state_norm(
-                traj.records[-1].x)
-            row["episodes"] = str(traj.num_episodes)
-            row["episode_instants"] = ";".join(
-                str(e.k) for e in traj.episodes)
+            status, final, instants = _run_summary(traj)
+            rows.append([stem, status, final, len(instants),
+                         ";".join(map(_fmt, instants)), None])
         except Exception as exc:
-            row["error"] = str(exc)
+            rows.append([stem, None, None, None, None, str(exc)])
             logger.error("run %s failed: %s", stem, exc)
-        rows.append(row)
     table = os.path.join(out_root, "batch_summary.csv")
-    with open(table, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["name", "status",
-                                                "final_norm", "episodes",
-                                                "episode_instants",
-                                                "error"])
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(table, ["name", "status", "final_norm", "episodes",
+                       "episode_instants", "error"], rows)
     print("wrote %s (%d runs)" % (table, len(rows)))
     return EXIT_OK
 

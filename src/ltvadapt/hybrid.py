@@ -12,10 +12,10 @@ data window. A jump at step k is folded into that step's record and
 marked by tau = 0, and a record marks an exploration input by `explore`.
 A trajectory is its records: each carries the bundle in force at its
 step, and the episodes, the initial bundle and the start of the
-monitored segment are read from them.
+monitored segment are read from them. The module writes no file; `cli`
+writes a trajectory out as `trajectory.csv`.
 """
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
@@ -96,10 +96,6 @@ class Trajectory:
     def episodes(self):
         """One episode per jump, the records marked tau = 0."""
         return [Episode(r.k, r.bundle) for r in self.records if r.tau == 0]
-
-    @property
-    def num_episodes(self):
-        return len(self.episodes)
 
     def state_norms(self):
         return np.array([state_norm(r.x) for r in self.records])
@@ -251,31 +247,3 @@ def run(plant, cfg):
     traj.records.append(_record(k, j, x, None, bundle, cfg.c_sigma))
     return traj
 
-
-def _fmt(v):
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    return "%.17g" % v
-
-
-def write_trajectory_csv(traj, path, nx, nu):
-    header = (["k", "j"]
-              + ["x_%d" % (i + 1) for i in range(nx)]
-              + ["u_%d" % (i + 1) for i in range(nu)]
-              + ["V", "sigma_a1", "a1", "explore", "synth_feasible"])
-    with open(path, "w", newline="") as fh:
-        wtr = csv.writer(fh)
-        wtr.writerow(header)
-        for r in traj.records:
-            row = [r.k, r.j]
-            row += [_fmt(float(v)) for v in r.x]
-            if r.u is None:
-                row += [""] * nu
-            else:
-                row += [_fmt(float(v)) for v in r.u]
-            row += [_fmt(r.V), _fmt(r.sigma_a1),
-                    _fmt(None if r.bundle is None else r.bundle.a1),
-                    _fmt(r.explore), _fmt(r.synth_feasible)]
-            wtr.writerow(row)

@@ -43,7 +43,10 @@ Vandenberghe, Convex Optimization, sec. 11.4). The line search has just
 built F(z), whose blocks are F_i(x) - t I, so F(z) + (t - target) I is the
 phase-I map at (x, target), and one Cholesky of it decides what the minimum
 over check_point's margins would (a NaN margin never reaches the target).
-Stage margins and log-dets are computed only for a trace.
+That stop gives the verdict: Feasible when it fired, Infeasible when the
+path passed MU_MAX with its last stage converged, MaxIter otherwise; one
+check_point at the returned point reports the margins. Stage margins and
+log-dets are computed only for a trace.
 """
 
 import csv
@@ -353,12 +356,12 @@ def _path(barrier, z, weights, budget, reached=None, stage=None):
     early, and the path stops, at an accepted point where
     reached(z, point) holds; stage(total, mu, z) runs after each stage.
     Returns (z, steps, the last stage's Newton decrement, whether the path
-    passed MU_MAX and its last stage converged).
+    passed MU_MAX and its last stage converged, whether it stopped).
     """
     total = 0
     mu = MU_INIT
     residual = np.inf
-    converged = False
+    converged = stopped = False
     point = None
     while mu <= MU_MAX and total < budget:
         barrier.weights = weights(mu)
@@ -370,15 +373,16 @@ def _path(barrier, z, weights, budget, reached=None, stage=None):
         mu *= MU_FACTOR
         if stopped:
             break
-    return z, total, residual, mu > MU_MAX and converged
+    return z, total, residual, mu > MU_MAX and converged, stopped
 
 
 def solve_feasibility(problem, opts=None):
     """Decide strict feasibility of all constraint blocks.
 
-    Phase-I scheme: maximize t subject to F_i(x) - t*I > 0 (t capped above)
-    and return Feasible as soon as every margin reaches strict_margin,
-    Infeasible when the barrier path converges below it.
+    Phase-I scheme: maximize t subject to F_i(x) - t*I > 0 (t capped above).
+    The path's own stop test decides: Feasible when it stopped because
+    every margin reached strict_margin, Infeasible when it passed MU_MAX
+    with its last stage converged below it, MaxIter otherwise.
     """
     opts = opts or SolverOptions()
     if not problem.constraints:
@@ -410,7 +414,7 @@ def solve_feasibility(problem, opts=None):
     # objective normalized by mu: minimize -t + (1/mu) * barriers, so
     # line-search decreases stay well above float rounding of the value
     barrier = _phase1_barrier(problem, t_cap)
-    z, total, _, _ = _path(
+    z, total, _, finished, stopped = _path(
         barrier, np.concatenate([x, [t0]]),
         lambda mu: np.full(len(barrier.constant), 1.0 / mu),
         opts.max_newton,
@@ -420,14 +424,9 @@ def solve_feasibility(problem, opts=None):
         _write_trace(opts.trace_path, rows)
 
     x = z[:m]
-    margins = check_point(problem, x)
-    if float(np.min(margins)) >= target:
-        status = FEASIBLE
-    elif total >= opts.max_newton:
-        status = MAXITER
-    else:
-        status = INFEASIBLE
-    return SdpSolution(x=x, status=status, min_margins=margins,
+    status = FEASIBLE if stopped else INFEASIBLE if finished else MAXITER
+    return SdpSolution(x=x, status=status,
+                       min_margins=check_point(problem, x),
                        iterations=total)
 
 
@@ -454,7 +453,7 @@ def solve_maxdet(problem, opts=None):
     # (barrier weight 1/mu, unit det term), making the returned gradient
     # norm the KKT residual directly.
     barrier, det_rows = _phase2_barrier(problem, 0.5 * opts.strict_margin)
-    x, total, residual, finished = _path(
+    x, total, residual, finished, _ = _path(
         barrier, phase1.x, lambda mu: np.where(det_rows, 1.0, 1.0 / mu),
         opts.max_newton - phase1.iterations,
         stage=stage if opts.trace_path is not None else None)

@@ -20,10 +20,10 @@ minimal inflation per triggered bundle, and tests terminal-set
 membership for every record from T* on with one stacked
 `proximity.contains`. Every factor and flag equals bit for bit the one a
 single-step evaluation gives. A record's own V is read from the
-trajectory.
+trajectory. The module writes no file; `cli` writes a report out as
+`diagnostics.csv`.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,31 +251,3 @@ def thm_diagnostics(traj, lambda_c, lambda_d, plant, c_sigma=0.1):
         records=recs,
     )
 
-
-def write_diagnostics_csv(report, path):
-    """One row per monitored record; step-indexed columns sit on the
-    departure row and stay blank on the final record, and the theta
-    columns are filled only on steps outside T1 (in_C1 = 0)."""
-    nus = dict(report.nu_d_events)
-    with open(path, "w", newline="") as fh:
-        wtr = csv.writer(fh)
-        wtr.writerow(["k", "j", "V", "pi_exact", "pi_databased", "in_C1",
-                      "nu_d_event", "theta_exact", "theta_databased",
-                      "thm4_lhs"])
-        n = len(report.records)
-        for i, r in enumerate(report.records):
-            is_step = i < n - 1
-            row = [
-                r.k, r.j,
-                "%.17g" % (r.V if r.V is not None else np.inf),
-                "%.17g" % report.pi_exact[i],
-                "%.17g" % report.pi_databased[i],
-                ("1" if report.T1_membership[i] else "0") if is_step else "",
-                "%.17g" % nus[i] if i in nus else "",
-                "%.17g" % report.theta_exact[i]
-                if i in report.theta_exact else "",
-                "%.17g" % report.theta_databased[i]
-                if i in report.theta_databased else "",
-                "%.17g" % report.thm4_lhs[i],
-            ]
-            wtr.writerow(row)

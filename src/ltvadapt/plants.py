@@ -115,10 +115,10 @@ class VanishingPerturbationPlant(SinusoidalPlant):
 class PiecewiseFilePlant(LtvPlant):
     """Plant defined by knot points loaded from a plain text file.
 
-    Format: first line "nx nu num_knots mode" where mode is hold or
-    linear; then for each knot, a line with the step index k followed by
-    nx lines of A rows and nx lines of B rows (whitespace separated,
-    row-major). Knot indices must be strictly increasing.
+    Format: "nx nu num_knots mode", where mode is hold or linear, then
+    for each knot the step index k followed by the entries of A and of B,
+    each row-major. The file is read as whitespace-separated tokens, so
+    line breaks do not matter. Knot indices must be strictly increasing.
     """
 
     def __init__(self, path):

@@ -108,9 +108,9 @@ def _hand_window():
                       U=np.array([[0.0, 0.0]]))
 
 
-def suite_lemma3(rng_seed=0):
+def suite_lemma3():
     res = SuiteResult("lemma3")
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(0)
 
     # every synthesis window must be exactly explained by the plant
     # matrices that generated it
@@ -367,9 +367,9 @@ def _grid_oracle(det, ub, strict_margin, n=121):
     return best, best_x
 
 
-def suite_solver(rng_seed=0):
+def suite_solver():
     res = SuiteResult("solver")
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(0)
     opts = maxdet.SolverOptions()
 
     # (a) constant problems have an exact feasibility answer

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import pathlib
@@ -292,6 +293,124 @@ def test_finite_huge_state_is_reported_without_overflow(tmp_path):
     assert "final_norm = %.17g\n" % norm in summary
     with pytest.raises(linalg.InvalidInput, match="non-finite entries"):
         monitor.default_rates(traj, plant)
+
+
+# --- the artifact writers against the writers they replaced ----------------
+
+
+def _ref_fmt(v):
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    return "%.17g" % v
+
+
+def _ref_write_trajectory_csv(traj, path, nx, nu):
+    header = (["k", "j"]
+              + ["x_%d" % (i + 1) for i in range(nx)]
+              + ["u_%d" % (i + 1) for i in range(nu)]
+              + ["V", "sigma_a1", "a1", "explore", "synth_feasible"])
+    with open(path, "w", newline="") as fh:
+        wtr = csv.writer(fh)
+        wtr.writerow(header)
+        for r in traj.records:
+            row = [r.k, r.j]
+            row += [_ref_fmt(float(v)) for v in r.x]
+            if r.u is None:
+                row += [""] * nu
+            else:
+                row += [_ref_fmt(float(v)) for v in r.u]
+            row += [_ref_fmt(r.V), _ref_fmt(r.sigma_a1),
+                    _ref_fmt(None if r.bundle is None else r.bundle.a1),
+                    _ref_fmt(r.explore), _ref_fmt(r.synth_feasible)]
+            wtr.writerow(row)
+
+
+def _ref_write_diagnostics_csv(report, path):
+    nus = dict(report.nu_d_events)
+    with open(path, "w", newline="") as fh:
+        wtr = csv.writer(fh)
+        wtr.writerow(["k", "j", "V", "pi_exact", "pi_databased", "in_C1",
+                      "nu_d_event", "theta_exact", "theta_databased",
+                      "thm4_lhs"])
+        n = len(report.records)
+        for i, r in enumerate(report.records):
+            is_step = i < n - 1
+            row = [
+                r.k, r.j,
+                "%.17g" % (r.V if r.V is not None else np.inf),
+                "%.17g" % report.pi_exact[i],
+                "%.17g" % report.pi_databased[i],
+                ("1" if report.T1_membership[i] else "0") if is_step else "",
+                "%.17g" % nus[i] if i in nus else "",
+                "%.17g" % report.theta_exact[i]
+                if i in report.theta_exact else "",
+                "%.17g" % report.theta_databased[i]
+                if i in report.theta_databased else "",
+                "%.17g" % report.thm4_lhs[i],
+            ]
+            wtr.writerow(row)
+
+
+def _assert_writers_match(tmp_path, plant, traj):
+    """Both artifacts equal the reference writers' byte for byte; returns
+    the rows of the trajectory and the diagnostics."""
+    rep = monitor.thm_diagnostics(
+        traj, *monitor.default_rates(traj, plant), plant)
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    rows = []
+    for write, write_ref, obj in (
+            (cli.write_trajectory_csv, lambda t, p: _ref_write_trajectory_csv(
+                t, p, plant.nx, plant.nu), traj),
+            (cli.write_diagnostics_csv, _ref_write_diagnostics_csv, rep)):
+        write(obj, str(new))
+        write_ref(obj, str(ref))
+        assert new.read_bytes() == ref.read_bytes()
+        rows.append(list(csv.DictReader(new.read_text().splitlines())))
+    return rows
+
+
+def test_writers_match_the_reference_on_canonical_runs(tmp_path):
+    for name, plant, _, traj in verification.canonical_runs():
+        _assert_writers_match(tmp_path, plant, traj)
+
+
+def test_writers_match_the_reference_on_an_overflowed_last_state(tmp_path):
+    # A grows to about 1e308 on a re-excitation step, so the last state
+    # overflows to inf: its V is blank in the trajectory and inf in the
+    # diagnostics
+    plant = ExplodingPlant(1e308, 12)
+    traj = hybrid.run(plant, hybrid.ScenarioConfig(
+        mode="time", horizon=40, seed=1, n_p=8, x0=np.array([1e5, 1e5])))
+    assert traj.status == hybrid.DIVERGED
+    assert np.isinf(traj.records[-1].x).all() and traj.records[-1].V is None
+    traj_rows, diag_rows = _assert_writers_match(tmp_path, plant, traj)
+    assert traj_rows[-1]["V"] == "" and traj_rows[-1]["u_1"] == ""
+    assert diag_rows[-1]["V"] == "inf" and diag_rows[-1]["in_C1"] == ""
+
+
+def test_writers_match_the_reference_on_a_fallback_run(tmp_path):
+    plant = plants.ConstantLti(b=np.zeros((2, 2)))
+    traj = hybrid.run(plant, hybrid.ScenarioConfig(mode="event", horizon=8,
+                                                   seed=3))
+    assert traj.initial_bundle.solver_status == "Fallback"
+    traj_rows, _ = _assert_writers_match(tmp_path, plant, traj)
+    assert traj_rows[4]["synth_feasible"] == "0"
+
+
+def test_summary_and_printed_line_agree(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SWITCHING_CFG)
+    out = str(tmp_path / "out")
+    assert cli.main(["simulate", "--config", cfg, "--out", out]) == 0
+    summary = dict(line.split(" = ", 1) for line in
+                   pathlib.Path(out, "summary.txt").read_text().splitlines())
+    printed = dict(f.split("=", 1) for f in
+                   capsys.readouterr().out.split())
+    assert printed["status"] == summary["status"] == "Completed"
+    assert printed["final_norm"] == "%.6g" % float(summary["final_norm"])
+    assert printed["episodes"] == summary["episodes"] == str(
+        len(summary["episode_instants"].split(",")))
 
 
 def test_batch(tmp_path):

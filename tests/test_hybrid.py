@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ltvadapt import hybrid, linalg, plants, verification
+from ltvadapt import cli, hybrid, linalg, plants, verification
 
 
 def run_switching(mode="event", seed=53, horizon=100, **kw):
@@ -142,7 +142,7 @@ def test_fixed_mode_never_triggers():
     assert [r.k for r in traj.records if r.explore] == [0, 1, 2, 3]
     assert [r.k for r in traj.records
             if r.synth_feasible is not None] == [4]
-    assert traj.num_episodes == 1  # only the forced initial design
+    assert len(traj.episodes) == 1  # only the forced initial design
 
 
 def test_fixed_mode_divergence_flag():
@@ -270,7 +270,7 @@ def test_determinism(event_run):
 def test_trajectory_csv(tmp_path, event_run):
     traj = event_run
     path = tmp_path / "traj.csv"
-    hybrid.write_trajectory_csv(traj, str(path), 2, 2)
+    cli.write_trajectory_csv(traj, str(path))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == ("k,j,x_1,x_2,u_1,u_2,V,sigma_a1,a1,explore,"
                         "synth_feasible")

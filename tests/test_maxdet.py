@@ -39,6 +39,13 @@ def one_var_det_problem():
                              det_block=0)
 
 
+def empty_interior_problem():
+    # x > 0 and x < 0 simultaneously
+    lo = maxdet.AffineMatFn(np.array([[0.0]]), np.array([[[1.0]]]))
+    hi = maxdet.AffineMatFn(np.array([[0.0]]), np.array([[[-1.0]]]))
+    return maxdet.SdpProblem(1, [lo, hi])
+
+
 def test_affine_mat_fn_symmetrizes():
     f = maxdet.AffineMatFn(np.array([[0.0, 2.0], [0.0, 0.0]]),
                            np.zeros((0, 2, 2)))
@@ -98,10 +105,7 @@ def test_feasibility_finds_interior_point():
 
 
 def test_feasibility_detects_empty_interior():
-    # x > 0 and x < 0 simultaneously
-    lo = maxdet.AffineMatFn(np.array([[0.0]]), np.array([[[1.0]]]))
-    hi = maxdet.AffineMatFn(np.array([[0.0]]), np.array([[[-1.0]]]))
-    p = maxdet.SdpProblem(1, [lo, hi])
+    p = empty_interior_problem()
     assert maxdet.solve_feasibility(p).status == maxdet.INFEASIBLE
 
 
@@ -293,6 +297,36 @@ def test_maxdet_status_follows_last_stage(monkeypatch):
         assert sol.kkt_residual == 1e-3
 
 
+def test_phase1_is_feasible_when_its_stop_fires(monkeypatch):
+    # the stop test gives the verdict: a path it stops is Feasible, even at
+    # a point whose check_point margins fall short of the target, and
+    # min_margins still holds check_point's margins there
+    monkeypatch.setattr(maxdet, "_margin_reached", lambda z, f, target: True)
+    p = empty_interior_problem()
+    sol = maxdet.solve_feasibility(p)
+    assert sol.status == maxdet.FEASIBLE and sol.iterations == 1
+    assert np.array_equal(sol.min_margins, maxdet.check_point(p, sol.x))
+    assert np.min(sol.min_margins) < maxdet.SolverOptions().strict_margin
+
+
+def test_phase1_is_infeasible_only_when_its_last_stage_converged(
+        monkeypatch):
+    # a path that passes MU_MAX below the target is Infeasible if its last
+    # stage converged, and undecided (MaxIter) if it did not, however few
+    # steps it took
+    newton = maxdet._newton
+    for converged, status in [(True, maxdet.INFEASIBLE),
+                              (False, maxdet.MAXITER)]:
+        def reporting_newton(*a, c=converged, **k):
+            x, point, steps, residual, _, stopped = newton(*a, **k)
+            return x, point, steps, residual, c, stopped
+
+        monkeypatch.setattr(maxdet, "_newton", reporting_newton)
+        sol = maxdet.solve_feasibility(empty_interior_problem())
+        assert sol.status == status
+        assert sol.iterations < maxdet.SolverOptions().max_newton
+
+
 def test_no_maxiter_below_cap_on_canonical_designs(monkeypatch):
     # a final stage that stalls at float noise has converged and must not
     # read MaxIter; with a per-block barrier the k = 32 window of this run
@@ -462,7 +496,7 @@ def test_newton_factors_each_point_once(monkeypatch):
     monkeypatch.setattr(maxdet, "MU_MAX", 1.7)
     mus = []
     del builds[:], chols[:]
-    z, total, _, finished = maxdet._path(
+    z, total, _, finished, _ = maxdet._path(
         barrier, np.array([0.9]), lambda mu: np.array([1.0 / mu]), 500,
         stage=lambda total, mu, z: mus.append(mu))
     assert finished and len(mus) == 6

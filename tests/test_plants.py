@@ -122,6 +122,20 @@ def test_piecewise_file_linear(tmp_path):
     assert abs(a[0, 0] - 0.5) < 1e-12
 
 
+def test_piecewise_file_line_breaks_do_not_matter(tmp_path):
+    # one nx = 2 knot on one line, and on 1 + 2 nx lines, read the same
+    knot = ["0", "1.1 0.1", "0.1 0.2", "1 0", "0 1"]
+    plants_read = []
+    for sep in (" ", "\n"):
+        path = tmp_path / ("plant%d.txt" % len(plants_read))
+        path.write_text("2 2 1 hold\n" + sep.join(knot) + "\n")
+        plants_read.append(plants.PiecewiseFilePlant(str(path)))
+    for p in plants_read:
+        a, b = p.eval(3)
+        assert np.array_equal(a, [[1.1, 0.1], [0.1, 0.2]])
+        assert np.array_equal(b, np.eye(2))
+
+
 def test_make_plant_factory():
     p = plants.make_plant("switching", {"p": 12, "ell": 2.5})
     assert isinstance(p, plants.SwitchingPlant)
