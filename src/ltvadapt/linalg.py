@@ -1,23 +1,25 @@
 """Dense small-matrix kernels used across the package.
 
 Everything here assumes tiny matrices (dimension well below 100). The
-symmetric eigensolvers are LAPACK's; the pseudoinverse, the psd square root
-and pseudoinverse square root, the spectral norm, the positive definite
-inverse and inverse square root, and the generalized-eigenvalue extremes
-are built on them. The pseudoinverse and the psd roots map eigenvalues
-through one form, (v * d) v^T; both positive definite kernels reject a
-matrix by one rule, `_pd_eig`'s. The module also holds input validation.
+symmetric eigensolvers and the singular value decomposition are LAPACK's;
+the pseudoinverse, the psd square root and pseudoinverse square root, the
+spectral norm, the positive definite inverse and inverse square root, and
+the generalized-eigenvalue extremes are built on the eigensolvers. The
+pseudoinverse and the psd roots map eigenvalues through one form,
+(v * d) v^T; both positive definite kernels reject a matrix by one rule,
+`_pd_eig`'s. The module also holds input validation.
 
 LAPACK is called through numpy's gufuncs (`numpy.linalg._umath_linalg`:
-eigh_lo for `sym_eig`, eigvalsh_lo for `eigvalsh`), the calls numpy.linalg's
-eigh and eigvalsh make, so every result is the same bit for bit; their
-wrapper (array conversion, type dispatch, an error-state context) costs
-more than LAPACK does at these sizes. The gufunc module is private to
-numpy, and only numpy 2.4.6 has been run. A gufunc call that fails returns
-its output filled with NaN, so a NaN eigenvalue raises LinAlgError, as
-np.linalg does; the failed call also sets the floating-point invalid flag,
-which numpy first reports as a RuntimeWarning under the caller's error
-state. `maxdet` calls its gufuncs through the same import.
+eigh_lo for `sym_eig`, eigvalsh_lo for `eigvalsh`, svd_f for `svd`), the
+calls numpy.linalg's eigh, eigvalsh and svd make, so every result is the
+same bit for bit; their wrapper (array conversion, type dispatch, an
+error-state context) costs more than LAPACK does at these sizes. The
+gufunc module is private to numpy, and only numpy 2.4.6 has been run. A
+gufunc call that fails returns its output filled with NaN, so a NaN
+eigenvalue or singular value raises LinAlgError, as np.linalg does; the
+failed call also sets the floating-point invalid flag, which numpy first
+reports as a RuntimeWarning under the caller's error state. `maxdet`
+calls its gufuncs through the same import.
 """
 
 import math
@@ -98,6 +100,14 @@ def sym_eig(s):
     """
     w, v = _lapack.eigh_lo(symmetrize(s))
     return _checked(w), v
+
+
+def svd(a):
+    """Singular value decomposition a = u diag(s) vh with square u and vh,
+    by LAPACK (bit for bit numpy.linalg.svd); s is descending. The input
+    is not validated."""
+    u, s, vh = _lapack.svd_f(a, signature="d->ddd")
+    return u, _checked(s), vh
 
 
 def spectral_norm(m):

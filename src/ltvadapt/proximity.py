@@ -9,8 +9,9 @@ inflation utilities.
 
 The noise bound may be a stack of bounds along a leading axis, one per
 inflation level: `inflated` forms the stack with S^-1 taken once,
-`ellipsoid_params` then forms M, M^+ and Zc once with one Delta per level,
-and `is_nonempty` and `sample_members` take the whole stack of Delta.
+`ellipsoid_params` then forms M, the SVD of Z and Zc once with one Delta
+per level, and `is_nonempty` and `sample_members` take the whole stack of
+Delta.
 Each level's result equals bit for bit that of a call on the level alone.
 """
 
@@ -19,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -31,15 +34,23 @@ class EllipsoidParams:
 def ellipsoid_params(w, F):
     """Center and shape matrices of the consistency set of window w.
 
-    F may be a stack of noise bounds along a leading axis; M, its
-    pseudoinverse and Zc are then formed once, and Delta is the stack
-    (X Z^T M^+ Z X^T - X X^T) + F_l, one matrix per bound."""
+    One SVD Z = U diag(s) V^T gives M^+ = U diag(s^-2) U^T on the singular
+    values M's pseudoinverse keeps (s^2 > n * eps * s_max^2, n = nx + nu),
+    Zc = M^+ Z X^T = U diag(1/s) V^T X^T over them, and an orthonormal
+    basis N of ker Z, the other columns of V. Then I - Z^T M^+ Z = N N^T,
+    and Delta = F - (X N)(X N)^T holds no cancellation of terms of size
+    |X|^2; when Z has full column rank N is empty and Delta is F bit for
+    bit. F may be a stack of noise bounds along a leading axis; M, the SVD
+    and Zc are then formed once, and Delta is the stack, one matrix per
+    bound."""
     F = linalg.symmetrize(linalg.as_matrix(F, (w.nx, w.nx)))
     z = w.z_matrix()
     m = linalg.symmetrize(z @ z.T)
-    m_pinv = linalg.pinv(m)
-    zc = m_pinv @ z @ w.X.T
-    delta = w.X @ z.T @ m_pinv @ z @ w.X.T - w.X @ w.X.T + F
+    u, s, vh = linalg.svd(z)
+    rank = int(np.count_nonzero(s * s > len(z) * _EPS * s[0] * s[0]))
+    zc = (u[:, :rank] / s[:rank]) @ (vh[:rank] @ w.X.T)
+    xn = w.X @ vh[rank:].T
+    delta = F - xn @ xn.T
     return EllipsoidParams(M=m, Zc=zc, Delta=linalg.symmetrize(delta))
 
 

@@ -40,6 +40,16 @@ def test_sym_eig_matches_numpy(n, seed):
     assert np.allclose(v @ v.T, np.eye(n), atol=1e-10)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 7), st.integers(0, 10 ** 6))
+def test_svd_is_numpys(rows, cols, seed):
+    a = np.random.default_rng(seed).standard_normal((rows, cols))
+    got = linalg.svd(a)
+    want = np.linalg.svd(a)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
 def test_pinv_scalar():
     assert np.allclose(linalg.pinv(np.array([[1.25]])), [[0.8]], atol=1e-14)
 

@@ -99,6 +99,29 @@ def test_direct_and_ellipsoid_tests_agree(seed):
             proximity.contains_ellipsoid(par, zh)
 
 
+def test_delta_is_exact_at_full_column_rank():
+    # a square regressor of full rank leaves ker Z = {0}, so Delta is F bit
+    # for bit, even with |X|^2 about 1e4 against a bound of 1e-8; a wide
+    # one matches F - X (I - Z^+ Z) X^T and Zc = (Z^+)^T X^T
+    rng = np.random.default_rng(3)
+    for width in (4, 4, 7):
+        w = _random_full_rank_window(rng, nx=3, nu=1, width=width)
+        w = DataWindow(kappa=w.kappa, Xhat=100.0 * w.Xhat, X=100.0 * w.X,
+                       U=w.U)
+        F = proximity.inflated(1e-8 * np.eye(3), np.eye(3),
+                               np.array([0.0, 1e-9]))
+        par = proximity.ellipsoid_params(w, F)
+        z = w.z_matrix()
+        z_pinv = np.linalg.pinv(z)
+        assert np.allclose(par.Zc, z_pinv.T @ w.X.T, rtol=1e-9, atol=1e-12)
+        if width == 4:
+            assert par.Delta.tobytes() == F.tobytes()
+        else:
+            ref = F - w.X @ (np.eye(width) - z_pinv @ z) @ w.X.T
+            assert np.allclose(par.Delta, ref, rtol=1e-9,
+                               atol=1e-9 * np.max(np.abs(ref)))
+
+
 def test_sampled_members_are_members():
     rng = np.random.default_rng(5)
     w = _random_full_rank_window(rng)

@@ -363,7 +363,7 @@ def test_verify_property_equals_per_level_kernel_on_canonical_bundles():
             n_bundles += 1
             n_vacuous += rep.vacuous
     # every bundle of the canonical runs, the vacuous ones included
-    assert n_bundles == 77 and n_vacuous == 4
+    assert n_bundles == 77 and n_vacuous == 2
 
 
 def test_verify_property_per_level_kernel_on_three_states():
