@@ -11,10 +11,23 @@ once per solve, with one barrier weight per row: phase I adds the margin
 variable t as a -t I column over every block and its cap t < t_cap as one
 more 1x1 block, phase II a copy of the determinant block. One path routine
 runs both phases: a stage only changes the weights, and one Newton routine
-minimizes every stage. A stage has converged when its Newton decrement
-reaches NEWTON_TOL or when an accepted step decreases the objective only at
+minimizes every stage. The stages are centred to two tolerances. The last
+stage, mu = MU_MAX, has converged when its Newton decrement reaches
+NEWTON_TOL or when an accepted step decreases the objective only at
 float-noise level; the maximization is Optimal when the path reached MU_MAX
-and its last stage converged. Each Newton point costs one matrix build and
+and that stage converged. Every earlier stage ends once its mu-normalized
+decrement is at most CENTERING_TOL / sqrt(mu) (or at float noise). That is
+a decrement of CENTERING_TOL = 0.1 for mu times the stage objective, which
+is self-concordant in both phases (the barrier plus a linear term, or plus
+mu >= 1 times -log det), and so a point in Newton's quadratic region whose
+objective is within 0.01 of the stage's centre (Boyd & Vandenberghe,
+Convex Optimization, sec. 9.6 and 11.5; Vandenberghe, Boyd & Wu, SIAM J.
+Matrix Anal. Appl. 1998, for MAXDET). Such a point serves the next stage
+as a warm start as well as the exact centre would, and no other use is
+made of it: the solution, its margins and the m/mu gap are read only at
+the last stage's point, centred as tightly as before. The step counts
+(`iterations`, `max_newton`) are of Newton steps taken, so a stage that
+starts centred costs nothing. Each Newton point costs one matrix build and
 one Cholesky factorization: the line search's F(x), its factor and the
 barrier value feed the next gradient and Hessian, and a new stage starts
 from the previous stage's F(x) and factor, recomputing only the barrier
@@ -72,12 +85,15 @@ INFEASIBLE = "Infeasible"
 MAXITER = "MaxIter"
 
 # barrier path: weights 1/mu for mu = MU_INIT, MU_INIT * MU_FACTOR, ...,
-# MU_MAX; a stage stops when the Newton decrement (affine-invariant
-# residual of the barrier subproblem) drops below NEWTON_TOL
+# MU_MAX; the last stage stops when the Newton decrement (affine-invariant
+# residual of the barrier subproblem) drops below NEWTON_TOL, every earlier
+# stage when the decrement of mu times its objective, the self-concordant
+# stage function, drops below CENTERING_TOL
 MU_INIT = 1.0
 MU_MAX = 1e6
 MU_FACTOR = 10.0
 NEWTON_TOL = 1e-8
+CENTERING_TOL = 0.1
 # an accepted step that decreases the stage objective by at most this
 # relative amount is at float-noise level
 _NOISE = 4.0 * np.finfo(float).eps
@@ -283,7 +299,9 @@ def _newton(barrier, x, max_steps, tol, early_stop=None, point=None):
     Returns (x, point, steps, decrement, converged, stopped) with point =
     barrier.point(x) at the returned x. The stage converges when the Newton
     decrement reaches tol or when the accepted decrease is at float-noise
-    level, so that no further progress is representable; it stops, and
+    level, so that no further progress is representable; `_path` passes
+    NEWTON_TOL for its last stage and the looser CENTERING_TOL / sqrt(mu),
+    for a point it uses only as a warm start, for every other. It stops, and
     reports stopped, when early_stop(x, point) holds after an accepted step.
     F, its factor and the value at an accepted point come from the line
     search, so every point is factored once; a point passed in, the previous
@@ -352,11 +370,16 @@ def _margin_reached(z, f, target):
 def _path(barrier, z, weights, budget, reached=None, stage=None):
     """Barrier path from z: one Newton stage per mu = MU_INIT, ...,
     MU_MAX with barrier weights(mu), within budget steps in total. Each
-    stage starts from the previous stage's factored point. A stage ends
-    early, and the path stops, at an accepted point where
-    reached(z, point) holds; stage(total, mu, z) runs after each stage.
-    Returns (z, steps, the last stage's Newton decrement, whether the path
-    passed MU_MAX and its last stage converged, whether it stopped).
+    stage starts from the previous stage's factored point. The last stage
+    (mu * MU_FACTOR > MU_MAX) is centred to NEWTON_TOL, every earlier one
+    only to CENTERING_TOL / sqrt(mu): its point is used only as the next
+    stage's start, and a decrement of CENTERING_TOL for mu times the
+    self-concordant stage objective already lies in Newton's quadratic
+    region. A stage ends early, and the path stops, at an accepted point
+    where reached(z, point) holds; stage(total, mu, z) runs after each
+    stage. Returns (z, the Newton steps taken, the last stage's Newton
+    decrement, whether the path passed MU_MAX and its last stage
+    converged, whether it stopped).
     """
     total = 0
     mu = MU_INIT
@@ -365,9 +388,11 @@ def _path(barrier, z, weights, budget, reached=None, stage=None):
     point = None
     while mu <= MU_MAX and total < budget:
         barrier.weights = weights(mu)
+        tol = NEWTON_TOL if mu * MU_FACTOR > MU_MAX else \
+            CENTERING_TOL / math.sqrt(mu)
         z, point, steps, residual, converged, stopped = _newton(
-            barrier, z, budget - total, NEWTON_TOL, reached, point)
-        total += max(steps, 1)
+            barrier, z, budget - total, tol, reached, point)
+        total += steps
         if stage is not None:
             stage(total, mu, z)
         mu *= MU_FACTOR

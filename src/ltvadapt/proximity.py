@@ -80,11 +80,18 @@ def dtilde(w, MA, MB):
     return np.concatenate([MA, MB], axis=-1) @ w.z_matrix() - w.X
 
 
+def _gram(d):
+    """d d^T, or that of each matrix of a stack. A residual too large to
+    square overflows to inf or NaN without a warning; the kernels that then
+    take the matrix reject it with InvalidInput."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return d @ np.swapaxes(d, -2, -1)
+
+
 def contains(w, F, MA, MB, tol=None):
     """Whether (MA, MB) lies in the consistency set of (w, F); an array of
     flags, one per pair, when MA and MB are stacks of pairs."""
-    d = dtilde(w, MA, MB)
-    return _psd(F - d @ np.swapaxes(d, -2, -1), tol)
+    return _psd(F - _gram(dtilde(w, MA, MB)), tol)
 
 
 def membership_quadratic(params, zhat):
@@ -105,8 +112,8 @@ def min_inflation(w, F, S, A_true, B_true):
     to the float a single call returns. S^-1 is formed once either way.
     """
     S = linalg.as_matrix(S, (w.nx, w.nx))
-    d = dtilde(w, A_true, B_true)
-    gap = d @ np.swapaxes(d, -2, -1) - linalg.as_matrix(F, (w.nx, w.nx))
+    gap = _gram(dtilde(w, A_true, B_true)) - \
+        linalg.as_matrix(F, (w.nx, w.nx))
     s_inv = linalg.pd_inverse(S)
     # a NaN clamps to 0 as well, as max(0.0, nan) does
     eps = np.asarray(linalg.gen_eig_max(gap, s_inv))

@@ -295,6 +295,21 @@ def test_finite_huge_state_is_reported_without_overflow(tmp_path):
         monitor.default_rates(traj, plant)
 
 
+
+def test_diagnostics_of_a_huge_finite_last_state_decline(tmp_path, caplog):
+    # the run ends Diverged on a finite state of about 1e305 with a
+    # certified segment behind it; the terminal-set test's d d^T overflows,
+    # which must not warn (RuntimeWarnings are errors in this suite), and the
+    # non-finite matrix declines the diagnostics
+    plant = ExplodingPlant(1e300, 12)
+    scen = hybrid.ScenarioConfig(mode="time", horizon=40, seed=1, n_p=8,
+                                 x0=np.array([1e5, 1e5]))
+    traj, paths = cli.run_scenario(plant, scen, str(tmp_path / "huge"))
+    assert traj.status == hybrid.DIVERGED
+    assert np.isfinite(traj.records[-1].x).all()
+    assert "diagnostics" not in paths
+    assert "diagnostics unavailable" in caplog.text
+
 # --- the artifact writers against the writers they replaced ----------------
 
 

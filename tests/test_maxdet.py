@@ -348,6 +348,91 @@ def test_no_maxiter_below_cap_on_canonical_designs(monkeypatch):
             if s.status == maxdet.MAXITER and s.iterations < cap] == []
 
 
+def recording_stages(monkeypatch):
+    """Replace maxdet._newton by a wrapper that records each stage's
+    (tol, decrement, converged, stopped)."""
+    newton = maxdet._newton
+    stages = []
+
+    def recording_newton(barrier, x, max_steps, tol, *args):
+        out = newton(barrier, x, max_steps, tol, *args)
+        stages.append((tol, out[3], out[4], out[5]))
+        return out
+
+    monkeypatch.setattr(maxdet, "_newton", recording_newton)
+    return stages
+
+
+def test_intermediate_stages_end_at_the_centering_tolerance(monkeypatch):
+    # a path that runs every stage, mu = 1, 10, ..., 1e6: each stage below
+    # MU_MAX ends at decrement 0.1 / sqrt(mu), the last one at NEWTON_TOL;
+    # phase I on an empty interior, phase II on a design problem
+    stages = recording_stages(monkeypatch)
+    mus = [10.0 ** i for i in range(7)]
+    want = [maxdet.CENTERING_TOL / np.sqrt(mu) for mu in mus[:-1]] + \
+        [maxdet.NEWTON_TOL]
+    assert maxdet.CENTERING_TOL == 0.1
+    sol = maxdet.solve_feasibility(empty_interior_problem())
+    assert sol.status == maxdet.INFEASIBLE
+    phase1 = stages[:]
+    del stages[:]
+    sol = maxdet.solve_maxdet(design_problem())
+    assert sol.status == maxdet.OPTIMAL
+    phase2 = stages[-7:]
+    for path in (phase1, phase2):
+        assert [tol for tol, _, _, _ in path] == want
+        for tol, decrement, converged, stopped in path:
+            assert converged and not stopped and decrement <= tol
+    assert sol.kkt_residual == phase2[-1][1] <= maxdet.NEWTON_TOL
+
+
+def fully_centred(monkeypatch, solve, problem):
+    """solve(problem) on a path whose every stage is centred at least to
+    NEWTON_TOL, since CENTERING_TOL / sqrt(mu) <= NEWTON_TOL at mu >= 1."""
+    with monkeypatch.context() as m:
+        m.setattr(maxdet, "CENTERING_TOL", maxdet.NEWTON_TOL)
+        return solve(problem)
+
+
+def test_loose_centring_keeps_verdicts_and_solutions(monkeypatch):
+    # only the last stage's point is used, and it is centred as tightly
+    # either way: phase-I verdicts and maxdet statuses are the same as on a
+    # fully centred path, and an Optimal x agrees to 1e-6 relative (2.2e-8
+    # at most over the 77 adopted canonical windows); on the small problems
+    # and on the design windows of two canonical runs, adopted and declined
+    runs = [s for s in verification.canonical_scenarios()
+                 if s[0] in ("switching-event", "time-np12-s1")]
+    solve = maxdet.solve_maxdet
+    problems = [one_var_det_problem(), design_problem()]
+
+    def recording_solve(problem, opts=None):
+        problems.append(problem)
+        return solve(problem, opts)
+
+    with monkeypatch.context() as m:
+        m.setattr(maxdet, "solve_maxdet", recording_solve)
+        for _, plant, cfg in runs:
+            hybrid.run(plant, cfg)
+    statuses = set()
+    for p in problems + [empty_interior_problem()]:
+        got = maxdet.solve_feasibility(p)
+        ref = fully_centred(monkeypatch, maxdet.solve_feasibility, p)
+        assert got.status == ref.status
+        statuses.add(got.status)
+    assert statuses == {maxdet.FEASIBLE, maxdet.INFEASIBLE}
+    statuses = set()
+    for p in problems:
+        got = maxdet.solve_maxdet(p)
+        ref = fully_centred(monkeypatch, maxdet.solve_maxdet, p)
+        assert got.status == ref.status
+        assert got.iterations < ref.iterations
+        if got.status == maxdet.OPTIMAL:
+            assert np.linalg.norm(got.x - ref.x) <= \
+                1e-6 * np.linalg.norm(ref.x)
+        statuses.add(got.status)
+    assert statuses == {maxdet.OPTIMAL, maxdet.INFEASIBLE}
+
+
 def test_early_stop_matches_min_of_check_point():
     # the phase-I early stop factors the phase-I matrix at z = (x, t),
     # shifted to (x, target); it must decide what the minimum margin decides
