@@ -297,10 +297,10 @@ def test_finite_huge_state_is_reported_without_overflow(tmp_path):
 
 
 def test_diagnostics_of_a_huge_finite_last_state_decline(tmp_path, caplog):
-    # the run ends Diverged on a finite state of about 1e305 with a
-    # certified segment behind it; the terminal-set test's d d^T overflows,
-    # which must not warn (RuntimeWarnings are errors in this suite), and the
-    # non-finite matrix declines the diagnostics
+    # the run ends Diverged on a finite state of about 1e305; the
+    # terminal-set test's d d^T overflows, which must not warn
+    # (RuntimeWarnings are errors in this suite), and the non-finite matrix
+    # declines the diagnostics
     plant = ExplodingPlant(1e300, 12)
     scen = hybrid.ScenarioConfig(mode="time", horizon=40, seed=1, n_p=8,
                                  x0=np.array([1e5, 1e5]))

@@ -401,7 +401,7 @@ def test_loose_centring_keeps_verdicts_and_solutions(monkeypatch):
     # at most over the 77 adopted canonical windows); on the small problems
     # and on the design windows of two canonical runs, adopted and declined
     runs = [s for s in verification.canonical_scenarios()
-                 if s[0] in ("switching-event", "time-np12-s1")]
+            if s[0] in ("switching-event", "time-np12-s1")]
     solve = maxdet.solve_maxdet
     problems = [one_var_det_problem(), design_problem()]
 
