@@ -117,8 +117,8 @@ def _symmetry_nullspace(xhat):
     cmat[rows, :, c] += xhat[r]
     cmat[rows, :, r] -= xhat[c]
     cmat = cmat.reshape(r.size, t * nx)
-    _, sig, vt = np.linalg.svd(cmat)
-    tol = max(cmat.shape) * np.finfo(float).eps * (sig[0] if sig.size else 0.0)
+    _, sig, vt = linalg.svd(cmat)
+    tol = max(cmat.shape) * np.finfo(float).eps * sig[0]
     rank = int(np.sum(sig > tol))
     return vt[rank:].reshape(-1, t, nx)
 
