@@ -2,12 +2,12 @@
 
 Everything here assumes tiny matrices (dimension well below 100). The
 symmetric eigensolvers and the singular value decomposition are LAPACK's;
-the pseudoinverse, the psd square root and pseudoinverse square root, the
-spectral norm, the positive definite inverse and inverse square root, and
-the generalized-eigenvalue extremes are built on the eigensolvers. The
-pseudoinverse and the psd roots map eigenvalues through one form,
-(v * d) v^T; both positive definite kernels reject a matrix by one rule,
-`_pd_eig`'s. The module also holds input validation.
+the pseudoinverse, the psd square root, the spectral norm, the positive
+definite inverse and inverse square root, and the generalized-eigenvalue
+extremes are built on the eigensolvers. The pseudoinverse and the psd
+square root map eigenvalues through one form, (v * d) v^T; both positive
+definite kernels reject a matrix by one rule, `_pd_eig`'s. The module also
+holds input validation.
 
 LAPACK is called through numpy's gufuncs (`numpy.linalg._umath_linalg`:
 eigh_lo for `sym_eig`, eigvalsh_lo for `eigvalsh`, svd_f for `svd`), the
@@ -147,17 +147,6 @@ def psd_sqrt(m):
     leading axis; negative eigenvalues count as zero."""
     w, v = sym_eig(m)
     return _eig_map(v, np.sqrt(np.clip(w, 0.0, None)))
-
-
-def psd_pinv_sqrt(m):
-    """Pseudoinverse square root of a psd matrix, or of each matrix of a
-    stack along a leading axis; eigenvalues up to n * eps * lambda_max
-    count as zero."""
-    w, v = sym_eig(m)
-    tol = max(m.shape[-2:]) * _EPS * np.maximum(w[..., -1:], 0.0)
-    w = np.clip(w, 0.0, None)
-    return _eig_map(v, np.where(
-        w > tol, 1.0 / np.maximum(np.sqrt(w), 1e-300), 0.0))
 
 
 def _pd_eig(s):

@@ -14,12 +14,9 @@ a design problem has m = 4 nx + T + 2 rows, 14 at nx = nu = 2 (T = nx +
 nu) and at most 100 while nx <= 16 and nu <= nx. Phase I starts at t0 =
 min margin - 1, a slack of at least 1 on every row, so a stage with
 m / mu > 1 has its centre at or below the start and can only move t away
-from the target (on the canonical windows, a path from mu = 1 takes t
-from its start at -1 down to about -13.4 in its first stage, and its
-second stage brings it back to about -1.05). mu = 100 is the first stage
-of the grid that moves toward the target. Phase II shares the start,
-which saves it steps as well; a start at 1000 costs phase II more steps
-than it saves.
+from the target. mu = 100 is the first stage of the grid that moves
+toward the target. Phase II shares the start, which saves it steps as
+well; a start at 1000 costs phase II more steps than it saves.
 
 Both phases stack their blocks into one block-diagonal affine map, built
 once per solve, with one barrier weight per row: phase I adds the margin
@@ -103,15 +100,8 @@ MAXITER = "MaxIter"
 # MU_MAX; the last stage stops when the Newton decrement (affine-invariant
 # residual of the barrier subproblem) drops below NEWTON_TOL, every earlier
 # stage when the decrement of mu times its objective, the self-concordant
-# stage function, drops below CENTERING_TOL. The path starts at mu = 100:
-# at the centre of stage mu each of the m barrier rows has a slack of about
-# m / mu (a design problem has m = 4 nx + T + 2 rows in phase I: 14 at
-# nx = nu = 2, at most 100 while nx <= 16 and nu <= nx), and phase I
-# starts every row at a slack of at least 1, so a stage with m / mu > 1
-# centres at or below its start and only moves away from the target;
-# mu = 100 is the first stage of the grid that moves toward it. Phase II
-# shares the start, which saves it steps too (a start of 1000 costs it
-# more than it saves).
+# stage function, drops below CENTERING_TOL. Why MU_INIT is 100: module
+# docstring.
 MU_INIT = 100.0
 MU_MAX = 1e6
 MU_FACTOR = 10.0
@@ -393,11 +383,8 @@ def _margin_reached(z, f, target):
 def _path(barrier, z, weights, budget, reached=None, stage=None):
     """Barrier path from z: one Newton stage per mu = MU_INIT (100),
     MU_INIT * MU_FACTOR, ..., MU_MAX with barrier weights(mu), within
-    budget steps in total. The start is the first mu of the grid at least
-    m, the number of barrier rows, on the design problems up to nx = 16: a
-    stage with m / mu > 1 centres below phase I's start and only moves away
-    from the target (module docstring). Each stage starts from the previous
-    stage's factored point. The last stage (mu * MU_FACTOR > MU_MAX) is
+    budget steps in total (why the path starts at 100: module docstring).
+    Each stage starts from the previous stage's factored point. The last stage (mu * MU_FACTOR > MU_MAX) is
     centred to NEWTON_TOL, every earlier one only to CENTERING_TOL /
     sqrt(mu): its point is used only as the next stage's start, and a
     decrement of CENTERING_TOL for mu times the self-concordant stage

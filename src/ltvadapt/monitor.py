@@ -163,8 +163,10 @@ class DiagnosticsReport:
     records: list
 
 
-def default_rates(traj, plant, c_sigma=0.1):
-    """A (lambda_c, lambda_d) pair that dominates the observed factors."""
+def default_rates(traj, plant, c_sigma):
+    """A (lambda_c, lambda_d) pair that dominates the observed factors;
+    c_sigma is the trigger threshold the run used (its
+    `ScenarioConfig.c_sigma`)."""
     walk = _walk(traj, plant, c_sigma)
     lam_c = min(float(np.max(walk.sig)), 1.0)
     return lam_c, max([lam_c, *walk.theta[~walk.in_T1].tolist(),
@@ -184,11 +186,12 @@ def _rebuild_window(traj, idx, width):
                       U=np.column_stack([r.u for r in seg[:-1]]))
 
 
-def thm_diagnostics(traj, lambda_c, lambda_d, plant, c_sigma=0.1):
+def thm_diagnostics(traj, lambda_c, lambda_d, plant, c_sigma):
     """Long-run rate fit plus the terminal-set membership check.
 
     lambda_c is the in-C1 contraction rate, lambda_d dominates the other
-    per-step and per-jump factors. The fitted envelope satisfies
+    per-step and per-jump factors, and c_sigma is the run's trigger
+    threshold, as `default_rates` takes it. The fitted envelope satisfies
     lhs <= m1 - m2 (k + j) with m2 >= 0 over the monitored segment.
     """
     if not 0.0 < lambda_c <= 1.0 or lambda_d < lambda_c:

@@ -5,14 +5,18 @@ consistency set collects the stacked transposed pairs Zhat = [A B]^T whose
 one-step residual satisfies ([A B] Z - X)([A B] Z - X)^T <= F. The same
 set has an ellipsoidal description centered at Zc with shape matrices
 (M, Delta); both forms are implemented here together with sampling and
-inflation utilities.
+inflation utilities. One SVD of Z gives Zc, ker Z and the root M^(+1/2)
+that sampling maps through, so Z's rank is cut in one place.
 
-The noise bound may be a stack of bounds along a leading axis, one per
-inflation level: `inflated` forms the stack with S^-1 taken once,
-`ellipsoid_params` then forms M, the SVD of Z and Zc once with one Delta
-per level, and `is_nonempty` and `sample_members` take the whole stack of
-Delta.
-Each level's result equals bit for bit that of a call on the level alone.
+Every function takes stacks along a leading axis. The noise bound may be a
+stack of bounds, one per inflation level: `inflated` forms the stack with
+S^-1 taken once, `ellipsoid_params` then forms M, the SVD of Z and Zc once
+with one Delta per level, and `is_nonempty` and `sample_members` take the
+whole stack of Delta. The candidate pairs of `dtilde`, `contains`,
+`membership_quadratic`, `contains_ellipsoid` and `min_inflation` may be a
+stack as well.
+Each level's or candidate's result equals bit for bit that of a call on it
+alone.
 """
 
 from dataclasses import dataclass
@@ -29,6 +33,7 @@ class EllipsoidParams:
     M: np.ndarray
     Zc: np.ndarray
     Delta: np.ndarray
+    M_pinv_sqrt: np.ndarray
 
 
 def ellipsoid_params(w, F):
@@ -36,22 +41,24 @@ def ellipsoid_params(w, F):
 
     One SVD Z = U diag(s) V^T gives M^+ = U diag(s^-2) U^T on the singular
     values M's pseudoinverse keeps (s^2 > n * eps * s_max^2, n = nx + nu),
-    Zc = M^+ Z X^T = U diag(1/s) V^T X^T over them, and an orthonormal
-    basis N of ker Z, the other columns of V. Then I - Z^T M^+ Z = N N^T,
-    and Delta = F - (X N)(X N)^T holds no cancellation of terms of size
-    |X|^2; when Z has full column rank N is empty and Delta is F bit for
-    bit. F may be a stack of noise bounds along a leading axis; M, the SVD
-    and Zc are then formed once, and Delta is the stack, one matrix per
-    bound."""
+    Zc = M^+ Z X^T = U diag(1/s) V^T X^T and M^(+1/2) = U diag(1/s) U^T
+    over them, and an orthonormal basis N of ker Z, the other columns of
+    V. Then I - Z^T M^+ Z = N N^T, and Delta = F - (X N)(X N)^T holds no
+    cancellation of terms of size |X|^2; when Z has full column rank N is
+    empty and Delta is F bit for bit. F may be a stack of noise bounds
+    along a leading axis; M, the SVD, Zc and M^(+1/2) are then formed once,
+    and Delta is the stack, one matrix per bound."""
     F = linalg.symmetrize(linalg.as_matrix(F, (w.nx, w.nx)))
     z = w.z_matrix()
     m = linalg.symmetrize(z @ z.T)
     u, s, vh = linalg.svd(z)
     rank = int(np.count_nonzero(s * s > len(z) * _EPS * s[0] * s[0]))
-    zc = (u[:, :rank] / s[:rank]) @ (vh[:rank] @ w.X.T)
+    u_inv = u[:, :rank] / s[:rank]
+    zc = u_inv @ (vh[:rank] @ w.X.T)
     xn = w.X @ vh[rank:].T
     delta = F - xn @ xn.T
-    return EllipsoidParams(M=m, Zc=zc, Delta=linalg.symmetrize(delta))
+    return EllipsoidParams(M=m, Zc=zc, Delta=linalg.symmetrize(delta),
+                           M_pinv_sqrt=u_inv @ u[:, :rank].T)
 
 
 def _psd(m, tol=None):
@@ -95,12 +102,16 @@ def contains(w, F, MA, MB, tol=None):
 
 
 def membership_quadratic(params, zhat):
-    """Delta - (zhat - Zc)^T M (zhat - Zc), psd iff zhat is a member."""
+    """Delta - (zhat - Zc)^T M (zhat - Zc), psd iff zhat is a member; one
+    matrix per candidate when zhat is a stack of them."""
     diff = np.asarray(zhat, dtype=float) - params.Zc
-    return linalg.symmetrize(params.Delta - diff.T @ params.M @ diff)
+    return linalg.symmetrize(
+        params.Delta - np.swapaxes(diff, -2, -1) @ params.M @ diff)
 
 
 def contains_ellipsoid(params, zhat):
+    """Whether zhat lies in the ellipsoidal form of the set; an array of
+    flags, one per candidate, when zhat is a stack of them."""
     return _psd(membership_quadratic(params, zhat))
 
 
@@ -143,11 +154,10 @@ def sample_members(params, num_samples, rng):
     Returns an array of shape (num_samples, rows, cols). When Delta is a
     stack of L levels, each level draws its normal block and then its
     radii, level by level, and the result has shape
-    (L * num_samples, rows, cols), level after level; M^(+1/2) is formed
-    once and the spectral norms of all draws come from one stacked
-    eigenvalue call.
+    (L * num_samples, rows, cols), level after level; the spectral norms
+    of all draws come from one stacked eigenvalue call. M^(+1/2) is the
+    one `ellipsoid_params` took from the SVD of Z.
     """
-    m_pinv_sqrt = linalg.psd_pinv_sqrt(params.M)
     d_sqrt = linalg.psd_sqrt(params.Delta)
     rows, cols = params.Zc.shape
     d_stack = d_sqrt.reshape(-1, cols, cols)
@@ -163,6 +173,6 @@ def sample_members(params, num_samples, rng):
     s = np.sqrt(np.maximum(linalg.eigvalsh(gram)[:, -1], 0.0))
     # a zero block stays zero, as the radius scaling would leave it
     scale = np.divide(r, s, out=np.zeros(len(g)), where=s > 0.0)
-    v = (m_pinv_sqrt @ (scale[:, None, None] * g)).reshape(
+    v = (params.M_pinv_sqrt @ (scale[:, None, None] * g)).reshape(
         len(d_stack), num_samples, rows, cols)
     return (params.Zc + v @ d_stack[:, None]).reshape(-1, rows, cols)

@@ -127,30 +127,35 @@ def suite_lemma3():
             "%d windows, worst residual ratio %.3g" % (n_win, worst))
 
     # direct set test (mismatch bound) and data-based ellipsoid test must
-    # agree on randomly drawn candidate plant matrices
-    mism = 0
-    n_samp = 0
+    # agree on one stack of candidate plant matrices per set: half are
+    # sampled members scaled about Zc by 0.9 or 1.1, so that they fall on
+    # both sides of the boundary, the rest (all of an empty set's) are
+    # standard normal
+    mism = members = n_samp = 0
     for name, plant, cfg, traj in canonical_runs():
         if cfg.mode != hybrid.EVENT_TRIGGERED:
             continue
         for b in [e.new_bundle for e in traj.episodes]:
             w, F = b.window, b.F
             par = proximity.ellipsoid_params(w, F)
-            nonempty = proximity.is_nonempty(par)
-            for _ in range(500):
-                if rng.uniform() < 0.5 and nonempty:
-                    zh = proximity.sample_members(par, 1, rng)[0]
-                    zh = zh + 0.05 * rng.standard_normal(zh.shape)
-                else:
-                    zh = rng.standard_normal((w.nx + w.nu, w.nx))
-                ma = zh[:w.nx, :].T
-                mb = zh[w.nx:, :].T
-                direct = proximity.contains(w, F, ma, mb)
-                quad = proximity.contains_ellipsoid(par, zh)
-                mism += int(direct != quad)
-                n_samp += 1
+            n_rand, parts = 500, []
+            if proximity.is_nonempty(par):
+                n_rand = 250
+                zs = proximity.sample_members(par, 250, rng)
+                scale = rng.choice([0.9, 1.1], size=(250, 1, 1))
+                parts.append(par.Zc + scale * (zs - par.Zc))
+            parts.append(rng.standard_normal((n_rand, w.nx + w.nu, w.nx)))
+            zh = np.concatenate(parts)
+            pairs = np.swapaxes(zh, 1, 2)
+            direct = proximity.contains(w, F, pairs[:, :, :w.nx],
+                                        pairs[:, :, w.nx:])
+            quad = proximity.contains_ellipsoid(par, zh)
+            mism += int(np.count_nonzero(direct != quad))
+            members += int(np.count_nonzero(direct))
+            n_samp += len(zh)
     res.add("set-equivalence", mism == 0,
-            "%d samples, %d disagreements" % (n_samp, mism))
+            "%d samples, %d members, %d disagreements"
+            % (n_samp, members, mism))
 
     # minimal inflation: the certified set inflated by eps contains the
     # true plant, and any deflation below eps loses it

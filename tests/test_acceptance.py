@@ -88,8 +88,9 @@ def test_criterion_4_sinusoidal_and_vanishing_scenarios():
         good = traj.status == hybrid.COMPLETED and _converged(traj) \
             and len(traj.episodes) <= 10
         if kind == "vanishing":
-            lam_c, lam_d = monitor.default_rates(traj, plant)
-            rep = monitor.thm_diagnostics(traj, lam_c, lam_d, plant)
+            lam_c, lam_d = monitor.default_rates(traj, plant, cfg.c_sigma)
+            rep = monitor.thm_diagnostics(traj, lam_c, lam_d, plant,
+                                          cfg.c_sigma)
             good = good and rep.cor1_membership is True
             details.append("vanishing cor1=%s" % rep.cor1_membership)
         details.append("%s p=%s eps=%d" % (kind, params["p"],

@@ -292,7 +292,7 @@ def test_finite_huge_state_is_reported_without_overflow(tmp_path):
     summary = pathlib.Path(paths["summary"]).read_text()
     assert "final_norm = %.17g\n" % norm in summary
     with pytest.raises(linalg.InvalidInput, match="non-finite entries"):
-        monitor.default_rates(traj, plant)
+        monitor.default_rates(traj, plant, scen.c_sigma)
 
 
 
@@ -368,11 +368,12 @@ def _ref_write_diagnostics_csv(report, path):
             wtr.writerow(row)
 
 
-def _assert_writers_match(tmp_path, plant, traj):
+def _assert_writers_match(tmp_path, plant, cfg, traj):
     """Both artifacts equal the reference writers' byte for byte; returns
     the rows of the trajectory and the diagnostics."""
     rep = monitor.thm_diagnostics(
-        traj, *monitor.default_rates(traj, plant), plant)
+        traj, *monitor.default_rates(traj, plant, cfg.c_sigma), plant,
+        cfg.c_sigma)
     new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
     rows = []
     for write, write_ref, obj in (
@@ -387,8 +388,8 @@ def _assert_writers_match(tmp_path, plant, traj):
 
 
 def test_writers_match_the_reference_on_canonical_runs(tmp_path):
-    for name, plant, _, traj in verification.canonical_runs():
-        _assert_writers_match(tmp_path, plant, traj)
+    for name, plant, cfg, traj in verification.canonical_runs():
+        _assert_writers_match(tmp_path, plant, cfg, traj)
 
 
 def test_writers_match_the_reference_on_an_overflowed_last_state(tmp_path):
@@ -396,21 +397,23 @@ def test_writers_match_the_reference_on_an_overflowed_last_state(tmp_path):
     # overflows to inf: its V is blank in the trajectory and inf in the
     # diagnostics
     plant = ExplodingPlant(1e308, 12)
-    traj = hybrid.run(plant, hybrid.ScenarioConfig(
-        mode="time", horizon=40, seed=1, n_p=8, x0=np.array([1e5, 1e5])))
+    cfg = hybrid.ScenarioConfig(mode="time", horizon=40, seed=1, n_p=8,
+                                x0=np.array([1e5, 1e5]))
+    traj = hybrid.run(plant, cfg)
     assert traj.status == hybrid.DIVERGED
     assert np.isinf(traj.records[-1].x).all() and traj.records[-1].V is None
-    traj_rows, diag_rows = _assert_writers_match(tmp_path, plant, traj)
+    traj_rows, diag_rows = _assert_writers_match(tmp_path, plant, cfg,
+                                                 traj)
     assert traj_rows[-1]["V"] == "" and traj_rows[-1]["u_1"] == ""
     assert diag_rows[-1]["V"] == "inf" and diag_rows[-1]["in_C1"] == ""
 
 
 def test_writers_match_the_reference_on_a_fallback_run(tmp_path):
     plant = plants.ConstantLti(b=np.zeros((2, 2)))
-    traj = hybrid.run(plant, hybrid.ScenarioConfig(mode="event", horizon=8,
-                                                   seed=3))
+    cfg = hybrid.ScenarioConfig(mode="event", horizon=8, seed=3)
+    traj = hybrid.run(plant, cfg)
     assert traj.initial_bundle.solver_status == "Fallback"
-    traj_rows, _ = _assert_writers_match(tmp_path, plant, traj)
+    traj_rows, _ = _assert_writers_match(tmp_path, plant, cfg, traj)
     assert traj_rows[4]["synth_feasible"] == "0"
 
 

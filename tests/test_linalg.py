@@ -266,8 +266,8 @@ def test_pinv_symmetry_rule_is_allclose(n, seed, scale, log_skew):
 
 
 def _diagonal_form(v, d):
-    # the explicit-diagonal product v @ diag(d) @ v^T that the psd roots
-    # used before they shared pinv's (v * d) @ v^T
+    # the explicit-diagonal product v @ diag(d) @ v^T that psd_sqrt used
+    # before it shared pinv's (v * d) @ v^T
     return v @ (d[..., :, None] * np.eye(d.shape[-1])) @ \
         np.swapaxes(v, -2, -1)
 
@@ -294,11 +294,6 @@ def test_psd_roots_equal_the_explicit_diagonal_form(n, stack, seed, kind,
     w, v = np.linalg.eigh(linalg.symmetrize(m))
     root = _diagonal_form(v, np.sqrt(np.clip(w, 0.0, None)))
     assert linalg.psd_sqrt(m).tobytes() == root.tobytes()
-    tol = n * np.finfo(float).eps * np.maximum(w[..., -1:], 0.0)
-    wc = np.clip(w, 0.0, None)
-    pinv_root = _diagonal_form(v, np.where(
-        wc > tol, 1.0 / np.maximum(np.sqrt(wc), 1e-300), 0.0))
-    assert linalg.psd_pinv_sqrt(m).tobytes() == pinv_root.tobytes()
 
 
 def _old_pd_rule(w):

@@ -37,31 +37,32 @@ def switching_run():
     """One switching-plant event run shared by the read-only tests."""
     plant = plants.SwitchingPlant()
     cfg = hybrid.ScenarioConfig(mode="event", horizon=100, seed=53)
-    return plant, hybrid.run(plant, cfg)
+    return plant, cfg, hybrid.run(plant, cfg)
 
 
-def _report(plant, traj):
+def _report(plant, cfg, traj):
     return monitor.thm_diagnostics(
-        traj, *monitor.default_rates(traj, plant), plant)
+        traj, *monitor.default_rates(traj, plant, cfg.c_sigma), plant,
+        cfg.c_sigma)
 
 
 def test_pi_starts_at_one(switching_run):
-    plant, traj = switching_run
-    pi = _report(plant, traj).pi_exact
+    plant, cfg, traj = switching_run
+    pi = _report(plant, cfg, traj).pi_exact
     assert pi[0] == 1.0
     assert len(pi) == len(traj.records) - traj.monitor_start
 
 
 def test_bound_holds_both_modes(switching_run):
-    plant, traj = switching_run
-    rep = _report(plant, traj)
+    plant, cfg, traj = switching_run
+    rep = _report(plant, cfg, traj)
     for pi in (rep.pi_exact, rep.pi_databased):
         assert all(monitor.check_bound(traj, pi))
 
 
 def test_databased_dominates_exact(switching_run):
-    plant, traj = switching_run
-    rep = _report(plant, traj)
+    plant, cfg, traj = switching_run
+    rep = _report(plant, cfg, traj)
     assert all(d >= e * (1 - 1e-9)
                for e, d in zip(rep.pi_exact, rep.pi_databased))
 
@@ -74,14 +75,14 @@ def test_pi_matches_decrease_factor_on_quiet_steps():
     traj = hybrid.run(plant, cfg)
     if len(traj.episodes) != 1:
         pytest.skip("run triggered; factor pattern not applicable")
-    pi = _report(plant, traj).pi_exact
+    pi = _report(plant, cfg, traj).pi_exact
     b = traj.initial_bundle
     s = hybrid.sigma(b.a1)
     assert np.allclose(pi[:10], [s ** i for i in range(10)], rtol=1e-9)
 
 
 def test_check_bound_length_mismatch(switching_run):
-    plant, traj = switching_run
+    plant, cfg, traj = switching_run
     with pytest.raises(linalg.InvalidInput):
         monitor.check_bound(traj, np.ones(3))
 
@@ -94,7 +95,7 @@ def test_overflowed_product_fails_the_bound(monkeypatch):
     plant = plants.SwitchingPlant()
     cfg = hybrid.ScenarioConfig(mode="event", horizon=120, seed=53)
     traj = hybrid.run(plant, cfg)
-    rep = _report(plant, traj)
+    rep = _report(plant, cfg, traj)
     finite = np.isfinite(rep.pi_databased)
     assert np.flatnonzero(~finite)[0] == 107 and not finite[107:].any()
     assert monitor.check_bound(traj, rep.pi_databased) == finite.tolist()
@@ -115,10 +116,21 @@ def test_overflowed_product_fails_the_bound(monkeypatch):
 
 
 def test_default_rates_dominate(switching_run):
-    plant, traj = switching_run
-    lam_c, lam_d = monitor.default_rates(traj, plant)
+    plant, cfg, traj = switching_run
+    lam_c, lam_d = monitor.default_rates(traj, plant, cfg.c_sigma)
     assert 0.0 < lam_c <= 1.0
     assert lam_d >= lam_c
+    # the in-C1 rate is the largest sigma(a1) at the run's own trigger
+    # threshold, which every call names: a run at c_sigma = 0.5 read at
+    # 0.1 would get 0.99627
+    with pytest.raises(TypeError):
+        monitor.default_rates(traj, plant)
+    with pytest.raises(TypeError):
+        monitor.thm_diagnostics(traj, lam_c, lam_d, plant)
+    cfg = dataclasses.replace(cfg, c_sigma=0.5)
+    traj = hybrid.run(plant, cfg)
+    assert round(monitor.default_rates(traj, plant, cfg.c_sigma)[0], 5) == \
+        0.98135
 
 
 def test_default_rates_compute_no_databased_factor(switching_run,
@@ -128,17 +140,17 @@ def test_default_rates_compute_no_databased_factor(switching_run,
     def boom(*args, **kwargs):
         raise AssertionError("min_inflation called")
 
-    plant, traj = switching_run
+    plant, cfg, traj = switching_run
     monkeypatch.setattr(proximity, "min_inflation", boom)
-    lam_c, lam_d = monitor.default_rates(traj, plant)
+    lam_c, lam_d = monitor.default_rates(traj, plant, cfg.c_sigma)
     assert lam_d >= lam_c
     with pytest.raises(AssertionError):
-        monitor.thm_diagnostics(traj, lam_c, lam_d, plant)
+        monitor.thm_diagnostics(traj, lam_c, lam_d, plant, cfg.c_sigma)
 
 
 def test_thm_diagnostics_fields(switching_run):
-    plant, traj = switching_run
-    rep = _report(plant, traj)
+    plant, cfg, traj = switching_run
+    rep = _report(plant, cfg, traj)
     assert all(rep.bound_ok)
     assert rep.bound_ok == monitor.check_bound(traj, rep.pi_exact)
     assert rep.m2 >= 0.0
@@ -149,8 +161,8 @@ def test_cor1_membership_on_vanishing_perturbation():
     plant = plants.make_plant("vanishing", {"p": 10, "t_delta": 30})
     cfg = hybrid.ScenarioConfig(mode="event", horizon=100, seed=2)
     traj = hybrid.run(plant, cfg)
-    lam_c, lam_d = monitor.default_rates(traj, plant)
-    rep = monitor.thm_diagnostics(traj, lam_c, lam_d, plant)
+    lam_c, lam_d = monitor.default_rates(traj, plant, cfg.c_sigma)
+    rep = monitor.thm_diagnostics(traj, lam_c, lam_d, plant, cfg.c_sigma)
     assert rep.cor1_membership is True
     assert rep.Tstar_estimate is not None
 
@@ -160,8 +172,8 @@ def test_theta_databased_upper_bounds_exact_on_worked_instance(
     # scheduled excitation aside, the data-based factor built from the
     # minimal inflation can never undercut the exact factor; both are
     # kept for exactly the steps outside T1, as computed directly here
-    plant, traj = switching_run
-    rep = _report(plant, traj)
+    plant, cfg, traj = switching_run
+    rep = _report(plant, cfg, traj)
     outside = [i for i, in_t1 in enumerate(rep.T1_membership) if not in_t1]
     assert outside
     assert list(rep.theta_exact) == outside
@@ -189,15 +201,15 @@ def test_fallback_run_uses_exact_factors(mode):
     cfg = hybrid.ScenarioConfig(mode=mode, horizon=8, seed=3, n_p=4)
     traj = hybrid.run(plant, cfg)
     assert traj.initial_bundle.solver_status == "Fallback"
-    rep = _report(plant, traj)
+    rep = _report(plant, cfg, traj)
     assert np.array_equal(rep.pi_databased, rep.pi_exact)
     assert rep.theta_exact and rep.theta_databased == rep.theta_exact
 
 
 def test_diagnostics_csv(switching_run, tmp_path):
-    plant, traj = switching_run
-    lam_c, lam_d = monitor.default_rates(traj, plant)
-    rep = monitor.thm_diagnostics(traj, lam_c, lam_d, plant)
+    plant, cfg, traj = switching_run
+    lam_c, lam_d = monitor.default_rates(traj, plant, cfg.c_sigma)
+    rep = monitor.thm_diagnostics(traj, lam_c, lam_d, plant, cfg.c_sigma)
     path = tmp_path / "diag.csv"
     cli.write_diagnostics_csv(rep, str(path))
     lines = path.read_text().strip().splitlines()
@@ -336,11 +348,11 @@ def test_stacked_walk_equals_per_step_reference(name, plant, cfg):
         # the overflowing step's closed loop is not finite
         assert name == "overflow"
         with pytest.raises(linalg.InvalidInput, match=str(exc)):
-            monitor.default_rates(traj, plant)
+            monitor.default_rates(traj, plant, cfg.c_sigma)
         return
     walk = monitor._walk(traj, plant, 0.1)
-    rates = monitor.default_rates(traj, plant)
-    rep = monitor.thm_diagnostics(traj, *rates, plant)
+    rates = monitor.default_rates(traj, plant, cfg.c_sigma)
+    rep = monitor.thm_diagnostics(traj, *rates, plant, cfg.c_sigma)
     trig = {i: (a[j], b[j]) for _, steps, a, b in walk.triggered
             for j, i in enumerate(steps)}
     out = np.flatnonzero(~walk.in_T1).tolist()
@@ -385,7 +397,7 @@ def test_event_designs_follow_the_steps_outside_T1():
 
 def test_stacked_theta_exact_equals_single_calls(switching_run):
     # real pairs under every bundle of the run, and random ones
-    plant, traj = switching_run
+    plant, cfg, traj = switching_run
     rng = np.random.default_rng(5)
     for b in [traj.initial_bundle] + [e.new_bundle for e in traj.episodes]:
         pairs = [plant.eval(k) for k in range(0, 100, 7)]
@@ -460,7 +472,7 @@ def test_stacked_cor1_membership_equals_per_record_reference():
 
 
 def test_stacked_nu_d_equals_single_calls(switching_run):
-    _, traj = switching_run
+    _, _, traj = switching_run
     certs = [traj.initial_bundle.S] + [e.new_bundle.S for e in traj.episodes]
     assert len(certs) > 2
     singles = [monitor.nu_d(s, s_next) for s, s_next in zip(certs, certs[1:])]

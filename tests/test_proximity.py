@@ -127,8 +127,24 @@ def test_sampled_members_are_members():
     w = _random_full_rank_window(rng)
     F = 0.05 * np.eye(w.nx)
     par = proximity.ellipsoid_params(w, F)
-    for zh in proximity.sample_members(par, 100, rng):
-        assert proximity.contains_ellipsoid(par, zh)
+    zh = proximity.sample_members(par, 100, rng)
+    for z in zh:
+        assert proximity.contains_ellipsoid(par, z)
+    # a stack of candidates on both sides of the boundary gives, on this
+    # set and on an empty one, the per-candidate results bit for bit
+    zh = np.concatenate([zh, par.Zc + 1.1 * (zh - par.Zc),
+                         rng.standard_normal(zh.shape)])
+    empty = proximity.ellipsoid_params(w, 1e-12 * np.eye(w.nx))
+    assert not proximity.is_nonempty(empty)
+    for p, n_in in ((par, range(101, 300)), (empty, [0])):
+        quad = proximity.membership_quadratic(p, zh)
+        assert quad.shape == (300, w.nx, w.nx)
+        assert quad.tobytes() == np.array(
+            [proximity.membership_quadratic(p, z) for z in zh]).tobytes()
+        flags = proximity.contains_ellipsoid(p, zh)
+        assert flags.tolist() == \
+            [proximity.contains_ellipsoid(p, z) for z in zh]
+        assert flags.sum() in n_in
 
 
 def test_membership_quadratic_center():

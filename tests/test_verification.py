@@ -125,16 +125,29 @@ def test_window_consistency_fails_on_a_misstated_plant(monkeypatch):
     assert not res.checks[0].detail.endswith("worst residual ratio 0")
 
 
-def test_set_equivalence_fails_on_a_grown_ellipsoid(monkeypatch):
-    # an ellipsoid test that reads Delta 1e6 times too large accepts
-    # candidates the direct test rejects, which fails that check alone (a
-    # shrunken one would pass: on the canonical runs no candidate is a
-    # member, since the 0.05 noise is far wider than any set)
+def _lemma3_with_delta_scaled(monkeypatch, factor):
     contains_ellipsoid = proximity.contains_ellipsoid
     monkeypatch.setattr(proximity, "contains_ellipsoid", lambda par, zh:
                         contains_ellipsoid(dataclasses.replace(
-                            par, Delta=1e6 * par.Delta), zh))
-    res = verification.suite_lemma3()
+                            par, Delta=factor * par.Delta), zh))
+    return verification.suite_lemma3()
+
+
+def test_set_equivalence_fails_on_a_grown_ellipsoid(monkeypatch):
+    # an ellipsoid test that reads Delta 1e6 times too large accepts the
+    # candidates scaled just outside the set, which the direct test
+    # rejects, and fails that check alone
+    res = _lemma3_with_delta_scaled(monkeypatch, 1e6)
+    assert _failed(res) == ["set-equivalence"]
+    assert not res.checks[1].detail.endswith(" 0 disagreements")
+
+
+def test_set_equivalence_fails_on_a_shrunken_ellipsoid(monkeypatch):
+    # one that reads half of Delta rejects sampled members near the
+    # boundary, which the direct test accepts, and fails that check alone
+    assert verification.suite_lemma3().checks[1].detail == \
+        "3500 samples, 1052 members, 0 disagreements"
+    res = _lemma3_with_delta_scaled(monkeypatch, 0.5)
     assert _failed(res) == ["set-equivalence"]
     assert not res.checks[1].detail.endswith(" 0 disagreements")
 
@@ -291,7 +304,8 @@ def test_wide_family_passes_the_suites(wide_runs, monkeypatch):
     assert lemma3.passed and property1.passed and lemma5.passed \
         and prop3.passed
     # the set test covers the forced design of each of the 3 event runs
-    assert lemma3.checks[1].detail == "1500 samples, 0 disagreements"
+    assert lemma3.checks[1].detail == \
+        "1500 samples, 704 members, 0 disagreements"
     assert "30 bundles x 200 samples, 0 vacuous, 0 violations" in \
         property1.checks[0].detail
     assert lemma5.checks[1].detail.startswith("0 triggered feedback steps")
