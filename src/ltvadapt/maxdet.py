@@ -70,8 +70,12 @@ phase-I map at (x, target), and one Cholesky of it decides what the minimum
 over check_point's margins would (a NaN margin never reaches the target).
 That stop gives the verdict: Feasible when it fired, Infeasible when the
 path passed MU_MAX with its last stage converged, MaxIter otherwise; one
-check_point at the returned point reports the margins. Stage margins and
-log-dets are computed only for a trace.
+check_point at the returned point reports the margins.
+
+A trace (`SolverOptions.trace_path`) gets one row per phase of each solve,
+read from the SdpSolution that phase returns: phase I's row from
+`solve_feasibility`, the x = 0 decisions included, then phase II's from
+`solve_maxdet`. Only the phase-II log-det is computed for it.
 """
 
 import csv
@@ -111,7 +115,7 @@ CENTERING_TOL = 0.1
 # relative amount is at float-noise level
 _NOISE = 4.0 * np.finfo(float).eps
 
-_TRACE_HEADER = ("phase", "iteration", "mu", "min_margin", "logdet")
+_TRACE_HEADER = ("phase", "iteration", "status", "min_margin", "logdet")
 
 
 @dataclass
@@ -214,14 +218,16 @@ def _logdet(fn, x):
     return None if l is None else 2.0 * float(np.sum(np.log(np.diag(l))))
 
 
-def _write_trace(path, rows):
-    """Append stage rows to the trace file, after the header row when the
-    file is missing or empty, so that it keeps every solve of a run."""
+def _write_trace(path, phase, sol, logdet=None):
+    """Append the row of one solve phase, read from the solution it
+    returns, to the trace file, after the header row when the file is
+    missing or empty, so that it keeps every solve of a run."""
     with open(path, "a", newline="") as fh:
         writer = csv.writer(fh)
         if fh.tell() == 0:
             writer.writerow(_TRACE_HEADER)
-        writer.writerows(rows)
+        writer.writerow((phase, sol.iterations, sol.status,
+                         float(np.min(sol.min_margins)), logdet))
 
 
 def _block_diag(fns):
@@ -380,19 +386,19 @@ def _margin_reached(z, f, target):
     return _chol(g) is not None
 
 
-def _path(barrier, z, weights, budget, reached=None, stage=None):
+def _path(barrier, z, weights, budget, reached=None):
     """Barrier path from z: one Newton stage per mu = MU_INIT (100),
     MU_INIT * MU_FACTOR, ..., MU_MAX with barrier weights(mu), within
     budget steps in total (why the path starts at 100: module docstring).
-    Each stage starts from the previous stage's factored point. The last stage (mu * MU_FACTOR > MU_MAX) is
-    centred to NEWTON_TOL, every earlier one only to CENTERING_TOL /
-    sqrt(mu): its point is used only as the next stage's start, and a
-    decrement of CENTERING_TOL for mu times the self-concordant stage
-    objective already lies in Newton's quadratic region. A stage ends
-    early, and the path stops, at an accepted point where reached(z, point)
-    holds; stage(total, mu, z) runs after each stage. Returns (z, the
-    Newton steps taken, the last stage's Newton decrement, whether the path
-    passed MU_MAX and its last stage converged, whether it stopped).
+    Each stage starts from the previous stage's factored point. The last
+    stage (mu * MU_FACTOR > MU_MAX) is centred to NEWTON_TOL, every earlier
+    one only to CENTERING_TOL / sqrt(mu): its point is used only as the
+    next stage's start, and a decrement of CENTERING_TOL for mu times the
+    self-concordant stage objective already lies in Newton's quadratic
+    region. A stage ends early, and the path stops, at an accepted point
+    where reached(z, point) holds. Returns (z, the Newton steps taken, the
+    last stage's Newton decrement, whether the path passed MU_MAX and its
+    last stage converged, whether it stopped).
     """
     total = 0
     mu = MU_INIT
@@ -406,8 +412,6 @@ def _path(barrier, z, weights, budget, reached=None, stage=None):
         z, point, steps, residual, converged, stopped = _newton(
             barrier, z, budget - total, tol, reached, point)
         total += steps
-        if stage is not None:
-            stage(total, mu, z)
         mu *= MU_FACTOR
         if stopped:
             break
@@ -420,52 +424,42 @@ def solve_feasibility(problem, opts=None):
     Phase-I scheme: maximize t subject to F_i(x) - t*I > 0 (t capped above).
     The path's own stop test decides: Feasible when it stopped because
     every margin reached strict_margin, Infeasible when it passed MU_MAX
-    with its last stage converged below it, MaxIter otherwise.
+    with its last stage converged below it, MaxIter otherwise. A problem
+    feasible at x = 0, or constant, is decided there without a path.
     """
     opts = opts or SolverOptions()
     if not problem.constraints:
         raise linalg.InvalidInput("constraints must be non-empty")
     target = opts.strict_margin
-    if opts.trace_path is not None:
-        # a solve that writes no stage rows still leaves the header
-        _write_trace(opts.trace_path, [])
 
     m = problem.num_vars
     x = np.zeros(m)
     margins = check_point(problem, x)
     if np.min(margins) >= target:
-        return SdpSolution(x=x, status=FEASIBLE, min_margins=margins)
-    # a constant problem is decided exactly at x = 0
-    if m == 0 or all(
+        sol = SdpSolution(x=x, status=FEASIBLE, min_margins=margins)
+    elif m == 0 or all(
         np.max(np.abs(f.coeffs)) == 0.0 for f in problem.constraints
     ):
-        return SdpSolution(x=x, status=INFEASIBLE, min_margins=margins)
-
-    t_cap = max(1.0, 10.0 * target)
-    t0 = min(float(np.min(margins)) - 1.0, t_cap - 1.0)
-    rows = []
-
-    def stage(total, mu, z):
-        rows.append(("I", total, mu,
-                     float(np.min(check_point(problem, z[:m]))), None))
-
-    # objective normalized by mu: minimize -t + (1/mu) * barriers, so
-    # line-search decreases stay well above float rounding of the value
-    barrier = _phase1_barrier(problem, t_cap)
-    z, total, _, finished, stopped = _path(
-        barrier, np.concatenate([x, [t0]]),
-        lambda mu: np.full(len(barrier.constant), 1.0 / mu),
-        opts.max_newton,
-        lambda z, point: _margin_reached(z, point[1], target),
-        stage if opts.trace_path is not None else None)
-    if rows:
-        _write_trace(opts.trace_path, rows)
-
-    x = z[:m]
-    status = FEASIBLE if stopped else INFEASIBLE if finished else MAXITER
-    return SdpSolution(x=x, status=status,
-                       min_margins=check_point(problem, x),
-                       iterations=total)
+        sol = SdpSolution(x=x, status=INFEASIBLE, min_margins=margins)
+    else:
+        t_cap = max(1.0, 10.0 * target)
+        t0 = min(float(np.min(margins)) - 1.0, t_cap - 1.0)
+        # objective normalized by mu: minimize -t + (1/mu) * barriers, so
+        # line-search decreases stay well above float rounding of the value
+        barrier = _phase1_barrier(problem, t_cap)
+        z, total, _, finished, stopped = _path(
+            barrier, np.concatenate([x, [t0]]),
+            lambda mu: np.full(len(barrier.constant), 1.0 / mu),
+            opts.max_newton,
+            lambda z, point: _margin_reached(z, point[1], target))
+        x = z[:m]
+        sol = SdpSolution(
+            x=x, status=FEASIBLE if stopped else INFEASIBLE if finished
+            else MAXITER, min_margins=check_point(problem, x),
+            iterations=total)
+    if opts.trace_path is not None:
+        _write_trace(opts.trace_path, "I", sol)
+    return sol
 
 
 def solve_maxdet(problem, opts=None):
@@ -477,15 +471,6 @@ def solve_maxdet(problem, opts=None):
     if phase1.status != FEASIBLE:
         return phase1
 
-    det_fn = problem.constraints[problem.det_block]
-    rows = []
-
-    def stage(total, mu, x):
-        logdet = _logdet(det_fn, x)
-        rows.append(("II", phase1.iterations + total, mu,
-                     float(np.min(check_point(problem, x))),
-                     np.nan if logdet is None else logdet))
-
     # Barrier constraints are shifted by strict_margin/2 so accepted points
     # keep at least that margin. The stage objective is normalized by mu
     # (barrier weight 1/mu, unit det term), making the returned gradient
@@ -493,12 +478,13 @@ def solve_maxdet(problem, opts=None):
     barrier, det_rows = _phase2_barrier(problem, 0.5 * opts.strict_margin)
     x, total, residual, finished, _ = _path(
         barrier, phase1.x, lambda mu: np.where(det_rows, 1.0, 1.0 / mu),
-        opts.max_newton - phase1.iterations,
-        stage=stage if opts.trace_path is not None else None)
-    if rows:
-        _write_trace(opts.trace_path, rows)
-
-    return SdpSolution(x=x, status=OPTIMAL if finished else MAXITER,
-                       min_margins=check_point(problem, x),
-                       iterations=phase1.iterations + total,
-                       kkt_residual=residual)
+        opts.max_newton - phase1.iterations)
+    sol = SdpSolution(x=x, status=OPTIMAL if finished else MAXITER,
+                      min_margins=check_point(problem, x),
+                      iterations=phase1.iterations + total,
+                      kkt_residual=residual)
+    if opts.trace_path is not None:
+        logdet = _logdet(problem.constraints[problem.det_block], x)
+        _write_trace(opts.trace_path, "II", sol,
+                     np.nan if logdet is None else logdet)
+    return sol

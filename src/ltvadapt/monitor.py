@@ -62,7 +62,8 @@ class _StepWalk:
 
 
 def _walk(traj, plant, c_sigma):
-    """One pass over the monitored segment, evaluated as stacks.
+    """One pass over the monitored segment, evaluated as stacks; c_sigma
+    must be the run's, whose sigma(a1) every record stores.
 
     All successor values V(x_{i+1}, S_i) come from one stacked quadratic
     form and decide T1 with the run's own decrease test; the steps outside
@@ -91,6 +92,12 @@ def _walk(traj, plant, c_sigma):
     s_dep = np.array([b.S for b in bundles[:-1]]).reshape(n, nx, nx)
     v = np.array([r.V for r in recs[:-1]], dtype=float)
     sig = np.array([sigma(b.a1, c_sigma) for b in bundles])
+    # each record holds sigma(a1) at the run's own threshold, the same
+    # float as sig where c_sigma is the run's
+    if sig.tolist() != [r.sigma_a1 for r in recs]:
+        raise linalg.InvalidInput(
+            "c_sigma %r is not the run's: sigma(a1) differs from the "
+            "records'" % (c_sigma,))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         v_next = (x[1:, None, :] @ s_dep @ x[1:, :, None])[:, 0, 0]
         v_next[~np.isfinite(v_next)] = np.inf

@@ -4,6 +4,9 @@ Each plant exposes the pair (A(k), B(k)) at any step k and a one-step
 state update.
 """
 
+import math
+import numbers
+
 import numpy as np
 
 from . import linalg
@@ -11,6 +14,24 @@ from . import linalg
 # nominal pair shared by the benchmark scenarios
 A_NOMINAL = np.array([[1.1, 0.1], [0.1, 0.2]])
 B_NOMINAL = np.array([[0.5, 1.0], [0.1, 0.2]])
+
+
+def _count(value, what):
+    """value as an int, or InvalidInput unless it is a whole number >= 1
+    (12.0 is one; 2.5, nan and "12" are not)."""
+    if not (isinstance(value, numbers.Real) and
+            float(value).is_integer() and value >= 1):
+        raise linalg.InvalidInput("%s must be >= 1 and whole, got %r"
+                                  % (what, value))
+    return int(value)
+
+
+def _finite(value, what):
+    """value as a float, or InvalidInput where it is nan or infinite."""
+    v = float(value)
+    if not math.isfinite(v):
+        raise linalg.InvalidInput("%s must be finite, got %r" % (what, v))
+    return v
 
 
 class LtvPlant:
@@ -57,10 +78,8 @@ class SwitchingPlant(LtvPlant):
 
     def __init__(self, p=12, ell=1.0):
         super().__init__(2, 2)
-        if p < 1:
-            raise linalg.InvalidInput("block length p must be >= 1")
-        self.p = int(p)
-        self.ell = float(ell)
+        self.p = _count(p, "block length p")
+        self.ell = _finite(ell, "ell")
         self._b_alt = np.array(
             [[0.5, -self.ell], [0.1, -0.2 * self.ell]]
         )
@@ -79,10 +98,8 @@ class SinusoidalPlant(LtvPlant):
 
     def __init__(self, p=10, delta_a=0.8):
         super().__init__(2, 2)
-        if p < 1:
-            raise linalg.InvalidInput("period p must be >= 1")
-        self.p = int(p)
-        self.delta_a = float(delta_a)
+        self.p = _count(p, "period p")
+        self.delta_a = _finite(delta_a, "delta_a")
 
     def _delta(self, k):
         return self.delta_a
@@ -102,9 +119,7 @@ class VanishingPerturbationPlant(SinusoidalPlant):
 
     def __init__(self, p=10, t_delta=30):
         super().__init__(p=p, delta_a=1.0)
-        if t_delta < 1:
-            raise linalg.InvalidInput("decay horizon must be >= 1")
-        self.t_delta = int(t_delta)
+        self.t_delta = _count(t_delta, "decay horizon t_delta")
 
     def _delta(self, k):
         if k >= self.t_delta:
@@ -145,13 +160,13 @@ class PiecewiseFilePlant(LtvPlant):
         for _ in range(num_knots):
             k = int(tokens[pos])
             pos += 1
-            a = np.array(
-                [float(t) for t in tokens[pos:pos + nx * nx]]
-            ).reshape(nx, nx)
+            a = linalg.as_matrix(np.reshape(
+                [float(t) for t in tokens[pos:pos + nx * nx]], (nx, nx)),
+                name="A")
             pos += nx * nx
-            b = np.array(
-                [float(t) for t in tokens[pos:pos + nx * nu]]
-            ).reshape(nx, nu)
+            b = linalg.as_matrix(np.reshape(
+                [float(t) for t in tokens[pos:pos + nx * nu]], (nx, nu)),
+                name="B")
             pos += nx * nu
             self.knots.append((k, a, b))
         ks = [k for k, _, _ in self.knots]

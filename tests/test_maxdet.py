@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import sys
 import types
 import warnings
@@ -150,36 +151,95 @@ def test_maxdet_requires_det_block():
         maxdet.solve_maxdet(p)
 
 
-def test_solver_trace(tmp_path):
+def trace_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def phase_row(phase, sol, logdet=""):
+    """The trace row a phase returning sol writes, as csv reads it back."""
+    return [phase, str(sol.iterations), sol.status,
+            repr(float(np.min(sol.min_margins))), logdet]
+
+
+def test_solver_trace(tmp_path, monkeypatch):
+    # one row per phase of each solve, read from the solution that phase
+    # returns: phase I's iteration count, status and least margin, and
+    # phase II's with the det block's log-det at its x
     path = tmp_path / "trace.csv"
     opts = maxdet.SolverOptions(trace_path=str(path))
+    problem = one_var_det_problem()
     # phase I takes steps from x = 0, where the bound x > 0 has no margin
-    maxdet.solve_maxdet(one_var_det_problem(), opts)
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    phases = [r["phase"] for r in rows]
-    assert "I" in phases and "II" in phases
-    assert phases == sorted(phases)
-    iterations = [int(r["iteration"]) for r in rows]
-    assert iterations == sorted(iterations)
-    assert all(r["logdet"] == "" for r in rows if r["phase"] == "I")
-    assert all(r["logdet"] != "" for r in rows if r["phase"] == "II")
+    phase1 = maxdet.solve_feasibility(problem)
+    sol = maxdet.solve_maxdet(problem, opts)
+    assert phase1.iterations > 0 and sol.status == maxdet.OPTIMAL
+    rows = trace_rows(path)
+    assert rows[0] == ["phase", "iteration", "status", "min_margin",
+                       "logdet"]
+    assert rows[1] == phase_row("I", phase1)
+    assert rows[2][:4] == phase_row("II", sol)[:4]
+    logdet = np.linalg.slogdet(problem.constraints[0](sol.x))[1]
+    assert abs(float(rows[2][4]) - logdet) <= 1e-12 * (1.0 + abs(logdet))
+    assert abs(float(rows[2][4]) - np.log(4.5)) <= 1e-6
+    assert len(rows) == 3
+
+    # a constant problem is decided at x = 0 and still leaves its row
+    const = maxdet.AffineMatFn(np.array([[-1.0]]), np.zeros((1, 1, 1)))
+    sol = maxdet.solve_maxdet(maxdet.SdpProblem(1, [const], det_block=0),
+                              opts)
+    assert sol.status == maxdet.INFEASIBLE and sol.iterations == 0
+    assert trace_rows(path)[3:] == [phase_row("I", sol)]
+
+    # a closed loop: one phase-I row per design solve, followed by a
+    # phase-II row exactly when phase I found the window feasible
+    solves = []
+    for name in ("solve_feasibility", "solve_maxdet"):
+        def record(problem, opts=None, _solve=getattr(maxdet, name),
+                   _name=name):
+            out = _solve(problem, opts)
+            solves.append((_name, problem, out))
+            return out
+        monkeypatch.setattr(maxdet, name, record)
+    loop = tmp_path / "loop.csv"
+    _, plant, cfg = next(s for s in verification.canonical_scenarios()
+                         if s[0] == "switching-event")
+    hybrid.run(plant, dataclasses.replace(
+        cfg, solver_options=maxdet.SolverOptions(trace_path=str(loop))))
+    expected = []
+    for name, problem, out in solves:
+        if name == "solve_feasibility":
+            expected.append(phase_row("I", out))
+        elif expected[-1][2] == maxdet.FEASIBLE:
+            logdet = np.linalg.slogdet(
+                problem.constraints[problem.det_block](out.x))[1]
+            expected.append(phase_row("II", out, logdet))
+    rows = trace_rows(loop)[1:]
+    statuses = [row[2] for row in rows]
+    assert statuses.count(maxdet.FEASIBLE) > 0
+    assert statuses.count(maxdet.INFEASIBLE) > 0
+    assert sum(name == "solve_maxdet" for name, _, _ in solves) == \
+        sum(row[0] == "I" for row in rows)
+    assert [row[:4] for row in rows] == [row[:4] for row in expected]
+    for row, ref in zip(rows, expected):
+        if row[0] == "I":
+            assert row[4] == ""
+        else:
+            assert abs(float(row[4]) - ref[4]) <= 1e-9 * (1.0 + abs(ref[4]))
 
 
 def test_solver_trace_keeps_every_solve(tmp_path):
     # a closed loop solves once per design into one trace file: each solve
     # appends its rows after the one header row
-    def trace_rows(path, solves):
+    def rows_of(path, solves):
         opts = maxdet.SolverOptions(trace_path=str(path))
         for _ in range(solves):
             maxdet.solve_maxdet(one_var_det_problem(), opts)
-        with open(path, newline="") as fh:
-            return list(csv.reader(fh))
+        return trace_rows(path)
 
-    one = trace_rows(tmp_path / "one.csv", 1)
-    two = trace_rows(tmp_path / "two.csv", 2)
-    assert one[0] == ["phase", "iteration", "mu", "min_margin", "logdet"]
-    assert len(one) > 2
+    one = rows_of(tmp_path / "one.csv", 1)
+    two = rows_of(tmp_path / "two.csv", 2)
+    assert one[0] == ["phase", "iteration", "status", "min_margin", "logdet"]
+    assert [row[0] for row in one[1:]] == ["I", "II"]
     assert two == one + one[1:]
 
 
@@ -590,10 +650,15 @@ def test_newton_factors_each_point_once(monkeypatch):
     monkeypatch.setattr(maxdet, "MU_FACTOR", 1.1)
     monkeypatch.setattr(maxdet, "MU_MAX", 1.7)
     mus = []
+
+    def weights(mu):
+        # _path sets the weights once per stage
+        mus.append(mu)
+        return np.array([1.0 / mu])
+
     del builds[:], chols[:]
     z, total, _, finished, _ = maxdet._path(
-        barrier, np.array([0.9]), lambda mu: np.array([1.0 / mu]), 500,
-        stage=lambda total, mu, z: mus.append(mu))
+        barrier, np.array([0.9]), weights, 500)
     assert finished and len(mus) == 6
     assert abs(z[0] - 1.0 / mus[-1]) <= 1e-7
     assert len(builds) == len(chols) == total + 1

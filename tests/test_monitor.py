@@ -131,6 +131,12 @@ def test_default_rates_dominate(switching_run):
     traj = hybrid.run(plant, cfg)
     assert round(monitor.default_rates(traj, plant, cfg.c_sigma)[0], 5) == \
         0.98135
+    # the records hold the run's sigma(a1), so a c_sigma that is not the
+    # run's is rejected rather than read as 0.99627
+    with pytest.raises(linalg.InvalidInput, match="not the run's"):
+        monitor.default_rates(traj, plant, 0.1)
+    with pytest.raises(linalg.InvalidInput, match="not the run's"):
+        monitor.thm_diagnostics(traj, lam_c, lam_d, plant, 0.1)
 
 
 def test_default_rates_compute_no_databased_factor(switching_run,

@@ -179,10 +179,35 @@ def test_make_plant_defaults_are_the_class_defaults(kind, cls):
             assert np.array_equal(m, o)
 
 
-def test_make_plant_wraps_constructor_errors():
+def test_make_plant_wraps_constructor_errors(tmp_path):
     with pytest.raises(linalg.InvalidInput):
         plants.make_plant("piecewise_file", {})
     with pytest.raises(linalg.InvalidInput):
         plants.make_plant("switching", {"p": "twelve"})
     with pytest.raises(linalg.InvalidInput, match="block length"):
         plants.make_plant("switching", {"p": 0})
+    # a parameter that is not finite, or a count that is not whole, is
+    # rejected rather than run: ell = nan diverged, delta_a = inf warned
+    # and diverged, and p = 2.5 ran as p = 2
+    for kind, params, match in [
+            ("switching", {"ell": np.nan}, "ell"),
+            ("switching", {"ell": np.inf}, "ell"),
+            ("switching", {"p": 2.5}, "block length"),
+            ("switching", {"p": np.nan}, "block length"),
+            ("sinusoidal", {"delta_a": np.inf}, "delta_a"),
+            ("sinusoidal", {"delta_a": np.nan}, "delta_a"),
+            ("sinusoidal", {"p": 10.5}, "period"),
+            ("vanishing", {"t_delta": 30.5}, "decay horizon"),
+            ("vanishing", {"t_delta": np.inf}, "decay horizon")]:
+        with pytest.raises(linalg.InvalidInput, match=match):
+            plants.make_plant(kind, params)
+    with pytest.raises(linalg.InvalidInput, match="block length"):
+        plants.SwitchingPlant(p=2.5)
+    # a whole float is a count
+    assert plants.make_plant("switching", {"p": 12.0}).p == 12
+    # a knot entry that is not finite, in A or in B
+    for knot in ("0 nan 1.0", "0 0.5 inf"):
+        path = tmp_path / "plant.txt"
+        path.write_text("1 1 1 hold\n" + knot + "\n")
+        with pytest.raises(linalg.InvalidInput, match="non-finite"):
+            plants.make_plant("piecewise_file", {"path": str(path)})
