@@ -164,13 +164,13 @@ def _lyapunov(bundle, x):
     return v if math.isfinite(v) else np.inf
 
 
-def _record(k, j, x, u, bundle, c_sigma, explore=False, synth_feasible=None):
-    """Record of step k; no certificate fields before the first design."""
+def _record(k, j, x, u, bundle, v, c_sigma, explore=False,
+            synth_feasible=None):
+    """Record of step k whose state has V(x) = v under bundle; no
+    certificate fields before the first design."""
     certified = bundle is not None
     return StepRecord(
-        k=k, j=j, x=x.copy(), u=u,
-        V=_lyapunov(bundle, x) if certified and np.isfinite(x).all()
-        else None,
+        k=k, j=j, x=x.copy(), u=u, V=v,
         sigma_a1=sigma(bundle.a1, c_sigma) if certified else None,
         bundle=bundle,
         explore=explore, synth_feasible=synth_feasible,
@@ -196,11 +196,14 @@ def run(plant, cfg):
         # 1. is a design due? One runs at the first step after each
         # exploration and, in event mode, after a failed decrease; the
         # previous record holds V(x(k-1)) and sigma(a1) of the current
-        # bundle
+        # bundle. x is finite (the checked x0, or a state that passed the
+        # divergence check); its V is computed once, here, and recorded
+        # unless a design replaces the bundle
+        v = None if bundle is None else _lyapunov(bundle, x)
         prev = traj.records[-1] if k else None
         due = explore_left == 0 and (
             prev.explore or cfg.mode == EVENT_TRIGGERED and not decreased(
-                bundle.lyapunov(x), prev.sigma_a1 * prev.V))
+                v, prev.sigma_a1 * prev.V))
         # a time-mode tick re-excites the plant for T steps so that the
         # design window is not rank-deficient closed-loop data
         if (cfg.mode == TIME_TRIGGERED and k > t_width
@@ -211,6 +214,7 @@ def run(plant, cfg):
         # at the forced design, fall back to the open-loop zero gain
         synth_feasible = None
         if due:
+            held = bundle
             cand = synthesis.synthesize(w, eps_F=cfg.eps_F, opts=opts)
             synth_feasible = cand is not None
             if cand is not None:
@@ -223,6 +227,8 @@ def run(plant, cfg):
             elif cfg.mode == TIME_TRIGGERED:
                 logger.info("scheduled design infeasible at k=%d; "
                             "keeping previous gain", k)
+            if bundle is not held:
+                v = _lyapunov(bundle, x)
 
         # 3. input: exploration or state feedback
         explore = explore_left > 0
@@ -233,7 +239,7 @@ def run(plant, cfg):
             u = bundle.K @ x
 
         # 4. record, then step the plant and the data window
-        traj.records.append(_record(k, j, x, u, bundle, cfg.c_sigma,
+        traj.records.append(_record(k, j, x, u, bundle, v, cfg.c_sigma,
                                     explore, synth_feasible))
         x_prev, x = x, plant.step(k, x, u)
         k += 1
@@ -244,6 +250,9 @@ def run(plant, cfg):
         # break, and a non-finite state would be rejected as a sample
         w = w.push(x_prev, u, x)
 
-    traj.records.append(_record(k, j, x, None, bundle, cfg.c_sigma))
+    # a diverged last state may hold a nan or inf, which has no V
+    v = (_lyapunov(bundle, x)
+         if bundle is not None and np.isfinite(x).all() else None)
+    traj.records.append(_record(k, j, x, None, bundle, v, cfg.c_sigma))
     return traj
 

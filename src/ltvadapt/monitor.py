@@ -160,8 +160,6 @@ class DiagnosticsReport:
     bound_ok: list
     T1_membership: list
     thm4_lhs: np.ndarray
-    m1: float
-    m2: float
     Tstar_estimate: int
     cor1_membership: bool | None
     nu_d_events: list
@@ -194,12 +192,13 @@ def _rebuild_window(traj, idx, width):
 
 
 def thm_diagnostics(traj, lambda_c, lambda_d, plant, c_sigma):
-    """Long-run rate fit plus the terminal-set membership check.
+    """Long-run rate exponent plus the terminal-set membership check.
 
     lambda_c is the in-C1 contraction rate, lambda_d dominates the other
     per-step and per-jump factors, and c_sigma is the run's trigger
-    threshold, as `default_rates` takes it. The fitted envelope satisfies
-    lhs <= m1 - m2 (k + j) with m2 >= 0 over the monitored segment.
+    threshold, as `default_rates` takes it. thm4_lhs is
+    (k - 2j) log lambda_c + (3j + 1) log lambda_d over the monitored
+    segment, with k and j counted from its first record.
     """
     if not 0.0 < lambda_c <= 1.0 or lambda_d < lambda_c:
         raise linalg.InvalidInput(
@@ -211,15 +210,6 @@ def thm_diagnostics(traj, lambda_c, lambda_d, plant, c_sigma):
     js = np.array([r.j - j0 for r in recs], dtype=float)
     lhs = (ks - 2.0 * js) * np.log(lambda_c) + \
         (3.0 * js + 1.0) * np.log(lambda_d)
-
-    # least-squares envelope lhs <= m1 - m2 (k + j), slope clamped >= 0
-    t = ks + js
-    if np.ptp(t) > 0:
-        slope = float(np.polyfit(t, lhs, 1)[0])
-    else:
-        slope = 0.0
-    m2 = max(0.0, -slope)
-    m1 = float(np.max(lhs + m2 * t))
 
     # T*: physical time after which every step stays in the decrease
     # branch, the record after the last step outside T1
@@ -251,8 +241,6 @@ def thm_diagnostics(traj, lambda_c, lambda_d, plant, c_sigma):
         bound_ok=check_bound(traj, pi_e),
         T1_membership=walk.in_T1.tolist(),
         thm4_lhs=lhs,
-        m1=m1,
-        m2=m2,
         Tstar_estimate=recs[first].k,
         cor1_membership=cor1,
         nu_d_events=walk.nu_events,

@@ -45,9 +45,10 @@ class LtvPlant:
         raise NotImplementedError
 
     def step(self, k, x, u):
+        """A(k) x + B(k) u of float vectors x and u that the caller has
+        checked, as `hybrid.run` checks its state and input; a vector of
+        the wrong length raises ValueError from the product."""
         a, b = self.eval(k)
-        x = linalg.as_vector(x, self.nx)
-        u = linalg.as_vector(u, self.nu)
         # a step that overflows yields a non-finite state, which the caller
         # reports as divergence
         with np.errstate(over="ignore", invalid="ignore"):

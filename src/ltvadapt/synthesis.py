@@ -50,7 +50,9 @@ class ControllerBundle:
     solver_status: str = ""
 
     def lyapunov(self, x):
-        x = linalg.as_vector(x, self.S.shape[0])
+        """V(x) = x S x of a float vector x that the caller has checked, as
+        `hybrid.run` checks its state; a vector of the wrong length raises
+        ValueError from the product."""
         return float(x @ self.S @ x)
 
     def rate(self, eps):

@@ -21,11 +21,21 @@ class DataWindow:
     U: np.ndarray
 
     def __post_init__(self):
-        xhat = linalg.as_matrix(self.Xhat)
-        x = linalg.as_matrix(self.X)
-        u = linalg.as_matrix(self.U)
+        blocks = []
+        for b in (self.Xhat, self.X, self.U):
+            m = np.asarray(b, dtype=float)
+            if m.ndim == 1:
+                m = m.reshape(1, -1)  # a 1-D block is one row
+            if m.ndim not in (2, 3) or m.size == 0:
+                raise linalg.InvalidInput("window blocks must be non-empty "
+                                          "2-D arrays or stacks of them")
+            blocks.append(m)
+        xhat, x, u = blocks
         if x.shape != xhat.shape or u.shape[1] != xhat.shape[1]:
             raise linalg.InvalidInput("window blocks have mismatched shapes")
+        # one finiteness test over all three blocks
+        if not np.isfinite(np.concatenate(blocks, axis=None)).all():
+            raise linalg.InvalidInput("window contains non-finite entries")
         object.__setattr__(self, "Xhat", xhat)
         object.__setattr__(self, "X", x)
         object.__setattr__(self, "U", u)
@@ -54,15 +64,26 @@ class DataWindow:
         )
 
     def push(self, x_prev, u_prev, x_next):
-        """Append one sample (x(k), u(k), x(k+1)), dropping the oldest."""
-        x_prev = linalg.as_vector(x_prev, self.nx, name="x_prev")
-        u_prev = linalg.as_vector(u_prev, self.nu, name="u_prev")
-        x_next = linalg.as_vector(x_next, self.nx, name="x_next")
+        """Append one sample (x(k), u(k), x(k+1)), dropping the oldest.
+
+        Only the sample's lengths are checked here; the constructor checks
+        the new window, the sample with it, for finiteness.
+        """
+        cols = []
+        for v, n, name in ((x_prev, self.nx, "x_prev"),
+                           (u_prev, self.nu, "u_prev"),
+                           (x_next, self.nx, "x_next")):
+            col = np.asarray(v, dtype=float).reshape(-1, 1)
+            if len(col) != n:
+                raise linalg.InvalidInput(
+                    f"{name} has length {len(col)}, expected {n}")
+            cols.append(col)
+        x_prev, u_prev, x_next = cols
         return DataWindow(
             kappa=self.kappa + 1,
-            Xhat=np.concatenate([self.Xhat[:, 1:], x_prev[:, None]], axis=1),
-            X=np.concatenate([self.X[:, 1:], x_next[:, None]], axis=1),
-            U=np.concatenate([self.U[:, 1:], u_prev[:, None]], axis=1),
+            Xhat=np.concatenate([self.Xhat[:, 1:], x_prev], axis=1),
+            X=np.concatenate([self.X[:, 1:], x_next], axis=1),
+            U=np.concatenate([self.U[:, 1:], u_prev], axis=1),
         )
 
     def z_matrix(self):

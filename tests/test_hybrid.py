@@ -220,6 +220,20 @@ def test_jump_preserves_state(event_run):
         assert np.allclose(rec.x, a_mat @ prev.x + b_mat @ prev.u)
 
 
+def test_recorded_V_is_the_form_of_the_records_bundle(event_run):
+    # the decrease test and the record share one V per step; at a jump it
+    # is the adopted bundle's, not the one the design replaced
+    traj = event_run
+    assert [e.k for e in traj.episodes] == [4, 15, 16]
+    certified = [r for r in traj.records if r.bundle is not None]
+    assert len(certified) == len(traj.records) - traj.monitor_start
+    for r in certified:
+        assert r.V == float(r.x @ r.bundle.S @ r.x)
+    for e in traj.episodes[1:]:
+        prev, rec = traj.records[e.k - 1], traj.records[e.k]
+        assert rec.V != float(rec.x @ prev.bundle.S @ rec.x)
+
+
 def test_divergence_while_exploring():
     cfg = hybrid.ScenarioConfig(mode="event", horizon=100, seed=0)
     traj = hybrid.run(plants.ConstantLti(a=1e4 * np.eye(2)), cfg)

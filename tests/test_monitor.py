@@ -159,7 +159,6 @@ def test_thm_diagnostics_fields(switching_run):
     rep = _report(plant, cfg, traj)
     assert all(rep.bound_ok)
     assert rep.bound_ok == monitor.check_bound(traj, rep.pi_exact)
-    assert rep.m2 >= 0.0
     assert len(rep.thm4_lhs) == len(rep.records)
 
 

@@ -65,3 +65,43 @@ def test_window_shape_validation():
     with pytest.raises(linalg.InvalidInput):
         DataWindow(kappa=0, Xhat=np.zeros((2, 3)), X=np.zeros((2, 4)),
                    U=np.zeros((1, 3)))
+
+
+def test_pushed_window_equals_the_constructed_one():
+    # push builds through the constructor, so the window it returns is
+    # the one the constructor gives for the last T samples, byte for byte
+    rng = np.random.default_rng(4)
+    samples = [(rng.standard_normal(2), rng.standard_normal(1),
+                rng.standard_normal(2)) for _ in range(5)]
+    w = DataWindow.empty(2, 1, 3)
+    for x_prev, u_prev, x_next in samples:
+        w = w.push(x_prev, u_prev, x_next)
+    xs, us, xns = zip(*samples[-3:])
+    built = DataWindow(5, np.column_stack(xs), np.column_stack(xns),
+                       np.column_stack(us))
+    assert built.kappa == w.kappa
+    for a, b in ((built.Xhat, w.Xhat), (built.X, w.X), (built.U, w.U)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def test_window_reads_a_1d_block_as_one_row():
+    w = DataWindow(kappa=2, Xhat=[1.0, 0.5], X=[0.5, 0.25], U=[0, 1])
+    assert w.Xhat.shape == w.X.shape == w.U.shape == (1, 2)
+    assert w.U.dtype == float
+    assert np.array_equal(w.z_matrix(), [[1.0, 0.5], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("xhat, x, u", [
+    (np.zeros((2, 0)), np.zeros((2, 0)), np.zeros((1, 0))),  # empty
+    (np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((0, 3))),  # empty U
+    (np.zeros(()), np.zeros(()), np.zeros(())),  # not an array of samples
+    ([[1.0, np.nan]], [[1.0, 2.0]], [[0.0, 1.0]]),  # nan state
+    ([[1.0, 2.0]], [[1.0, np.inf]], [[0.0, 1.0]]),  # inf successor
+    ([[1.0, 2.0]], [[1.0, 2.0]], [[0.0, -np.inf]]),  # inf input
+    (np.zeros((2, 3)), np.zeros((1, 3)), np.zeros((1, 3))),  # X rows
+    (np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((1, 2))),  # U columns
+])
+def test_window_rejects_empty_nonfinite_and_mismatched_blocks(xhat, x, u):
+    with pytest.raises(linalg.InvalidInput):
+        DataWindow(kappa=3, Xhat=xhat, X=x, U=u)
