@@ -1,25 +1,25 @@
 """Dense small-matrix kernels used across the package.
 
 Everything here assumes tiny matrices (dimension well below 100). The
-symmetric eigensolvers and the singular value decomposition are LAPACK's;
-the pseudoinverse, the psd square root, the spectral norm, the positive
-definite inverse and inverse square root, and the generalized-eigenvalue
-extremes are built on the eigensolvers. The pseudoinverse and the psd
-square root map eigenvalues through one form, (v * d) v^T; both positive
-definite kernels reject a matrix by one rule, `_pd_eig`'s. The module also
-holds input validation.
+symmetric and general eigensolvers and the singular value decomposition
+are LAPACK's; the pseudoinverse, the psd square root, the spectral norm,
+the positive definite inverse and inverse square root, and the
+generalized-eigenvalue extremes are built on the symmetric eigensolvers.
+The pseudoinverse and the psd square root map eigenvalues through one
+form, (v * d) v^T; both positive definite kernels reject a matrix by one
+rule, `_pd_eig`'s. The module also holds input validation.
 
 LAPACK is called through numpy's gufuncs (`numpy.linalg._umath_linalg`:
-eigh_lo for `sym_eig`, eigvalsh_lo for `eigvalsh`, svd_f for `svd`), the
-calls numpy.linalg's eigh, eigvalsh and svd make, so every result is the
-same bit for bit; their wrapper (array conversion, type dispatch, an
-error-state context) costs more than LAPACK does at these sizes. The
-gufunc module is private to numpy, and only numpy 2.4.6 has been run. A
-gufunc call that fails returns its output filled with NaN, so a NaN
-eigenvalue or singular value raises LinAlgError, as np.linalg does; the
-failed call also sets the floating-point invalid flag, which numpy first
-reports as a RuntimeWarning under the caller's error state. `maxdet`
-calls its gufuncs through the same import.
+eigh_lo for `sym_eig`, eigvalsh_lo for `eigvalsh`, svd_f for `svd`, eig
+for `eig`), the calls numpy.linalg's eigh, eigvalsh, svd and eig make, so
+every result is the same bit for bit; their wrapper (array conversion,
+type dispatch, an error-state context) costs more than LAPACK does at
+these sizes. The gufunc module is private to numpy, and only numpy 2.4.6
+has been run. A gufunc call that fails returns its output filled with
+NaN, so a NaN eigenvalue or singular value raises LinAlgError, as
+np.linalg does; the failed call also sets the floating-point invalid
+flag, which numpy first reports as a RuntimeWarning under the caller's
+error state. `maxdet` calls its gufuncs through the same import.
 """
 
 import math
@@ -108,6 +108,15 @@ def svd(a):
     is not validated."""
     u, s, vh = _lapack.svd_f(a, signature="d->ddd")
     return u, _checked(s), vh
+
+
+def eig(a):
+    """Eigenvalues and right eigenvectors (unit columns) of a real square
+    matrix, both complex, by LAPACK (bit for bit numpy.linalg.eig, which
+    casts an all-real result to real). The input is not validated."""
+    w, v = _lapack.eig(a, signature="d->DD")
+    _checked(w.real)
+    return w, v
 
 
 def spectral_norm(m):

@@ -108,8 +108,8 @@ class SinusoidalPlant(LtvPlant):
     def eval(self, k):
         c = np.cos(2.0 * np.pi * k / self.p)
         d = self._delta(k)
-        a = A_NOMINAL @ (np.eye(2) + d * np.diag([c, -c]))
-        return a, B_NOMINAL.copy()
+        # A0 (I + diag(d c, -d c)) scales A0's columns
+        return A_NOMINAL * [1.0 + d * c, 1.0 - d * c], B_NOMINAL.copy()
 
 
 class VanishingPerturbationPlant(SinusoidalPlant):

@@ -9,9 +9,11 @@ solver; the product Xhat Y is constrained to be symmetric by restricting
 Y to the null space of the skew-symmetry conditions.
 
 `synthesize` declines a window without building or solving the SDP when
-its data are too small for any design to reach the solver's strict
-margin: ||Xhat||_2^2 < 2 * strict_margin (derived in `synthesize`),
-which includes every window with Xhat = 0. Every other window goes to
+its data prove that no design can reach the solver's strict margin: when
+they are too small, ||Xhat||_2^2 < 2 * strict_margin, which includes
+every window with Xhat = 0, and when they show the closed loop that
+produced them expanding along a left eigenvector of the least-squares
+M = X Xhat^+ (both derived in `synthesize`). Every other window goes to
 `maxdet.solve_maxdet`.
 """
 
@@ -27,8 +29,12 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_EPS_F = 0.1
 
-# status logged when a window is declined by the data bound, before any solve
+# statuses logged when a window is declined before any solve: by the data
+# bound, and by the expansion certificate
 DATA_BOUND = "DataBound"
+UNSTABLE_DATA = "UnstableData"
+
+_EPS = np.finfo(float).eps
 
 # relative excess of a contraction factor over its certified rate that
 # verify_property accepts
@@ -234,27 +240,139 @@ def extract_bundle(w, design, solution, eps_F=DEFAULT_EPS_F):
     )
 
 
+def _row_norms(a):
+    """Euclidean norm of each row of a real or complex 2-D array."""
+    a = np.abs(a)
+    return np.sqrt(np.add.reduce(a * a, axis=1))
+
+
+def _expansion_certified(w, u, sig, vt, target):
+    """Whether a left eigenpair (v, lam), |lam| > 1, of the least-squares
+    M = X Xhat^+ proves that no design on w reaches target, given the
+    singular value decomposition u diag(sig) vt of Xhat; the test and its
+    rounding bounds are derived in `synthesize`."""
+    xhat, x = w.Xhat, w.X
+    nx, width = xhat.shape
+    # M as numpy's lstsq forms it: singular values of Xhat at or below
+    # max(nx, T) eps sigma_1 count as zero. Huge data can overflow M or a
+    # side of the test; an inf or nan there certifies nothing.
+    r = int(np.count_nonzero(sig > max(nx, width) * _EPS * sig[0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = (x @ vt[:r].T / sig[:r]) @ u[:, :r].T
+        if not np.isfinite(m).all():
+            return False
+        # M^T u = lam u gives u^T M = lam u^T: the rows of vh are v^H,
+        # v = conj(u)
+        lam, vec = linalg.eig(m.T)
+        vh = vec.T
+        # real products only: v^H X and v^H Xhat from the real and
+        # imaginary rows of v^H (a complex product would page in more of
+        # BLAS)
+        re_im = np.concatenate((vh.real, vh.imag))
+        px, pxh = re_im @ x, re_im @ xhat
+        vx = px[:nx] + 1j * px[nx:]
+        s = vx - lam[:, None] * (pxh[:nx] + 1j * pxh[nx:])
+        gamma = (nx + 4) * _EPS
+        av = np.abs(vh)
+        err_x = gamma * (av @ np.abs(x))
+        err = err_x + gamma * np.abs(lam)[:, None] * (av @ np.abs(xhat))
+        s_hi = _row_norms(s) + _row_norms(err)
+        xv_lo = np.maximum(_row_norms(vx) - _row_norms(err_x), 0.0)
+        q = lam.real ** 2 + lam.imag ** 2
+        d = q - 1.0 - 3.0 * _EPS * q
+        rho = (width + nx + 16) * _EPS
+        lhs = q * s_hi ** 2 * (1.0 + rho)
+        rhs = target * ((2.0 + q) * _row_norms(vh) ** 2 + xv_lo ** 2) * d \
+            * (1.0 - rho)
+    return bool(((lhs < rhs) & (rhs < np.inf)).any())
+
+
+def presolve_decline(w, target):
+    """The status with which `synthesize` declines w before building its
+    design problem, DATA_BOUND or UNSTABLE_DATA, or None when the window
+    goes to the solver with phase-I target `target`. One singular value
+    decomposition of Xhat serves both tests."""
+    u, sig, vt = linalg.svd(w.Xhat)
+    if sig[0] ** 2 < 2.0 * target:
+        return DATA_BOUND
+    if _expansion_certified(w, u, sig, vt, target):
+        return UNSTABLE_DATA
+    return None
+
+
 def synthesize(w, eps_F=DEFAULT_EPS_F, opts=None):
     """Attempt a design from window w; None when no feasible design exists.
 
-    A window with ||Xhat||_2^2 < 2 * strict_margin is declined (status
-    DATA_BOUND) without building or solving the design problem, because
-    no design on it can reach phase I's target t = strict_margin. Let
-    P = Xhat Y and suppose every block of the design LMIs has
-    lambda_min >= t, 0 < t < 1. The top-left of block 1 gives
-    P >= H + varsigma X X^T + t I >= 2t I, since H >= t I and
-    varsigma >= t. Block 2 minus t I is [[(1 - t) I, Y], [Y^T, P - t I]]
+    Two tests decline a window without building or solving the design
+    problem, because they prove that no design on it can reach phase I's
+    target t = strict_margin, 0 < t < 1; phase I answers Feasible only at
+    a point where every block has lambda_min >= t, so a declined window
+    could never be adopted. Below, P is the symmetric part of Xhat Y,
+    which the blocks hold (the Y basis makes Xhat Y symmetric up to
+    rounding), and every block of the design LMIs is supposed to have
+    lambda_min >= t.
+
+    Data bound (status DATA_BOUND): ||Xhat||_2^2 < 2t. The top-left of
+    block 1 gives P >= H + varsigma X X^T + t I >= 2t I, since H >= t I
+    and varsigma >= t. Block 2 minus t I is [[(1 - t) I, Y], [Y^T, P - t I]]
     >= 0, whose Schur complement gives Y^T Y <= (1 - t)(P - t I)
-    <= (1 - t) P; with ||P|| <= ||Xhat|| ||Y|| this makes
+    <= (1 - t) P; with ||P|| <= ||Xhat Y|| <= ||Xhat|| ||Y|| this makes
     2t <= ||P|| <= (1 - t) ||Xhat||^2. A design thus needs
     ||Xhat||^2 >= 2t / (1 - t); the test's 2t lies below that by a
     relative t, which absorbs the rounding of the norm and of the
     solver's margins.
+
+    Expansion certificate (status UNSTABLE_DATA), a data-informativity
+    argument (van Waarde, Eising, Trentelman and Camlibel, IEEE TAC 2020)
+    on the LMIs of `build_design_problem`. Take v in C^nx, v != 0, and a
+    scalar lam with |lam| > 1, and let s = v^H X - lam v^H Xhat, a 1 x T
+    row. If
+        |lam|^2 ||s||^2 / (|lam|^2 - 1)
+            < t ((2 + |lam|^2) ||v||^2 + ||X^T v||^2),
+    no decision vector gives every block lambda_min >= t. Proof: take
+    z = [v; -conj(lam) v] and write p = v^H P v. Block 2 gives
+    ||Y v||^2 <= p, as in the data bound's proof; block 3 gives H >= t I
+    and block 4 varsigma >= t. Since v^H X Y v = s Y v + lam v^H Xhat Y v,
+    where v^H Xhat Y v - p, the form of the skew part, is imaginary,
+        z^H B1 z = (1 - |lam|^2) p - varsigma ||X^T v||^2 - v^H H v
+                   - 2 Re(conj(lam) s Y v)
+                 <= (1 - |lam|^2) p + 2 |lam| ||s|| sqrt(p)
+                    - t (||v||^2 + ||X^T v||^2),
+    and the maximum over p >= 0 bounds it by
+    |lam|^2 ||s||^2 / (|lam|^2 - 1) - t (||v||^2 + ||X^T v||^2). By the
+    hypothesis that lies below t ||z||^2 = t (1 + |lam|^2) ||v||^2, so
+    block 1 has lambda_min < t. When v^H is a left eigenvector of the
+    least-squares M = X Xhat^+ with eigenvalue lam, s is v^H times the
+    residual X - M Xhat: the test fires when the data follow a closed loop
+    with an eigenvalue outside the unit disc closely enough. Every
+    eigenpair is tried, and one with |lam| <= 1 cannot pass. The proof
+    holds for any (v, lam), so how they were computed does not matter: no
+    rank cut or tolerance of theirs can make the test wrong.
+
+    Rounding: the test evaluates its two sides from the computed v, lam
+    and row s~ = fl(v^H X - lam v^H Xhat), so that only the floating-point
+    operations of the test itself count. Each entry of s~ comes from real
+    dot products of length nx, a complex product and a difference, so
+    |s~_j - s_j| <= e_j with
+    e = (nx + 4) eps (|v|^T |X| + |lam| |v|^T |Xhat|) (Higham, Accuracy
+    and Stability of Numerical Algorithms, sec. 3.1 and 3.6), and
+    ||s|| <= ||s~|| + ||e||; likewise ||X^T v|| >= ||fl(v^H X)|| - ||e_X||
+    with e_X = (nx + 4) eps |v|^T |X|. d = q - 1 - 3 eps q, with
+    q = fl(|lam|^2), lies below |lam|^2 - 1. The test multiplies the
+    hypothesis through by d and asks
+        q (||s~|| + ||e||)^2 (1 + rho)
+            < t ((2 + q) ||v||^2 + ||X^T v||_lo^2) d (1 - rho),
+    with ||X^T v||_lo the lower bound above: what is left are sums of at
+    most T nonnegative terms, square roots and products, each side with
+    a relative error below rho = (T + nx + 16) eps. Where d <= 0 the
+    right-hand side is not positive and the test cannot pass; where M or
+    the right-hand side overflowed, it is not tried.
     """
     opts = opts or maxdet.SolverOptions()
-    if linalg.spectral_norm(w.Xhat) ** 2 < 2.0 * opts.strict_margin:
+    status = presolve_decline(w, opts.strict_margin)
+    if status is not None:
         logger.info("design infeasible at kappa=%d (status %s)",
-                    w.kappa, DATA_BOUND)
+                    w.kappa, status)
         return None
     design = build_design_problem(w)
     try:

@@ -50,6 +50,19 @@ def test_svd_is_numpys(rows, cols, seed):
         assert g.tobytes() == w.tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 10 ** 6))
+def test_eig_is_numpys(n, seed):
+    # numpy.linalg.eig casts an all-real result to real; linalg.eig keeps
+    # it complex, with the same values
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    got = linalg.eig(a)
+    want = np.linalg.eig(a)
+    for g, w in zip(got, want):
+        assert g.dtype == complex
+        assert g.tobytes() == w.astype(complex).tobytes()
+
+
 def test_pinv_scalar():
     assert np.allclose(linalg.pinv(np.array([[1.25]])), [[0.8]], atol=1e-14)
 

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ltvadapt import hybrid, linalg, maxdet, plants, synthesis, verification
-from test_synthesis import exploration_window
+from test_synthesis import exploration_window, synthesized_windows
 
 
 def chol_in_stage(m):
@@ -162,6 +162,17 @@ def phase_row(phase, sol, logdet=""):
             repr(float(np.min(sol.min_margins))), logdet]
 
 
+def design_problems(monkeypatch, runs):
+    """The design problem of every window the closed loops of runs hand to
+    synthesize above its data bound: the problems that reach the solver
+    when the expansion certificate declines nothing, so solver-Infeasible
+    windows included."""
+    target = maxdet.SolverOptions().strict_margin
+    return [synthesis.build_design_problem(w).problem
+            for w in synthesized_windows(monkeypatch, runs)
+            if synthesis.presolve_decline(w, target) != synthesis.DATA_BOUND]
+
+
 def test_solver_trace(tmp_path, monkeypatch):
     # one row per phase of each solve, read from the solution that phase
     # returns: phase I's iteration count, status and least margin, and
@@ -190,8 +201,9 @@ def test_solver_trace(tmp_path, monkeypatch):
     assert sol.status == maxdet.INFEASIBLE and sol.iterations == 0
     assert trace_rows(path)[3:] == [phase_row("I", sol)]
 
-    # a closed loop: one phase-I row per design solve, followed by a
-    # phase-II row exactly when phase I found the window feasible
+    # a closed loop and then every design problem of its windows, into one
+    # trace: one phase-I row per design solve, followed by a phase-II row
+    # exactly when phase I found the window feasible
     solves = []
     for name in ("solve_feasibility", "solve_maxdet"):
         def record(problem, opts=None, _solve=getattr(maxdet, name),
@@ -201,10 +213,13 @@ def test_solver_trace(tmp_path, monkeypatch):
             return out
         monkeypatch.setattr(maxdet, name, record)
     loop = tmp_path / "loop.csv"
+    opts = maxdet.SolverOptions(trace_path=str(loop))
     _, plant, cfg = next(s for s in verification.canonical_scenarios()
                          if s[0] == "switching-event")
-    hybrid.run(plant, dataclasses.replace(
-        cfg, solver_options=maxdet.SolverOptions(trace_path=str(loop))))
+    run = ("switching-event", plant,
+           dataclasses.replace(cfg, solver_options=opts))
+    for problem in design_problems(monkeypatch, [run]):
+        maxdet.solve_maxdet(problem, opts)
     expected = []
     for name, problem, out in solves:
         if name == "solve_feasibility":
@@ -470,17 +485,8 @@ def test_loose_centring_keeps_verdicts_and_solutions(monkeypatch):
     # declined
     runs = [s for s in verification.canonical_scenarios()
             if s[0] in ("switching-event", "time-np12-s1")]
-    solve = maxdet.solve_maxdet
-    problems = [one_var_det_problem(), design_problem()]
-
-    def recording_solve(problem, opts=None):
-        problems.append(problem)
-        return solve(problem, opts)
-
-    with monkeypatch.context() as m:
-        m.setattr(maxdet, "solve_maxdet", recording_solve)
-        for _, plant, cfg in runs:
-            hybrid.run(plant, cfg)
+    problems = [one_var_det_problem(), design_problem()] + \
+        design_problems(monkeypatch, runs)
     statuses = set()
     for p in problems + [empty_interior_problem()]:
         got = maxdet.solve_feasibility(p)

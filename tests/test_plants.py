@@ -59,6 +59,23 @@ def test_period_below_one_is_rejected(kind):
         plants.make_plant(kind, {"p": 0})
 
 
+@pytest.mark.parametrize("plant", [
+    plants.SinusoidalPlant(p=10), plants.SinusoidalPlant(p=40),
+    plants.SinusoidalPlant(p=7, delta_a=-2.5),
+    plants.VanishingPerturbationPlant(p=10, t_delta=30)])
+def test_sinusoidal_eval_is_the_matrix_formula_bit_for_bit(plant):
+    # A(k) scales A0's columns; the bytes are those of the formula's
+    # A0 @ (I + delta diag(c, -c)), including where a factor is 0
+    for k in range(-5, 300):
+        c = np.cos(2.0 * np.pi * k / plant.p)
+        d = plant._delta(k)
+        ref = plants.A_NOMINAL @ (np.eye(2) + d * np.diag([c, -c]))
+        a, b = plant.eval(k)
+        assert a.dtype == ref.dtype and a.tobytes() == ref.tobytes(), k
+        assert b.tobytes() == plants.B_NOMINAL.tobytes()
+        assert b is not plants.B_NOMINAL
+
+
 def test_vanishing_perturbation():
     p = plants.VanishingPerturbationPlant(p=10, t_delta=30)
     a_end, _ = p.eval(30)

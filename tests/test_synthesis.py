@@ -3,7 +3,7 @@ import pickle
 import numpy as np
 import pytest
 
-from ltvadapt import (linalg, maxdet, plants, proximity, synthesis,
+from ltvadapt import (hybrid, linalg, maxdet, plants, proximity, synthesis,
                       verification)
 from ltvadapt.window import DataWindow
 
@@ -134,6 +134,115 @@ def test_synthesize_declines_below_data_bound_without_solving(
     assert len(solve_calls) == 1
     assert synthesis.synthesize(w) is not None
     assert len(solve_calls) == 2
+
+
+def loop_window(a_cl):
+    """The exploration window's Xhat and U with X = a_cl Xhat, the data of
+    the autonomous loop x+ = a_cl x."""
+    w = exploration_window()
+    return DataWindow(kappa=w.kappa, Xhat=w.Xhat, X=a_cl @ w.Xhat, U=w.U)
+
+
+def rotation(lam, theta):
+    return lam * np.array([[np.cos(theta), -np.sin(theta)],
+                           [np.sin(theta), np.cos(theta)]])
+
+
+def test_expanding_data_are_declined_without_solving(solve_calls, caplog):
+    # X = lam Xhat: every v is a left eigenvector of M = lam I with s = 0;
+    # the rotations give a complex pair lam e^(+-0.3i)
+    sm = maxdet.SolverOptions().strict_margin
+    expanding = [1.05 * np.eye(2), -1.05 * np.eye(2), rotation(1.05, 0.3)]
+    with caplog.at_level("INFO", logger="ltvadapt.synthesis"):
+        for a_cl in expanding:
+            w = loop_window(a_cl)
+            assert linalg.spectral_norm(w.Xhat) ** 2 > 1e3 * sm
+            assert synthesis.presolve_decline(w, sm) == \
+                synthesis.UNSTABLE_DATA
+            assert synthesis.synthesize(w) is None
+    assert solve_calls == []
+    assert caplog.text.count(synthesis.UNSTABLE_DATA) == 3
+    for a_cl in expanding:
+        sol = maxdet.solve_feasibility(
+            synthesis.build_design_problem(loop_window(a_cl)).problem)
+        assert sol.status == maxdet.INFEASIBLE
+    for a_cl in (0.9 * np.eye(2), rotation(0.9, 0.3)):
+        w = loop_window(a_cl)
+        assert synthesis.presolve_decline(w, sm) is None
+        synthesis.synthesize(w)
+    assert len(solve_calls) == 2
+
+
+def test_certificate_on_overflowing_data_declines_nothing(recwarn):
+    # M, |lam|^2 or a side of the test overflows: an inf or nan there is
+    # no proof, and the test raises no warning
+    rng = np.random.default_rng(0)
+    xhat = 1e-2 * rng.standard_normal((2, 4))
+    sm = maxdet.SolverOptions().strict_margin
+    for scale in (1e150, 1e200, 1e300):
+        w = DataWindow(kappa=4, Xhat=xhat,
+                       X=scale * rng.standard_normal((2, 4)),
+                       U=rng.standard_normal((2, 4)))
+        assert synthesis.presolve_decline(w, sm) is None
+    w = DataWindow(kappa=4, Xhat=np.array([[1.0, 0.0, 0.0, 0.0],
+                                           [0.0, 1e-13, 0.0, 0.0]]),
+                   X=np.full((2, 4), 1e300), U=np.ones((2, 4)))
+    assert synthesis.presolve_decline(w, sm) is None
+    assert len(recwarn) == 0
+
+
+def lstsq_spectral_radius(w):
+    m = np.linalg.lstsq(w.Xhat.T, w.X.T)[0].T
+    return np.max(np.abs(np.linalg.eigvals(m)))
+
+
+def test_certificate_never_fires_on_an_adopted_canonical_window():
+    # the least-squares closed loop expands on most adopted windows, so the
+    # test's s term is what keeps them
+    sm = maxdet.SolverOptions().strict_margin
+    adopted = [e.new_bundle.window
+               for _, _, _, traj in verification.canonical_runs()
+               for e in traj.episodes]
+    assert len(adopted) == 77
+    assert [w.kappa for w in adopted
+            if synthesis.presolve_decline(w, sm) is not None] == []
+    assert sum(lstsq_spectral_radius(w) > 1.0 for w in adopted) == 53
+
+
+def synthesized_windows(monkeypatch, runs):
+    """Every window the closed loops of runs, (name, plant, cfg) triples,
+    hand to synthesize."""
+    windows = []
+    synthesize = synthesis.synthesize
+
+    def recording(w, *args, **kwargs):
+        windows.append(w)
+        return synthesize(w, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(synthesis, "synthesize", recording)
+        for _, plant, cfg in runs:
+            hybrid.run(plant, cfg)
+    return windows
+
+
+def test_certified_canonical_windows_stay_infeasible_on_a_longer_path(
+        monkeypatch):
+    # phase I ending at mu = 1e10 instead of MU_MAX, with 2,000 Newton
+    # steps, still finds no point with every margin at the target on any
+    # window the certificate declined
+    sm = maxdet.SolverOptions().strict_margin
+    certified = [w for w in synthesized_windows(
+        monkeypatch, verification.canonical_scenarios())
+        if synthesis.presolve_decline(w, sm) == synthesis.UNSTABLE_DATA]
+    assert len(certified) == 33
+    monkeypatch.setattr(maxdet, "MU_MAX", 1e10)
+    opts = maxdet.SolverOptions(max_newton=2000)
+    for w in certified:
+        sol = maxdet.solve_feasibility(
+            synthesis.build_design_problem(w).problem, opts)
+        assert sol.status == maxdet.INFEASIBLE, w.kappa
+        assert np.min(sol.min_margins) < sm
 
 
 def _reference_design(w):
