@@ -6,7 +6,7 @@ an ordinary 1x1 block. Feasibility is decided by a phase-I max-margin
 barrier solve, and log-det maximization by the classic MAXDET log-barrier
 path following scheme with damped Newton steps.
 
-Both phases run the stages mu = MU_INIT, MU_INIT * MU_FACTOR, ..., MU_MAX,
+Phase I runs the stages mu = MU_INIT, MU_INIT * MU_FACTOR, ..., MU_MAX,
 that is 100, 1e3, ..., 1e6, the first barrier weight chosen as in Boyd &
 Vandenberghe (Convex Optimization, sec. 11.3.1). At the centre of stage mu
 each of the m barrier rows has a slack of about m / mu; the phase-I map of
@@ -15,31 +15,42 @@ nu) and at most 100 while nx <= 16 and nu <= nx. Phase I starts at t0 =
 min margin - 1, a slack of at least 1 on every row, so a stage with
 m / mu > 1 has its centre at or below the start and can only move t away
 from the target. mu = 100 is the first stage of the grid that moves
-toward the target. Phase II shares the start, which saves it steps as
-well; a start at 1000 costs phase II more steps than it saves.
+toward the target. Phase I's path decides its verdict, and a coarser grid
+flips verdicts, so its grid stays. Phase II's path decides nothing: its
+only output is the point centred at MU_MAX. So it runs every other stage
+of phase I's grid and ends on the same last one, 100, 1e4, 1e6 (Boyd &
+Vandenberghe, sec. 11.3; Vandenberghe, Boyd & Wu, SIAM J. Matrix Anal.
+Appl. 1998, for MAXDET). It shares phase I's start, which saves it steps
+as well; a start at 1000 or later costs phase II more steps than it
+saves. Both grids are read from MU_INIT, MU_FACTOR and MU_MAX at each
+solve.
 
 Both phases stack their blocks into one block-diagonal affine map, built
 once per solve, with one barrier weight per row: phase I adds the margin
 variable t as a -t I column over every block and its cap t < t_cap as one
 more 1x1 block, phase II a copy of the determinant block. One path routine
-runs both phases: a stage only changes the weights, and one Newton routine
-minimizes every stage. The stages are centred to two tolerances. The last
-stage, mu = MU_MAX, has converged when its Newton decrement reaches
-NEWTON_TOL or when an accepted step decreases the objective only at
-float-noise level; the maximization is Optimal when the path reached MU_MAX
-and that stage converged. Every earlier stage ends once its mu-normalized
-decrement is at most CENTERING_TOL / sqrt(mu) (or at float noise). That is
-a decrement of CENTERING_TOL = 0.1 for mu times the stage objective, which
-is self-concordant in both phases (the barrier plus a linear term, or plus
-mu >= 1 times -log det), and so a point in Newton's quadratic region whose
-objective is within 0.01 of the stage's centre (Boyd & Vandenberghe,
-Convex Optimization, sec. 9.6 and 11.5; Vandenberghe, Boyd & Wu, SIAM J.
-Matrix Anal. Appl. 1998, for MAXDET). Such a point serves the next stage
-as a warm start as well as the exact centre would, and no other use is
-made of it: the solution, its margins and the m/mu gap are read only at
-the last stage's point, centred as tightly as before. The step counts
-(`iterations`, `max_newton`) are of Newton steps taken, so a stage that
-starts centred costs nothing. Each Newton point costs one matrix build and
+runs either phase's stages: a stage only changes the weights and the
+tolerance, and one Newton routine minimizes every stage. The last stage,
+mu = MU_MAX, has converged when its Newton decrement reaches NEWTON_TOL or
+when an accepted step decreases the objective only at float-noise level;
+the maximization is Optimal when the path reached MU_MAX and that stage
+converged. Every earlier stage ends once its mu-normalized decrement is at
+most c / sqrt(mu) (or at float noise), that is once mu times the stage
+objective has a decrement of at most c. That function is self-concordant in
+both phases (the barrier plus a linear term, or plus mu >= 1 times -log
+det), so its objective is then within c^2 of the stage's centre, and a
+decrement of at most eta = (1 - 2 alpha) / 4, 0.24995 at the line search's
+alpha = 1e-4, puts the point in Newton's quadratically convergent region,
+where every step is a full step and 2 lambda+ <= (2 lambda)^2 (Boyd &
+Vandenberghe, Convex Optimization, sec. 9.6.4 and 11.5). Phase I takes c =
+CENTERING_TOL = 0.1, phase II c = PHASE2_CENTERING_TOL = 0.25, that
+region's bound. Such a point serves the next stage as a warm start as well
+as the exact centre would, and no other use is made of it: the solution,
+its margins and the m/mu gap are read only at the last stage's point,
+centred as tightly as before. The step counts (`iterations`,
+`max_newton`) are of Newton steps taken, so a stage that starts centred
+costs nothing; a phase-II solution's `iterations`, and its trace row,
+count both phases' steps. Each Newton point costs one matrix build and
 one Cholesky factorization: the line search's F(x), its factor and the
 barrier value feed the next gradient and Hessian, and a new stage starts
 from the previous stage's F(x) and factor, recomputing only the barrier
@@ -101,16 +112,18 @@ INFEASIBLE = "Infeasible"
 MAXITER = "MaxIter"
 
 # barrier path: weights 1/mu for mu = MU_INIT, MU_INIT * MU_FACTOR, ...,
-# MU_MAX; the last stage stops when the Newton decrement (affine-invariant
-# residual of the barrier subproblem) drops below NEWTON_TOL, every earlier
-# stage when the decrement of mu times its objective, the self-concordant
-# stage function, drops below CENTERING_TOL. Why MU_INIT is 100: module
-# docstring.
+# MU_MAX in phase I, every other one and MU_MAX in phase II; the last stage
+# stops when the Newton decrement (affine-invariant residual of the barrier
+# subproblem) drops below NEWTON_TOL, every earlier stage when the
+# decrement of mu times its objective, the self-concordant stage function,
+# drops below CENTERING_TOL in phase I and PHASE2_CENTERING_TOL in phase
+# II. Why MU_INIT is 100 and why the phases differ: module docstring.
 MU_INIT = 100.0
 MU_MAX = 1e6
 MU_FACTOR = 10.0
 NEWTON_TOL = 1e-8
 CENTERING_TOL = 0.1
+PHASE2_CENTERING_TOL = 0.25
 # an accepted step that decreases the stage objective by at most this
 # relative amount is at float-noise level
 _NOISE = 4.0 * np.finfo(float).eps
@@ -319,7 +332,7 @@ def _newton(barrier, x, max_steps, tol, early_stop=None, point=None):
     barrier.point(x) at the returned x. The stage converges when the Newton
     decrement reaches tol or when the accepted decrease is at float-noise
     level, so that no further progress is representable; `_path` passes
-    NEWTON_TOL for its last stage and the looser CENTERING_TOL / sqrt(mu),
+    NEWTON_TOL for its last stage and the looser tolerance of `_stages`,
     for a point it uses only as a warm start, for every other. It stops, and
     reports stopped, when early_stop(x, point) holds after an accepted step.
     F, its factor and the value at an accepted point come from the line
@@ -386,36 +399,48 @@ def _margin_reached(z, f, target):
     return _chol(g) is not None
 
 
-def _path(barrier, z, weights, budget, reached=None):
-    """Barrier path from z: one Newton stage per mu = MU_INIT (100),
-    MU_INIT * MU_FACTOR, ..., MU_MAX with barrier weights(mu), within
-    budget steps in total (why the path starts at 100: module docstring).
-    Each stage starts from the previous stage's factored point. The last
-    stage (mu * MU_FACTOR > MU_MAX) is centred to NEWTON_TOL, every earlier
-    one only to CENTERING_TOL / sqrt(mu): its point is used only as the
-    next stage's start, and a decrement of CENTERING_TOL for mu times the
-    self-concordant stage objective already lies in Newton's quadratic
-    region. A stage ends early, and the path stops, at an accepted point
-    where reached(z, point) holds. Returns (z, the Newton steps taken, the
-    last stage's Newton decrement, whether the path passed MU_MAX and its
-    last stage converged, whether it stopped).
+def _stages(stride, centering):
+    """(mu, Newton tolerance) of each stage of a path on phase I's grid mu =
+    MU_INIT, MU_INIT * MU_FACTOR, ..., MU_MAX, read at call time: every
+    stride-th mu from MU_INIT, and the grid's last one. The last stage is
+    centred to NEWTON_TOL, every earlier one to centering / sqrt(mu)."""
+    grid = []
+    mu = MU_INIT
+    while mu <= MU_MAX:
+        grid.append(mu)
+        mu *= MU_FACTOR
+    mus = grid[:-1:stride] + grid[-1:]
+    return [(mu, centering / math.sqrt(mu)) for mu in mus[:-1]] + \
+        [(mu, NEWTON_TOL) for mu in mus[-1:]]
+
+
+def _path(barrier, z, weights, stages, budget, reached=None):
+    """Barrier path from z: one Newton stage per (mu, tol) of stages, with
+    barrier weights(mu), within budget steps in total. Each stage starts
+    from the previous stage's factored point. An earlier stage's point is
+    used only as the next stage's start, so its tol need only put it in
+    Newton's quadratic region for mu times the self-concordant stage
+    objective (module docstring). A stage ends early, and the path stops,
+    at an accepted point where reached(z, point) holds. Returns (z, the
+    Newton steps taken, the last stage's Newton decrement, whether the path
+    ran its last stage and that stage converged, whether it stopped).
     """
     total = 0
-    mu = MU_INIT
     residual = np.inf
     converged = stopped = False
     point = None
-    while mu <= MU_MAX and total < budget:
+    run = 0
+    for mu, tol in stages:
+        if total >= budget:
+            break
         barrier.weights = weights(mu)
-        tol = NEWTON_TOL if mu * MU_FACTOR > MU_MAX else \
-            CENTERING_TOL / math.sqrt(mu)
         z, point, steps, residual, converged, stopped = _newton(
             barrier, z, budget - total, tol, reached, point)
         total += steps
-        mu *= MU_FACTOR
+        run += 1
         if stopped:
             break
-    return z, total, residual, mu > MU_MAX and converged, stopped
+    return z, total, residual, run == len(stages) and converged, stopped
 
 
 def solve_feasibility(problem, opts=None):
@@ -450,7 +475,7 @@ def solve_feasibility(problem, opts=None):
         z, total, _, finished, stopped = _path(
             barrier, np.concatenate([x, [t0]]),
             lambda mu: np.full(len(barrier.constant), 1.0 / mu),
-            opts.max_newton,
+            _stages(1, CENTERING_TOL), opts.max_newton,
             lambda z, point: _margin_reached(z, point[1], target))
         x = z[:m]
         sol = SdpSolution(
@@ -478,6 +503,7 @@ def solve_maxdet(problem, opts=None):
     barrier, det_rows = _phase2_barrier(problem, 0.5 * opts.strict_margin)
     x, total, residual, finished, _ = _path(
         barrier, phase1.x, lambda mu: np.where(det_rows, 1.0, 1.0 / mu),
+        _stages(2, PHASE2_CENTERING_TOL),
         opts.max_newton - phase1.iterations)
     sol = SdpSolution(x=x, status=OPTIMAL if finished else MAXITER,
                       min_margins=check_point(problem, x),

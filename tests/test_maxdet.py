@@ -425,13 +425,15 @@ def test_no_maxiter_below_cap_on_canonical_designs(monkeypatch):
 
 def recording_stages(monkeypatch):
     """Replace maxdet._newton by a wrapper that records each stage's
-    (tol, decrement, converged, stopped)."""
+    (mu, tol, decrement, converged, stopped); mu is read from the barrier
+    weights, whose least entry is 1 / mu in both phases."""
     newton = maxdet._newton
     stages = []
 
     def recording_newton(barrier, x, max_steps, tol, *args):
         out = newton(barrier, x, max_steps, tol, *args)
-        stages.append((tol, out[3], out[4], out[5]))
+        stages.append((1.0 / np.min(barrier.weights), tol, out[3], out[4],
+                       out[5]))
         return out
 
     monkeypatch.setattr(maxdet, "_newton", recording_newton)
@@ -439,39 +441,41 @@ def recording_stages(monkeypatch):
 
 
 def test_intermediate_stages_end_at_the_centering_tolerance(monkeypatch):
-    # a path that runs every stage, mu = MU_INIT, MU_INIT * MU_FACTOR, ...,
-    # MU_MAX: each stage below MU_MAX ends at decrement 0.1 / sqrt(mu), the
-    # last one at NEWTON_TOL; phase I on an empty interior, phase II on a
-    # design problem
+    # each phase runs its own stages to the end, phase I on an empty
+    # interior and phase II on a design problem: phase I every mu of the
+    # grid, 100, 1e3, ..., 1e6, centred to 0.1 / sqrt(mu), phase II every
+    # other one, 100, 1e4, 1e6, centred to 0.25 / sqrt(mu); both end on the
+    # same last stage, centred to NEWTON_TOL
     stages = recording_stages(monkeypatch)
-    mus = [maxdet.MU_INIT]
-    while mus[-1] * maxdet.MU_FACTOR <= maxdet.MU_MAX:
-        mus.append(mus[-1] * maxdet.MU_FACTOR)
-    assert mus[-1] == maxdet.MU_MAX
-    want = [maxdet.CENTERING_TOL / np.sqrt(mu) for mu in mus[:-1]] + \
-        [maxdet.NEWTON_TOL]
-    assert maxdet.CENTERING_TOL == 0.1
+    paths = {"I": ([1e2, 1e3, 1e4, 1e5, 1e6], 0.1),
+             "II": ([1e2, 1e4, 1e6], 0.25)}
     sol = maxdet.solve_feasibility(empty_interior_problem())
     assert sol.status == maxdet.INFEASIBLE
-    phase1 = stages[:]
+    got = {"I": stages[:]}
     del stages[:]
     sol = maxdet.solve_maxdet(design_problem())
     assert sol.status == maxdet.OPTIMAL
-    phase2 = stages[-len(mus):]
-    for path in (phase1, phase2):
-        assert [tol for tol, _, _, _ in path] == want
-        for tol, decrement, converged, stopped in path:
+    got["II"] = stages[-len(paths["II"][0]):]
+    assert len(stages) > len(got["II"])  # phase I ran before
+    for phase, (mus, centering) in paths.items():
+        path = got[phase]
+        assert len(path) == len(mus)
+        assert np.allclose([mu for mu, *_ in path], mus, rtol=1e-12, atol=0)
+        assert [tol for _, tol, *_ in path] == \
+            [centering / np.sqrt(mu) for mu in mus[:-1]] + [maxdet.NEWTON_TOL]
+        for _, tol, decrement, converged, stopped in path:
             assert converged and not stopped and decrement <= tol
-    assert sol.kkt_residual == phase2[-1][1] <= maxdet.NEWTON_TOL
+    assert sol.kkt_residual == got["II"][-1][2] <= maxdet.NEWTON_TOL
 
 
 def fully_centred(monkeypatch, solve, problem):
-    """solve(problem) on the full path from mu = 1, every stage centred at
-    least to NEWTON_TOL, since CENTERING_TOL / sqrt(mu) <= NEWTON_TOL at
-    mu >= 1."""
+    """solve(problem) on the full path from mu = 1, every stage of both
+    phases centred at least to NEWTON_TOL, since a centering tolerance of
+    NEWTON_TOL gives NEWTON_TOL / sqrt(mu) <= NEWTON_TOL at mu >= 1."""
     with monkeypatch.context() as m:
         m.setattr(maxdet, "MU_INIT", 1.0)
         m.setattr(maxdet, "CENTERING_TOL", maxdet.NEWTON_TOL)
+        m.setattr(maxdet, "PHASE2_CENTERING_TOL", maxdet.NEWTON_TOL)
         return solve(problem)
 
 
@@ -479,33 +483,37 @@ def test_loose_centring_keeps_verdicts_and_solutions(monkeypatch):
     # only the last stage's point is used, and it is centred as tightly
     # either way: phase-I verdicts and maxdet statuses are the same as on
     # the full path from mu = 1 with every stage fully centred, an Optimal x
-    # agrees to 1e-6 relative (4.0e-9 at most over the 77 adopted canonical
+    # agrees to 1e-6 relative (3.3e-8 at most over the 77 adopted canonical
     # windows), and the path from MU_INIT takes fewer steps; on the small
-    # problems and on the design windows of two canonical runs, adopted and
-    # declined
-    runs = [s for s in verification.canonical_scenarios()
-            if s[0] in ("switching-event", "time-np12-s1")]
+    # problems and on the 118 solved windows of the canonical runs, the 77
+    # adopted ones among them. Phase I's steps are compared in total and on
+    # each Infeasible verdict: from mu = 1 its stop fires sooner on 4
+    # adopted windows (2 steps against 4 or 5)
     problems = [one_var_det_problem(), design_problem()] + \
-        design_problems(monkeypatch, runs)
-    statuses = set()
+        design_problems(monkeypatch, verification.canonical_scenarios())
+    assert len(problems) == 2 + 118
+    statuses = []
+    steps = np.zeros(2, dtype=int)
     for p in problems + [empty_interior_problem()]:
         got = maxdet.solve_feasibility(p)
         ref = fully_centred(monkeypatch, maxdet.solve_feasibility, p)
         assert got.status == ref.status
-        assert got.iterations <= ref.iterations
-        statuses.add(got.status)
-    assert statuses == {maxdet.FEASIBLE, maxdet.INFEASIBLE}
-    statuses = set()
-    for p in problems:
+        if got.status == maxdet.INFEASIBLE:
+            assert got.iterations <= ref.iterations
+        steps += got.iterations, ref.iterations
+        statuses.append(got.status)
+    assert steps[0] < steps[1]
+    assert statuses[2:-1].count(maxdet.FEASIBLE) == 77
+    assert statuses[2:-1].count(maxdet.INFEASIBLE) == 41
+    for p, status in zip(problems, statuses):
+        if status != maxdet.FEASIBLE:
+            continue
         got = maxdet.solve_maxdet(p)
         ref = fully_centred(monkeypatch, maxdet.solve_maxdet, p)
-        assert got.status == ref.status
+        assert got.status == ref.status == maxdet.OPTIMAL
         assert got.iterations < ref.iterations
-        if got.status == maxdet.OPTIMAL:
-            assert np.linalg.norm(got.x - ref.x) <= \
-                1e-6 * np.linalg.norm(ref.x)
-        statuses.add(got.status)
-    assert statuses == {maxdet.OPTIMAL, maxdet.INFEASIBLE}
+        assert np.linalg.norm(got.x - ref.x) <= \
+            1e-6 * np.linalg.norm(ref.x)
 
 
 def test_early_stop_matches_min_of_check_point():
@@ -648,26 +656,37 @@ def test_newton_factors_each_point_once(monkeypatch):
     assert abs(x[0] - 1.0) <= 1e-12
     assert len(builds) == len(chols) == steps + 1
 
-    # a path of stages x - log(x) / mu, mu growing by 1.1, whose minima
-    # 1 / mu lie a full Newton step apart: a stage starts from the previous
-    # stage's factored point, so the path builds and factors its start
-    # and each accepted point once
+    # paths of stages x - log(x) / mu on the grid mu = 1, 1.1, ..., 1.7,
+    # read at call time: phase I's stages, every mu of the grid, and phase
+    # II's, every other mu and the last, whose minima 1 / mu lie a full
+    # Newton step apart; a stage starts from the previous stage's factored
+    # point, so a path builds and factors its start and each accepted point
+    # once
     monkeypatch.setattr(maxdet, "MU_INIT", 1.0)
     monkeypatch.setattr(maxdet, "MU_FACTOR", 1.1)
     monkeypatch.setattr(maxdet, "MU_MAX", 1.7)
-    mus = []
+    grid = 1.1 ** np.arange(6)
+    for stride, centering, want in [
+            (1, maxdet.CENTERING_TOL, grid),
+            (2, maxdet.PHASE2_CENTERING_TOL, grid[[0, 2, 4, 5]])]:
+        stages = maxdet._stages(stride, centering)
+        assert np.allclose([mu for mu, _ in stages], want, rtol=1e-12)
+        assert [tol for _, tol in stages] == \
+            [centering / np.sqrt(mu) for mu, _ in stages[:-1]] + \
+            [maxdet.NEWTON_TOL]
+        mus = []
 
-    def weights(mu):
-        # _path sets the weights once per stage
-        mus.append(mu)
-        return np.array([1.0 / mu])
+        def weights(mu):
+            # _path sets the weights once per stage
+            mus.append(mu)
+            return np.array([1.0 / mu])
 
-    del builds[:], chols[:]
-    z, total, _, finished, _ = maxdet._path(
-        barrier, np.array([0.9]), weights, 500)
-    assert finished and len(mus) == 6
-    assert abs(z[0] - 1.0 / mus[-1]) <= 1e-7
-    assert len(builds) == len(chols) == total + 1
+        del builds[:], chols[:]
+        z, total, _, finished, _ = maxdet._path(
+            barrier, np.array([0.9]), weights, stages, 500)
+        assert finished and mus == [mu for mu, _ in stages]
+        assert abs(z[0] - 1.0 / mus[-1]) <= 1e-7
+        assert len(builds) == len(chols) == total + 1
 
     # phase I's stop factors each accepted point once more, shifted to the
     # target: one more Cholesky per accepted point, and no matrix build
