@@ -38,7 +38,7 @@ DIVERGENCE_NORM = 1e6
 TIE_TOL = 1e-12
 
 
-def sigma(a1, c_sigma=0.1):
+def sigma(a1, c_sigma):
     """Trigger threshold factor on the certified decrease rate."""
     if not 0.0 <= a1 <= 1.0:
         raise linalg.InvalidInput("a1 must lie in [0, 1]")
@@ -113,25 +113,29 @@ class ScenarioConfig:
     x0: np.ndarray | None = None
     solver_options: maxdet.SolverOptions | None = None
 
-    def validate(self, plant):
-        t = self.T if self.T is not None else plant.nx + plant.nu
-        if t < 1:
-            raise linalg.InvalidInput("window width must be positive")
-        # the forced design at k = T needs a step of its own to be recorded
-        if self.horizon <= t:
-            raise linalg.InvalidInput("horizon must exceed T")
+    def __post_init__(self):
+        """The checks that need no plant; a whole float count becomes int."""
+        if self.mode not in (EVENT_TRIGGERED, FIXED_GAIN, TIME_TRIGGERED):
+            raise linalg.InvalidInput("unknown mode %r" % (self.mode,))
+        self.horizon = linalg.as_count(self.horizon, "horizon")
+        if self.T is not None:
+            self.T = linalg.as_count(self.T, "window width T")
+        self.seed = linalg.as_count(self.seed, "seed", least=0)
+        if self.mode == TIME_TRIGGERED:
+            self.n_p = linalg.as_count(self.n_p, "n_p")
         if not 0.0 < self.eps_F < 1.0:
             raise linalg.InvalidInput("eps_F must lie in (0, 1)")
         if not 0.0 < self.c_sigma <= 1.0:
             raise linalg.InvalidInput("c_sigma must lie in (0, 1]")
-        if self.seed < 0:
-            raise linalg.InvalidInput("seed must be >= 0")
+
+    def validate(self, plant):
+        """The checks that need the plant; returns the window width T."""
+        t = self.T if self.T is not None else plant.nx + plant.nu
+        # the forced design at k = T needs a step of its own to be recorded
+        if self.horizon <= t:
+            raise linalg.InvalidInput("horizon must exceed T")
         if self.x0 is not None:
             linalg.as_vector(self.x0, plant.nx, name="x0")
-        if self.mode not in (EVENT_TRIGGERED, FIXED_GAIN, TIME_TRIGGERED):
-            raise linalg.InvalidInput("unknown mode %r" % (self.mode,))
-        if self.mode == TIME_TRIGGERED and self.n_p < 1:
-            raise linalg.InvalidInput("n_p must be positive")
         # each tick re-excites the plant for T steps before its design runs;
         # a shorter period restarts that before any scheduled design
         if self.mode == TIME_TRIGGERED and self.n_p < t:

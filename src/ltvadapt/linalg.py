@@ -23,6 +23,7 @@ error state. `maxdet` calls its gufuncs through the same import.
 """
 
 import math
+import numbers
 
 import numpy as np
 from numpy.linalg import _umath_linalg as _lapack
@@ -64,6 +65,25 @@ def as_vector(a, length=None, name="vector"):
         raise InvalidInput(f"{name} contains non-finite entries")
     if length is not None and v.size != length:
         raise InvalidInput(f"{name} has length {v.size}, expected {length}")
+    return v
+
+
+def as_count(value, what, least=1):
+    """value as an int, or InvalidInput unless it is a whole number >=
+    least (12.0 is one; 2.5, nan and "12" are not): the package's one rule
+    for a count setting."""
+    if not (isinstance(value, numbers.Real) and
+            float(value).is_integer() and value >= least):
+        raise InvalidInput("%s must be >= %d and whole, got %r"
+                           % (what, least, value))
+    return int(value)
+
+
+def as_finite(value, what):
+    """value as a float, or InvalidInput where it is nan or infinite."""
+    v = float(value)
+    if not math.isfinite(v):
+        raise InvalidInput("%s must be finite, got %r" % (what, v))
     return v
 
 

@@ -193,9 +193,7 @@ class SolverOptions:
             raise linalg.InvalidInput(
                 "strict_margin must lie in (0, 1), got %r"
                 % (self.strict_margin,))
-        if self.max_newton < 1:
-            raise linalg.InvalidInput(
-                "max_newton must be at least 1, got %r" % (self.max_newton,))
+        self.max_newton = linalg.as_count(self.max_newton, "max_newton")
 
 
 def check_point(problem, x):

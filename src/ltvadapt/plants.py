@@ -4,9 +4,6 @@ Each plant exposes the pair (A(k), B(k)) at any step k and a one-step
 state update.
 """
 
-import math
-import numbers
-
 import numpy as np
 
 from . import linalg
@@ -14,24 +11,6 @@ from . import linalg
 # nominal pair shared by the benchmark scenarios
 A_NOMINAL = np.array([[1.1, 0.1], [0.1, 0.2]])
 B_NOMINAL = np.array([[0.5, 1.0], [0.1, 0.2]])
-
-
-def _count(value, what):
-    """value as an int, or InvalidInput unless it is a whole number >= 1
-    (12.0 is one; 2.5, nan and "12" are not)."""
-    if not (isinstance(value, numbers.Real) and
-            float(value).is_integer() and value >= 1):
-        raise linalg.InvalidInput("%s must be >= 1 and whole, got %r"
-                                  % (what, value))
-    return int(value)
-
-
-def _finite(value, what):
-    """value as a float, or InvalidInput where it is nan or infinite."""
-    v = float(value)
-    if not math.isfinite(v):
-        raise linalg.InvalidInput("%s must be finite, got %r" % (what, v))
-    return v
 
 
 class LtvPlant:
@@ -79,8 +58,8 @@ class SwitchingPlant(LtvPlant):
 
     def __init__(self, p=12, ell=1.0):
         super().__init__(2, 2)
-        self.p = _count(p, "block length p")
-        self.ell = _finite(ell, "ell")
+        self.p = linalg.as_count(p, "block length p")
+        self.ell = linalg.as_finite(ell, "ell")
         self._b_alt = np.array(
             [[0.5, -self.ell], [0.1, -0.2 * self.ell]]
         )
@@ -99,8 +78,8 @@ class SinusoidalPlant(LtvPlant):
 
     def __init__(self, p=10, delta_a=0.8):
         super().__init__(2, 2)
-        self.p = _count(p, "period p")
-        self.delta_a = _finite(delta_a, "delta_a")
+        self.p = linalg.as_count(p, "period p")
+        self.delta_a = linalg.as_finite(delta_a, "delta_a")
 
     def _delta(self, k):
         return self.delta_a
@@ -120,7 +99,7 @@ class VanishingPerturbationPlant(SinusoidalPlant):
 
     def __init__(self, p=10, t_delta=30):
         super().__init__(p=p, delta_a=1.0)
-        self.t_delta = _count(t_delta, "decay horizon t_delta")
+        self.t_delta = linalg.as_count(t_delta, "decay horizon t_delta")
 
     def _delta(self, k):
         if k >= self.t_delta:
@@ -142,12 +121,12 @@ class PiecewiseFilePlant(LtvPlant):
             tokens = fh.read().split()
         if len(tokens) < 4:
             raise linalg.InvalidInput("truncated plant file")
-        nx, nu, num_knots = (int(t) for t in tokens[:3])
+        nx, nu, num_knots = (
+            linalg.as_count(int(t), "plant file " + what)
+            for t, what in zip(tokens, ("nx", "nu", "num_knots")))
         mode = tokens[3]
         if mode not in ("hold", "linear"):
             raise linalg.InvalidInput("mode must be hold or linear")
-        if nx < 1 or nu < 1 or num_knots < 1:
-            raise linalg.InvalidInput("bad dimensions in plant file")
         super().__init__(nx, nu)
         self.mode = mode
         per_knot = 1 + nx * nx + nx * nu

@@ -409,16 +409,15 @@ def verify_property(bundle, num_samples=500, rng_seed=0):
     Sampling is boundary biased and draws the non-empty levels in order, in
     one call; all samples go through one stacked theta_exact. A report
     with vacuous=True means every inflated set was empty so the claim
-    holds trivially. num_samples < 1 would check nothing and raises
-    InvalidInput.
+    holds trivially. num_samples, the draws per level, must be a whole
+    number >= 1.
     """
     if bundle.a2 > 0:
         eps_values = [0.0, bundle.a / (2.0 * bundle.a2),
                       2.0 * bundle.a / bundle.a2]
     else:
         eps_values = [0.0]
-    if num_samples < 1:
-        raise linalg.InvalidInput("need at least one sample per level")
+    num_samples = linalg.as_count(num_samples, "num_samples")
     rng = np.random.default_rng(rng_seed)
     w = bundle.window
     nx, nu = w.nx, w.nu

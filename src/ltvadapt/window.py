@@ -26,9 +26,9 @@ class DataWindow:
             m = np.asarray(b, dtype=float)
             if m.ndim == 1:
                 m = m.reshape(1, -1)  # a 1-D block is one row
-            if m.ndim not in (2, 3) or m.size == 0:
+            if m.ndim != 2 or m.size == 0:
                 raise linalg.InvalidInput("window blocks must be non-empty "
-                                          "2-D arrays or stacks of them")
+                                          "2-D arrays")
             blocks.append(m)
         xhat, x, u = blocks
         if x.shape != xhat.shape or u.shape[1] != xhat.shape[1]:
@@ -54,8 +54,8 @@ class DataWindow:
 
     @classmethod
     def empty(cls, nx, nu, width):
-        if nx < 1 or nu < 1 or width < 1:
-            raise linalg.InvalidInput("window dimensions must be positive")
+        nx, nu, width = (linalg.as_count(n, "window " + what) for n, what in
+                         ((nx, "nx"), (nu, "nu"), (width, "width")))
         return cls(
             kappa=0,
             Xhat=np.zeros((nx, width)),

@@ -81,11 +81,14 @@ def test_canonical_timeline_is_read_from_the_records():
 
 
 def test_sigma_rule():
-    assert abs(hybrid.sigma(0.8) - 0.98) < 1e-15
-    assert hybrid.sigma(1.0) == 1.0
+    assert abs(hybrid.sigma(0.8, 0.1) - 0.98) < 1e-15
+    assert hybrid.sigma(1.0, 0.1) == 1.0
     assert abs(hybrid.sigma(0.0, c_sigma=1.0)) < 1e-15
     with pytest.raises(linalg.InvalidInput):
-        hybrid.sigma(1.2)
+        hybrid.sigma(1.2, 0.1)
+    # c_sigma is the run's and has no default
+    with pytest.raises(TypeError):
+        hybrid.sigma(0.8)
     with pytest.raises(linalg.InvalidInput):
         hybrid.sigma(0.5, c_sigma=0.0)
 
@@ -106,9 +109,35 @@ def test_config_validation():
                 {"c_sigma": 0.0}, {"c_sigma": 1.5}, {"seed": -1}):
         with pytest.raises(linalg.InvalidInput):
             hybrid.ScenarioConfig(**bad).validate(plant)
+    # every count setting is a whole number, checked when the config is
+    # made: 10.5 and 8.5 used to run as 11 steps and as designs at k = 4
+    # and 25, and 3.5 and 1.5 failed inside numpy
+    for bad in ({"horizon": 10.5}, {"mode": "time", "n_p": 8.5},
+                {"T": 3.5}, {"seed": 1.5}, {"T": 0}, {"horizon": 0},
+                {"seed": float("nan")}):
+        # the message names the setting, the last key
+        with pytest.raises(linalg.InvalidInput, match=list(bad)[-1]):
+            hybrid.ScenarioConfig(**bad)
     assert hybrid.ScenarioConfig(c_sigma=1.0, x0=np.ones(2)).validate(
         plant) == 4
     assert hybrid.ScenarioConfig().validate(plant) == 4
+    # a whole float is its int and runs exactly as the int does
+    cfg = hybrid.ScenarioConfig(mode="time", T=4.0, horizon=20.0, seed=3.0,
+                                n_p=8.0)
+    assert [type(v) for v in (cfg.T, cfg.horizon, cfg.seed, cfg.n_p)] == \
+        [int] * 4
+    runs = [run_switching(mode="time", T=t, horizon=h, seed=s, n_p=n)
+            for t, h, s, n in ((4.0, 20.0, 3.0, 8.0), (4, 20, 3, 8))]
+    assert [_record_bytes(r) for r in runs[0].records] == \
+        [_record_bytes(r) for r in runs[1].records]
+    assert sum(r.synth_feasible is not None for r in runs[1].records) == 2
+
+
+def _record_bytes(r):
+    """A record's fields, with each array as its bytes."""
+    return (r.k, r.j, r.x.tobytes(), None if r.u is None else r.u.tobytes(),
+            r.V, r.sigma_a1, r.explore, r.synth_feasible, r.tau,
+            None if r.bundle is None else r.bundle.K.tobytes())
 
 
 def test_exploration_protocol(event_run):

@@ -75,6 +75,7 @@ def test_check_point_rejects_a_non_finite_decision_vector(x):
 @pytest.mark.parametrize("key,value", [
     ("strict_margin", 0.0), ("strict_margin", -1e-6), ("strict_margin", 1.0),
     ("strict_margin", float("nan")), ("max_newton", 0), ("max_newton", -5),
+    ("max_newton", 60.5), ("max_newton", float("nan")),
 ])
 def test_solver_options_reject_invalid_values(key, value):
     with pytest.raises(linalg.InvalidInput, match=key):

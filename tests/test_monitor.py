@@ -77,7 +77,7 @@ def test_pi_matches_decrease_factor_on_quiet_steps():
         pytest.skip("run triggered; factor pattern not applicable")
     pi = _report(plant, cfg, traj).pi_exact
     b = traj.initial_bundle
-    s = hybrid.sigma(b.a1)
+    s = hybrid.sigma(b.a1, cfg.c_sigma)
     assert np.allclose(pi[:10], [s ** i for i in range(10)], rtol=1e-9)
 
 

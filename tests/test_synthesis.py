@@ -380,6 +380,14 @@ def test_verify_property_rejects_negative_samples(bundle):
         synthesis.verify_property(bundle, num_samples=-1)
 
 
+def test_verify_property_rejects_fractional_samples(bundle):
+    with pytest.raises(linalg.InvalidInput, match="sample"):
+        synthesis.verify_property(bundle, num_samples=2.5)
+    # a whole float draws what its int draws
+    assert synthesis.verify_property(bundle, num_samples=20.0) == \
+        synthesis.verify_property(bundle, num_samples=20)
+
+
 def test_decay_rate_bound(bundle):
     # the certified decay rate is ControllerBundle.rate
     b = bundle

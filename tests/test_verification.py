@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import os
 
 import numpy as np
 import pytest
@@ -39,7 +41,7 @@ def test_property1_reports_negative_slack(monkeypatch):
     x = b.window.X[:, -1]
     traj = hybrid.Trajectory(records=[hybrid.StepRecord(
         k=b.window.kappa, j=1, x=x, u=b.K @ x, V=b.lyapunov(x),
-        sigma_a1=hybrid.sigma(b.a1), bundle=b, explore=False,
+        sigma_a1=hybrid.sigma(b.a1, 0.1), bundle=b, explore=False,
         synth_feasible=True, tau=0)])
     monkeypatch.setattr(verification, "canonical_runs",
                         lambda: [("nominal", plant, None, traj)])
@@ -359,3 +361,18 @@ def test_design_margins_fail_on_a_boundary_design(monkeypatch):
 
     res = _solver_suite_with(monkeypatch, "solve_maxdet", boundary)
     assert _failed(res) == ["design-margins"]
+
+
+def test_suites_print_the_pinned_lines():
+    # tests/verify_lines/S.txt holds what `ltvadapt verify --suite S`
+    # prints on the canonical runs; a change that moves a line updates
+    # the file in the same commit
+    moved = []
+    for suite, run in verification.SUITES.items():
+        path = os.path.join(os.path.dirname(__file__), "verify_lines",
+                            suite + ".txt")
+        with open(path) as fh:
+            old = fh.read().splitlines()
+        moved += ["%s: %r -> %r" % (suite, a, b) for a, b in
+                  itertools.zip_longest(old, run().lines()) if a != b]
+    assert not moved, "\n".join(moved)

@@ -10,6 +10,12 @@ def test_empty_window():
     assert w.nx == 2 and w.nu == 1 and w.width == 4
     assert w.kappa == 0
     assert not w.Xhat.any()
+    # each dimension is a count: a whole float is its int, 2.5 and 0 fail
+    w2 = DataWindow.empty(2.0, 1, 4.0)
+    assert (w2.nx, w2.nu, w2.width) == (2, 1, 4)
+    for dims in ((2.5, 1, 3), (2, 0, 3), (2, 1, 0), (2, 1, float("nan"))):
+        with pytest.raises(linalg.InvalidInput, match="window"):
+            DataWindow.empty(*dims)
 
 
 def test_push_replays_samples():
@@ -101,6 +107,9 @@ def test_window_reads_a_1d_block_as_one_row():
     ([[1.0, 2.0]], [[1.0, 2.0]], [[0.0, -np.inf]]),  # inf input
     (np.zeros((2, 3)), np.zeros((1, 3)), np.zeros((1, 3))),  # X rows
     (np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((1, 2))),  # U columns
+    # a stack of windows is not one window
+    (np.zeros((3, 2, 4)), np.zeros((3, 2, 4)), np.zeros((3, 2, 4))),
+    (np.zeros((3, 2, 4)), np.zeros((3, 2, 4)), np.zeros((1, 2))),
 ])
 def test_window_rejects_empty_nonfinite_and_mismatched_blocks(xhat, x, u):
     with pytest.raises(linalg.InvalidInput):
