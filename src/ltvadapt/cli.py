@@ -75,40 +75,44 @@ def parse_config(path):
     """Parse a scenario config file into {section: {key: typed value}}."""
     if not os.path.isfile(path):
         raise ConfigError("config file not found: %s" % path)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError("%s is not UTF-8 text: %s" % (path, exc))
     out = {name: {} for name in _SECTIONS}
     section = None
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                section = line[1:-1].strip().lower()
-                if section not in _SECTIONS:
-                    raise ConfigError("%s:%d: unknown section [%s]"
-                                      % (path, lineno, section))
-                continue
-            if "=" not in line:
-                raise ConfigError("%s:%d: expected key = value, got %r"
-                                  % (path, lineno, line))
-            if section is None:
-                raise ConfigError("%s:%d: key before any [section]"
-                                  % (path, lineno))
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            keys = _SECTIONS[section]
-            if key not in keys:
-                raise ConfigError("%s:%d: unknown key %r in [%s]"
-                                  % (path, lineno, key, section))
-            if key in out[section]:
-                raise ConfigError("%s:%d: duplicate key %r in [%s]"
-                                  % (path, lineno, key, section))
-            try:
-                out[section][key] = keys[key](value)
-            except ValueError as exc:
-                raise ConfigError("%s:%d: bad value for %s: %s"
-                                  % (path, lineno, key, exc))
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip().lower()
+            if section not in _SECTIONS:
+                raise ConfigError("%s:%d: unknown section [%s]"
+                                  % (path, lineno, section))
+            continue
+        if "=" not in line:
+            raise ConfigError("%s:%d: expected key = value, got %r"
+                              % (path, lineno, line))
+        if section is None:
+            raise ConfigError("%s:%d: key before any [section]"
+                              % (path, lineno))
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        keys = _SECTIONS[section]
+        if key not in keys:
+            raise ConfigError("%s:%d: unknown key %r in [%s]"
+                              % (path, lineno, key, section))
+        if key in out[section]:
+            raise ConfigError("%s:%d: duplicate key %r in [%s]"
+                              % (path, lineno, key, section))
+        try:
+            out[section][key] = keys[key](value)
+        except ValueError as exc:
+            raise ConfigError("%s:%d: bad value for %s: %s"
+                              % (path, lineno, key, exc))
     return out
 
 
@@ -236,9 +240,20 @@ def _run_summary(traj):
             [e.k for e in traj.episodes])
 
 
+def _make_out_dir(path):
+    """Create an output directory; one that cannot be made is a config
+    error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("cannot create output directory %s: %s"
+                          % (path, exc))
+
+
 def run_scenario(plant, scen, out_dir, svg=False):
-    """Run one scenario and write its artifacts; returns (traj, paths)."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Run one scenario and write its artifacts; returns (traj, paths). The
+    output directory is made before the run."""
+    _make_out_dir(out_dir)
     traj = hybrid.run(plant, scen)
     paths = {}
     paths["trajectory"] = os.path.join(out_dir, "trajectory.csv")
@@ -286,7 +301,7 @@ def cmd_batch(args):
     files = sorted(f for f in os.listdir(args.config_dir)
                    if f.endswith(".cfg"))
     out_root = args.out or "out"
-    os.makedirs(out_root, exist_ok=True)
+    _make_out_dir(out_root)
     rows = []
     for name in files:
         stem = name[:-4]

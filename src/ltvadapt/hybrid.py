@@ -144,27 +144,25 @@ class ScenarioConfig:
         return t
 
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
 def state_norm(x):
     """Euclidean norm of x; a finite x whose squares could overflow is
-    scaled by max|x| first, so that its norm is finite too."""
+    scaled by max|x| first, so that its norm is finite too. A non-finite
+    x has a non-finite norm."""
     m = float(np.abs(x).max())
-    if np.sqrt(np.finfo(float).max / x.size) < m < np.inf:
+    if math.sqrt(_FLOAT_MAX / x.size) < m < np.inf:
         return m * float(np.linalg.norm(x / m))
     return float(np.linalg.norm(x))
 
 
-def _diverged(x):
-    # max|x| decides first: past the bound the norm could overflow, and a
-    # NaN fails the comparison
-    return not np.abs(x).max() <= DIVERGENCE_NORM or \
-        float(np.linalg.norm(x)) > DIVERGENCE_NORM
-
-
 def _lyapunov(bundle, x):
-    """V(x) of a finite x; inf where x S x overflows, as it can past the
-    divergence bound."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = bundle.lyapunov(x)
+    """V(x) under bundle, None without one; inf where x S x is not finite,
+    as past the divergence bound. The caller guards the overflow."""
+    if bundle is None:
+        return None
+    v = bundle.lyapunov(x)
     return v if math.isfinite(v) else np.inf
 
 
@@ -196,14 +194,12 @@ def run(plant, cfg):
     explore_left = t_width  # open-loop i.i.d. uniform inputs still to apply
 
     k = 0
+    v = None  # V(x) under bundle
     while k < cfg.horizon:
         # 1. is a design due? One runs at the first step after each
         # exploration and, in event mode, after a failed decrease; the
         # previous record holds V(x(k-1)) and sigma(a1) of the current
-        # bundle. x is finite (the checked x0, or a state that passed the
-        # divergence check); its V is computed once, here, and recorded
-        # unless a design replaces the bundle
-        v = None if bundle is None else _lyapunov(bundle, x)
+        # bundle, and v is V(x) under it, computed by the previous step
         prev = traj.records[-1] if k else None
         due = explore_left == 0 and (
             prev.explore or cfg.mode == EVENT_TRIGGERED and not decreased(
@@ -232,7 +228,8 @@ def run(plant, cfg):
                 logger.info("scheduled design infeasible at k=%d; "
                             "keeping previous gain", k)
             if bundle is not held:
-                v = _lyapunov(bundle, x)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    v = _lyapunov(bundle, x)
 
         # 3. input: exploration or state feedback
         explore = explore_left > 0
@@ -242,12 +239,17 @@ def run(plant, cfg):
         else:
             u = bundle.K @ x
 
-        # 4. record, then step the plant and the data window
+        # 4. record, then step the plant and the data window; a step that
+        # overflows yields a non-finite state, which ends the run Diverged
         traj.records.append(_record(k, j, x, u, bundle, v, cfg.c_sigma,
                                     explore, synth_feasible))
-        x_prev, x = x, plant.step(k, x, u)
+        x_prev = x
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = plant.step(k, x, u)
+            v = _lyapunov(bundle, x)
         k += 1
-        if _diverged(x):
+        # a NaN norm fails the comparison
+        if not state_norm(x) <= DIVERGENCE_NORM:
             traj.status = DIVERGED
             break
         # after the divergence check: the window is not read after a
@@ -255,8 +257,6 @@ def run(plant, cfg):
         w = w.push(x_prev, u, x)
 
     # a diverged last state may hold a nan or inf, which has no V
-    v = (_lyapunov(bundle, x)
-         if bundle is not None and np.isfinite(x).all() else None)
+    v = v if np.isfinite(x).all() else None
     traj.records.append(_record(k, j, x, None, bundle, v, cfg.c_sigma))
     return traj
-

@@ -29,6 +29,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg as _lapack
 
 _EPS = np.finfo(float).eps
+_COUNT_MAX = np.iinfo(np.int64).max
 
 
 class InvalidInput(ValueError):
@@ -70,11 +71,15 @@ def as_vector(a, length=None, name="vector"):
 
 def as_count(value, what, least=1):
     """value as an int, or InvalidInput unless it is a whole number >=
-    least (12.0 is one; 2.5, nan and "12" are not): the package's one rule
-    for a count setting."""
-    if not (isinstance(value, numbers.Real) and
-            float(value).is_integer() and value >= least):
-        raise InvalidInput("%s must be >= %d and whole, got %r"
+    least that fits in an int64, as numpy's dimensions must (12.0 and
+    np.int64(12) are; 2.5, nan, "12", True and 10**400 are not): the
+    package's one rule for a count setting. An integer is compared as an
+    int, never through a float."""
+    whole = not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral) or
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if not (whole and least <= int(value) <= _COUNT_MAX):
+        raise InvalidInput("%s must be >= %d, below 2**63 and whole, got %r"
                            % (what, least, value))
     return int(value)
 

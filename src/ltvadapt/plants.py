@@ -4,6 +4,8 @@ Each plant exposes the pair (A(k), B(k)) at any step k and a one-step
 state update.
 """
 
+import bisect
+
 import numpy as np
 
 from . import linalg
@@ -17,8 +19,8 @@ class LtvPlant:
     """Base class; subclasses implement eval(k) -> (A, B)."""
 
     def __init__(self, nx, nu):
-        self.nx = int(nx)
-        self.nu = int(nu)
+        self.nx = linalg.as_count(nx, "plant nx")
+        self.nu = linalg.as_count(nu, "plant nu")
 
     def eval(self, k):
         raise NotImplementedError
@@ -26,12 +28,10 @@ class LtvPlant:
     def step(self, k, x, u):
         """A(k) x + B(k) u of float vectors x and u that the caller has
         checked, as `hybrid.run` checks its state and input; a vector of
-        the wrong length raises ValueError from the product."""
+        the wrong length raises ValueError from the product. A caller
+        whose step can overflow guards it, as `hybrid.run` does."""
         a, b = self.eval(k)
-        # a step that overflows yields a non-finite state, which the caller
-        # reports as divergence
-        with np.errstate(over="ignore", invalid="ignore"):
-            return a @ x + b @ u
+        return a @ x + b @ u
 
 
 class ConstantLti(LtvPlant):
@@ -108,64 +108,54 @@ class VanishingPerturbationPlant(SinusoidalPlant):
 
 
 class PiecewiseFilePlant(LtvPlant):
-    """Plant defined by knot points loaded from a plain text file.
+    """Plant defined by knot points loaded from a plain UTF-8 text file.
 
-    Format: "nx nu num_knots mode", where mode is hold or linear, then
-    for each knot the step index k followed by the entries of A and of B,
-    each row-major. The file is read as whitespace-separated tokens, so
-    line breaks do not matter. Knot indices must be strictly increasing.
+    Format: "nx nu num_knots mode", where mode is hold or linear, then a
+    table of num_knots rows, each the step index k followed by the
+    entries of A and of B, each row-major. The file is read as
+    whitespace-separated tokens, so line breaks do not matter. Knot
+    indices must be strictly increasing.
     """
 
     def __init__(self, path):
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             tokens = fh.read().split()
         if len(tokens) < 4:
             raise linalg.InvalidInput("truncated plant file")
-        nx, nu, num_knots = (
-            linalg.as_count(int(t), "plant file " + what)
-            for t, what in zip(tokens, ("nx", "nu", "num_knots")))
-        mode = tokens[3]
-        if mode not in ("hold", "linear"):
+        super().__init__(int(tokens[0]), int(tokens[1]))
+        nx, nu = self.nx, self.nu
+        num_knots = linalg.as_count(int(tokens[2]), "plant file num_knots")
+        self.mode = tokens[3]
+        if self.mode not in ("hold", "linear"):
             raise linalg.InvalidInput("mode must be hold or linear")
-        super().__init__(nx, nu)
-        self.mode = mode
         per_knot = 1 + nx * nx + nx * nu
         need = 4 + num_knots * per_knot
         if len(tokens) != need:
             raise linalg.InvalidInput(
-                "plant file has %d tokens, expected %d" % (len(tokens), need)
-            )
-        pos = 4
-        self.knots = []
-        for _ in range(num_knots):
-            k = int(tokens[pos])
-            pos += 1
-            a = linalg.as_matrix(np.reshape(
-                [float(t) for t in tokens[pos:pos + nx * nx]], (nx, nx)),
-                name="A")
-            pos += nx * nx
-            b = linalg.as_matrix(np.reshape(
-                [float(t) for t in tokens[pos:pos + nx * nu]], (nx, nu)),
-                name="B")
-            pos += nx * nu
-            self.knots.append((k, a, b))
-        ks = [k for k, _, _ in self.knots]
-        if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])):
+                "plant file has %d tokens, expected %d" % (len(tokens), need))
+        table = np.reshape(tokens[4:], (num_knots, per_knot))
+        self._ks = [int(t) for t in table[:, 0]]
+        entries = np.array([[float(t) for t in row] for row in table[:, 1:]])
+        if not np.isfinite(entries).all():
+            raise linalg.InvalidInput("plant file has non-finite entries")
+        self.knots = [(k, row[:nx * nx].reshape(nx, nx),
+                       row[nx * nx:].reshape(nx, nu))
+                      for k, row in zip(self._ks, entries)]
+        if any(k2 <= k1 for k1, k2 in zip(self._ks, self._ks[1:])):
             raise linalg.InvalidInput("knot indices must strictly increase")
 
     def eval(self, k):
-        knots = self.knots
-        if k <= knots[0][0]:
-            return knots[0][1].copy(), knots[0][2].copy()
-        if k >= knots[-1][0]:
-            return knots[-1][1].copy(), knots[-1][2].copy()
-        for (k0, a0, b0), (k1, a1, b1) in zip(knots, knots[1:]):
-            if k0 <= k < k1:
-                if self.mode == "hold":
-                    return a0.copy(), b0.copy()
-                w = (k - k0) / (k1 - k0)
-                return (1 - w) * a0 + w * a1, (1 - w) * b0 + w * b1
-        raise AssertionError("unreachable")
+        ks, knots = self._ks, self.knots
+        # knots[i - 1] is the last knot at or before k; the first knot
+        # returns its own matrices, since the formula at w = 0 would turn
+        # a -0.0 entry into 0.0
+        i = bisect.bisect_right(ks, k)
+        if k <= ks[0] or i == len(ks) or self.mode == "hold":
+            _, a, b = knots[max(i - 1, 0)]
+            return a.copy(), b.copy()
+        (k0, a0, b0), (k1, a1, b1) = knots[i - 1:i + 1]
+        w = (k - k0) / (k1 - k0)
+        return (1 - w) * a0 + w * a1, (1 - w) * b0 + w * b1
 
 
 # kind -> (plant class, the parameter keys it takes)

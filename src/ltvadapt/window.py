@@ -93,12 +93,11 @@ class DataWindow:
     def consistency_residual(self, plant):
         """Spectral norm of X minus the plant's one-step predictions.
 
-        Column t is predicted as A(k) Xhat[:, t] + B(k) U[:, t] with
-        k = kappa - T + t, in the float order of `plant.step`, so the
+        Column t is predicted by `plant.step` at k = kappa - T + t, so the
         residual is exactly zero for a window the plant generated.
         """
         pred = np.empty_like(self.X)
         for t in range(self.width):
-            a, b = plant.eval(self.kappa - self.width + t)
-            pred[:, t] = a @ self.Xhat[:, t] + b @ self.U[:, t]
+            pred[:, t] = plant.step(self.kappa - self.width + t,
+                                    self.Xhat[:, t], self.U[:, t])
         return linalg.spectral_norm(self.X - pred)

@@ -162,6 +162,35 @@ def test_simulate_config_error_exit(tmp_path):
                          str(tmp_path / "out")]) == cli.EXIT_CONFIG
 
 
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    # one Latin-1 byte used to end in a UnicodeDecodeError traceback
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"[plant]\nkind = switching\n# caf\xe9\n")
+    assert cli.main(["simulate", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: %s is not UTF-8" % cfg)
+    assert not (tmp_path / "out").exists()
+
+
+def test_output_dir_that_cannot_be_made_is_a_config_error(tmp_path, capsys):
+    # an existing file as the output directory used to raise FileExistsError
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    cfg = write_cfg(tmp_path, "[plant]\nkind = switching\n")
+    in_cfg = write_cfg(tmp_path, "[plant]\nkind = switching\n[output]\n"
+                       "dir = %s\n" % blocker, name="dir.cfg")
+    for argv in (["simulate", "--config", cfg, "--out", str(blocker)],
+                 ["simulate", "--config", in_cfg],
+                 ["batch", "--config-dir", str(tmp_path), "--out",
+                  str(blocker)]):
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""  # raised before any run
+        assert err.startswith("config error: cannot create output "
+                              "directory %s: " % blocker)
+
+
 def test_bad_vector_matrix_and_dir_values_name_their_line(tmp_path, capsys):
     # an empty output directory would otherwise reach os.makedirs('')
     for text, lineno, key in (

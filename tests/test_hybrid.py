@@ -111,10 +111,12 @@ def test_config_validation():
             hybrid.ScenarioConfig(**bad).validate(plant)
     # every count setting is a whole number, checked when the config is
     # made: 10.5 and 8.5 used to run as 11 steps and as designs at k = 4
-    # and 25, and 3.5 and 1.5 failed inside numpy
+    # and 25, and 3.5 and 1.5 failed inside numpy; horizon = True ran one
+    # step, and 10**400 raised OverflowError
     for bad in ({"horizon": 10.5}, {"mode": "time", "n_p": 8.5},
                 {"T": 3.5}, {"seed": 1.5}, {"T": 0}, {"horizon": 0},
-                {"seed": float("nan")}):
+                {"seed": float("nan")}, {"horizon": True}, {"seed": False},
+                {"horizon": 10**400}):
         # the message names the setting, the last key
         with pytest.raises(linalg.InvalidInput, match=list(bad)[-1]):
             hybrid.ScenarioConfig(**bad)

@@ -135,6 +135,18 @@ def test_as_matrix_validation():
         linalg.as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+def test_as_count_rejects_bools_and_counts_past_int64():
+    # True used to pass as 1, and 10**400 raised OverflowError from float()
+    for bad, least in ((True, 1), (False, 0), (np.True_, 1), (10**400, 1),
+                       (2**63, 1), (1e300, 1)):
+        with pytest.raises(linalg.InvalidInput, match="width"):
+            linalg.as_count(bad, "width", least=least)
+    for good, count in ((12.0, 12), (np.int64(3), 3), (2**63 - 1, 2**63 - 1),
+                        (0, 0)):
+        out = linalg.as_count(good, "width", least=0)
+        assert type(out) is int and out == count
+
+
 def _rand_pd(rng, n, scale=1.0):
     base = rng.standard_normal((n, n))
     return scale * (base @ base.T + 0.1 * np.eye(n))

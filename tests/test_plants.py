@@ -93,6 +93,23 @@ def test_step_matches_eval():
     assert np.allclose(p.step(14, x, u), a @ x + b @ u)
 
 
+def test_plant_dimensions_are_counts():
+    # a subclass passing (2.7, 1) used to get nx = 2
+    for dims in ((2.7, 1), (2, 0), (True, 1), (2, np.nan)):
+        with pytest.raises(linalg.InvalidInput, match="plant n"):
+            plants.LtvPlant(*dims)
+    p = plants.LtvPlant(2.0, np.int64(1))
+    assert (p.nx, p.nu) == (2, 1) and type(p.nx) is int
+
+
+def test_step_is_plain_arithmetic_that_warns_on_overflow():
+    # the caller guards a step that can overflow, as hybrid.run does
+    p = plants.ConstantLti(a=1e300 * np.eye(2), b=np.eye(2))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        x = p.step(0, np.array([1e10, 1e10]), np.zeros(2))
+    assert np.isinf(x).all()
+
+
 def test_window_residual_across_switch():
     # B switches at k = 13; a window of steps 10 .. 15 straddles it, so
     # only the right alignment of steps to columns explains every column
@@ -151,6 +168,48 @@ def test_piecewise_file_line_breaks_do_not_matter(tmp_path):
         a, b = p.eval(3)
         assert np.array_equal(a, [[1.1, 0.1], [0.1, 0.2]])
         assert np.array_equal(b, np.eye(2))
+
+
+def _scan_eval(knots, mode, k):
+    """Reference: knot lookup by a linear scan over (k, A, B) knots."""
+    if k <= knots[0][0]:
+        return knots[0][1].copy(), knots[0][2].copy()
+    if k >= knots[-1][0]:
+        return knots[-1][1].copy(), knots[-1][2].copy()
+    for (k0, a0, b0), (k1, a1, b1) in zip(knots, knots[1:]):
+        if k0 <= k < k1:
+            if mode == "hold":
+                return a0.copy(), b0.copy()
+            w = (k - k0) / (k1 - k0)
+            return (1 - w) * a0 + w * a1, (1 - w) * b0 + w * b1
+    raise AssertionError("unreachable")
+
+
+def test_piecewise_eval_is_the_scan_bit_for_bit(tmp_path):
+    # random files in both modes whose entries include signed zeros, read
+    # at every k from 3 steps before the first knot to 3 after the last
+    rng = np.random.default_rng(7)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 0.1, -2.5, 1e-300, 3e7])
+    path = tmp_path / "plant.txt"
+    for trial in range(80):
+        nx, nu, n = rng.integers(1, 4), rng.integers(1, 3), rng.integers(1, 6)
+        mode = ("hold", "linear")[trial % 2]
+        ks = np.sort(rng.choice(np.arange(-6, 30), n, replace=False))
+        knots = []
+        for k in ks:
+            a = np.where(rng.random((nx, nx)) < 0.5,
+                         rng.choice(pool, (nx, nx)),
+                         rng.standard_normal((nx, nx)))
+            knots.append((int(k), a, rng.choice(pool, (nx, nu))))
+        path.write_text("%d %d %d %s\n" % (nx, nu, n, mode) + "".join(
+            "%d %s\n" % (k, " ".join(map(repr, np.r_[a.ravel(), b.ravel()]
+                                          .tolist())))
+            for k, a, b in knots))
+        p = plants.PiecewiseFilePlant(str(path))
+        for k in range(ks[0] - 3, ks[-1] + 4):
+            for got, ref in zip(p.eval(k), _scan_eval(knots, mode, k)):
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes(), (trial, k)
 
 
 def test_make_plant_factory():

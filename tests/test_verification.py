@@ -105,10 +105,11 @@ def test_dominance_fails_without_the_inflation_term(monkeypatch):
     assert res.checks[1].detail.endswith("theta_databased/theta_exact 0.0856")
 
 
-class _MisstatedPlant:
+class _MisstatedPlant(plants.LtvPlant):
     """A plant whose A(k) is 1% larger than the one that made the data."""
 
     def __init__(self, plant):
+        super().__init__(plant.nx, plant.nu)
         self.plant = plant
 
     def eval(self, k):

@@ -10,10 +10,12 @@ def test_empty_window():
     assert w.nx == 2 and w.nu == 1 and w.width == 4
     assert w.kappa == 0
     assert not w.Xhat.any()
-    # each dimension is a count: a whole float is its int, 2.5 and 0 fail
+    # each dimension is a count: a whole float is its int; 2.5, 0, True
+    # and 10**400 fail
     w2 = DataWindow.empty(2.0, 1, 4.0)
     assert (w2.nx, w2.nu, w2.width) == (2, 1, 4)
-    for dims in ((2.5, 1, 3), (2, 0, 3), (2, 1, 0), (2, 1, float("nan"))):
+    for dims in ((2.5, 1, 3), (2, 0, 3), (2, 1, 0), (2, 1, float("nan")),
+                 (True, 1, 3), (2, 1, 10**400)):
         with pytest.raises(linalg.InvalidInput, match="window"):
             DataWindow.empty(*dims)
 
@@ -53,6 +55,26 @@ def test_consistency_residual_scalar_lti():
     # the residual must expose a wrong model
     wrong = plants.ConstantLti(a=[[0.9]], b=[[1.0]])
     assert w.consistency_residual(wrong) > 0.1
+
+
+class _OffsetPlant(plants.ConstantLti):
+    """x+ = A x + B u + 1: a step that is not A(k) x + B(k) u."""
+
+    def step(self, k, x, u):
+        return super().step(k, x, u) + 1.0
+
+
+def test_consistency_residual_predicts_by_plant_step():
+    # the residual of a window is zero under the plant whose steps made it
+    plant = _OffsetPlant(a=[[0.5]], b=[[1.0]])
+    w = DataWindow.empty(1, 1, 3)
+    x = np.array([1.0])
+    for k in range(3):
+        u = np.array([0.1 * k])
+        xn = plant.step(k, x, u)
+        w = w.push(x, u, xn)
+        x = xn
+    assert w.consistency_residual(plant) == 0.0
 
 
 def test_push_rejects_bad_samples():
