@@ -90,6 +90,18 @@ A trace (`SolverOptions.trace_path`) gets one row per phase of each solve,
 read from the SdpSolution that phase returns: phase I's row from
 `solve_feasibility`, the x = 0 decisions included, then phase II's from
 `solve_maxdet`. Only the phase-II log-det is computed for it.
+
+The verdicts are the contract the tests check, through the public
+functions and the trace: phase I's as above, so that every budget short
+of a verdict's steps is MaxIter; `solve_maxdet` returns phase I's solution
+unless it is Feasible, and is then Optimal exactly when phase II's last
+stage converged, with that stage's Newton decrement as `kkt_residual` (a
+constant problem, which no path moves, is Optimal at phase I's point with
+a residual of 0.0); `min_margins` is check_point at the returned x. Their
+one seam into the internals is `_lapack`, the gufunc module through which
+every Cholesky, inverse, LU solve and eigenvalue call goes: a test
+replaces it to count or check those calls, or to hand the Newton step a
+failed or uphill solve1 and so drive the ridge rule.
 """
 
 import csv
@@ -164,13 +176,15 @@ class SdpProblem:
     det_block: int | None = None
 
     def __post_init__(self):
+        self.num_vars = linalg.as_count(self.num_vars, "num_vars", least=0)
         for f in self.constraints:
             if f.coeffs.shape[0] != self.num_vars:
                 raise linalg.InvalidInput("constraint/variable count mismatch")
-        if self.det_block is not None and not (
-            0 <= self.det_block < len(self.constraints)
-        ):
-            raise linalg.InvalidInput("det_block index out of range")
+        if self.det_block is not None:
+            self.det_block = linalg.as_count(self.det_block, "det_block",
+                                             least=0)
+            if self.det_block >= len(self.constraints):
+                raise linalg.InvalidInput("det_block index out of range")
 
 
 @dataclass
@@ -230,6 +244,11 @@ def _logdet(fn, x):
     with np.errstate(invalid="ignore"):
         l = _chol(fn(x))
     return None if l is None else 2.0 * float(np.sum(np.log(np.diag(l))))
+
+
+def _constant(problem):
+    """Whether no constraint depends on x, num_vars = 0 included."""
+    return not any(np.any(f.coeffs) for f in problem.constraints)
 
 
 def _write_trace(path, phase, sol, logdet=None):
@@ -463,9 +482,7 @@ def solve_feasibility(problem, opts=None):
     margins = check_point(problem, x)
     if np.min(margins) >= target:
         sol = SdpSolution(x=x, status=FEASIBLE, min_margins=margins)
-    elif m == 0 or all(
-        np.max(np.abs(f.coeffs)) == 0.0 for f in problem.constraints
-    ):
+    elif _constant(problem):
         sol = SdpSolution(x=x, status=INFEASIBLE, min_margins=margins)
     else:
         t_cap = max(1.0, 10.0 * target)
@@ -489,7 +506,10 @@ def solve_feasibility(problem, opts=None):
 
 
 def solve_maxdet(problem, opts=None):
-    """Maximize log det of the designated block over the LMI constraints."""
+    """Maximize log det of the designated block over the LMI constraints:
+    phase I's solution unless it is Feasible, then phase II's, Optimal
+    when its last stage converged and MaxIter otherwise (module
+    docstring)."""
     opts = opts or SolverOptions()
     if problem.det_block is None:
         raise linalg.InvalidInput("det_block must be set for solve_maxdet")
@@ -497,15 +517,20 @@ def solve_maxdet(problem, opts=None):
     if phase1.status != FEASIBLE:
         return phase1
 
-    # Barrier constraints are shifted by strict_margin/2 so accepted points
-    # keep at least that margin. The stage objective is normalized by mu
-    # (barrier weight 1/mu, unit det term), making the returned gradient
-    # norm the KKT residual directly.
-    barrier, det_rows = _phase2_barrier(problem, 0.5 * opts.strict_margin)
-    x, total, residual, finished, _ = _path(
-        barrier, phase1.x, lambda mu: np.where(det_rows, 1.0, 1.0 / mu),
-        _stages(2, PHASE2_CENTERING_TOL),
-        opts.max_newton - phase1.iterations)
+    if _constant(problem):
+        # every x is optimal, phase I's too, and the gradient is zero
+        x, total, residual, finished = phase1.x, 0, 0.0, True
+    else:
+        # Barrier constraints are shifted by strict_margin/2 so accepted
+        # points keep at least that margin. The stage objective is
+        # normalized by mu (barrier weight 1/mu, unit det term), making the
+        # returned gradient norm the KKT residual directly.
+        barrier, det_rows = _phase2_barrier(problem,
+                                            0.5 * opts.strict_margin)
+        x, total, residual, finished, _ = _path(
+            barrier, phase1.x, lambda mu: np.where(det_rows, 1.0, 1.0 / mu),
+            _stages(2, PHASE2_CENTERING_TOL),
+            opts.max_newton - phase1.iterations)
     sol = SdpSolution(x=x, status=OPTIMAL if finished else MAXITER,
                       min_margins=check_point(problem, x),
                       iterations=phase1.iterations + total,

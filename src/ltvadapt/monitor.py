@@ -200,7 +200,7 @@ def thm_diagnostics(traj, lambda_c, lambda_d, plant, c_sigma):
     (k - 2j) log lambda_c + (3j + 1) log lambda_d over the monitored
     segment, with k and j counted from its first record.
     """
-    if not 0.0 < lambda_c <= 1.0 or lambda_d < lambda_c:
+    if not 0.0 < lambda_c <= 1.0 or not lambda_d >= lambda_c:
         raise linalg.InvalidInput(
             "need lambda_c in (0, 1] and lambda_d >= lambda_c")
     walk = _walk(traj, plant, c_sigma)

@@ -1,50 +1,65 @@
+"""maxdet checked by its contract: verdicts on problems whose sup t or
+optimum has a closed form, the margins and KKT residual at the returned
+point, per-phase Newton-step counts read from the solver trace, and the
+calls made through maxdet._lapack, the one internal a test replaces.
+Kernel tests compare _chol and _Barrier with numpy references directly."""
+
 import csv
 import dataclasses
-import sys
 import types
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltvadapt import hybrid, linalg, maxdet, plants, synthesis, verification
 from test_synthesis import exploration_window, synthesized_windows
 
-
-def chol_in_stage(m):
-    """maxdet._chol(m) under the error state _newton gives it: a failed
-    factorization sets the invalid flag, which _chol leaves to its caller."""
-    with np.errstate(invalid="ignore"):
-        return maxdet._chol(m)
+TARGET = maxdet.SolverOptions().strict_margin
 
 
-def reached_in_stage(z, f, target):
-    """maxdet._margin_reached under the error state _newton gives it."""
-    with np.errstate(invalid="ignore"):
-        return maxdet._margin_reached(z, f, target)
+def scalar_block(constant, *coeffs):
+    """The 1x1 block constant + sum_i coeffs[i] x_i."""
+    return maxdet.AffineMatFn(np.array([[constant]]),
+                              np.reshape(coeffs, (-1, 1, 1)))
 
 
-def one_var_det_problem():
-    # det block diag(2x, 3 - x) over 0 < x < 3; the log-determinant
-    # ln(2x) + ln(3 - x) peaks at x = 1.5 with det 4.5
+def one_var_det_problem(scale=1.0):
+    # det block diag(2x, 3 - x) over 0 < x < 3 in the variable scale * x;
+    # the log-determinant ln(2x) + ln(3 - x) peaks at x = 1.5 with det 4.5
     det = maxdet.AffineMatFn(
         np.diag([0.0, 3.0]),
-        np.array([[[2.0, 0.0], [0.0, -1.0]]]),
+        np.array([[[2.0, 0.0], [0.0, -1.0]]]) / scale,
     )
-    cap = maxdet.AffineMatFn(np.array([[3.0]]), np.array([[[-1.0]]]))
-    bound = maxdet.AffineMatFn(np.array([[0.0]]), np.array([[[1.0]]]))
-    return maxdet.SdpProblem(num_vars=1, constraints=[det, cap, bound],
-                             det_block=0)
+    return maxdet.SdpProblem(
+        num_vars=1, det_block=0, constraints=[
+            det, scalar_block(3.0, -1.0 / scale),
+            scalar_block(0.0, 1.0 / scale)])
 
 
 def empty_interior_problem():
     # x > 0 and x < 0 simultaneously
-    lo = maxdet.AffineMatFn(np.array([[0.0]]), np.array([[[1.0]]]))
-    hi = maxdet.AffineMatFn(np.array([[0.0]]), np.array([[[-1.0]]]))
-    return maxdet.SdpProblem(1, [lo, hi])
+    return maxdet.SdpProblem(1, [scalar_block(0.0, 1.0),
+                                 scalar_block(0.0, -1.0)])
+
+
+def band_problem(c):
+    """x > 0 and 2c - x > 0: the least margin min(x, 2c - x) peaks at x =
+    c, so sup t = c, and by symmetry every phase-I centre has x = c."""
+    return maxdet.SdpProblem(1, [scalar_block(0.0, 1.0),
+                                 scalar_block(2.0 * c, -1.0)], det_block=0)
+
+
+def gap_problem():
+    """x > 0 and (-1 - x) I_2 > 0: sup t = -1/2 at x = -1/2. The 2x2
+    block's double weight pulls the centre of phase I's stage mu to x =
+    -1/2 - 1/(mu - 2/3) + O(mu^-2), so the least margin at the returned x
+    tells how far the path went: -1/2 - min margin = 1/mu."""
+    hi = maxdet.AffineMatFn(-np.eye(2), -np.eye(2)[None])
+    return maxdet.SdpProblem(1, [scalar_block(0.0, 1.0), hi])
 
 
 def test_affine_mat_fn_symmetrizes():
@@ -87,6 +102,30 @@ def test_solver_options_accept_edge_values():
     assert (opts.strict_margin, opts.max_newton) == (0.5, 1)
 
 
+def test_sdp_problem_checks_its_counts():
+    # 1 + x > 0 and 2 - x > 0: num_vars is a count, det_block a count below
+    # the number of blocks, and a bool is neither (det_block=True used to
+    # maximize block 1's log det, x -> -1); a whole float reads as its int
+    # (1.0 used to fail later, inside numpy or list indexing)
+    blocks = [scalar_block(1.0, 1.0), scalar_block(2.0, -1.0)]
+    for key, bad in [("num_vars", True), ("num_vars", -1), ("num_vars", 1.5),
+                     ("num_vars", np.nan), ("det_block", True),
+                     ("det_block", False), ("det_block", -1),
+                     ("det_block", 2), ("det_block", 0.5),
+                     ("det_block", np.nan)]:
+        with pytest.raises(linalg.InvalidInput, match=key):
+            maxdet.SdpProblem(**{"num_vars": 1, "constraints": blocks,
+                                 "det_block": 0, key: bad})
+    whole = maxdet.SdpProblem(1.0, blocks, det_block=1.0)
+    assert (whole.num_vars, whole.det_block) == (1, 1)
+    assert type(whole.num_vars) is type(whole.det_block) is int
+    for det_block, x in [(0, 2.0), (1, -1.0)]:
+        sol = maxdet.solve_maxdet(maxdet.SdpProblem(1, blocks, det_block))
+        assert sol.status == maxdet.OPTIMAL
+        assert abs(sol.x[0] - x) <= 1e-5
+    assert maxdet.solve_maxdet(whole).x.tobytes() == sol.x.tobytes()
+
+
 def test_constant_feasibility_exact_rule():
     opts = maxdet.SolverOptions()
     good = maxdet.AffineMatFn(np.eye(2), np.zeros((0, 2, 2)))
@@ -102,8 +141,7 @@ def test_feasibility_finds_interior_point():
     p = one_var_det_problem()
     sol = maxdet.solve_feasibility(p)
     assert sol.status == maxdet.FEASIBLE
-    assert float(np.min(maxdet.check_point(p, sol.x))) >= \
-        maxdet.SolverOptions().strict_margin
+    assert float(np.min(maxdet.check_point(p, sol.x))) >= TARGET
 
 
 def test_feasibility_detects_empty_interior():
@@ -141,8 +179,7 @@ def test_maxdet_two_var_closed_form():
 
 def test_maxdet_margins_respect_floor():
     sol = maxdet.solve_maxdet(one_var_det_problem())
-    sm = maxdet.SolverOptions().strict_margin
-    assert float(np.min(sol.min_margins)) >= sm / 2
+    assert float(np.min(sol.min_margins)) >= TARGET / 2
 
 
 def test_maxdet_requires_det_block():
@@ -163,15 +200,26 @@ def phase_row(phase, sol, logdet=""):
             repr(float(np.min(sol.min_margins))), logdet]
 
 
+def phase_steps(problem, tmp_path, solve=maxdet.solve_maxdet):
+    """(phase, Newton steps, status) of each phase of solve(problem), read
+    from its trace: a phase-II row counts both phases' steps."""
+    path = tmp_path / "steps.csv"
+    path.unlink(missing_ok=True)
+    solve(problem, maxdet.SolverOptions(trace_path=str(path)))
+    rows = [(phase, int(steps), status)
+            for phase, steps, status, *_ in trace_rows(path)[1:]]
+    return [(phase, steps - (rows[0][1] if phase == "II" else 0), status)
+            for phase, steps, status in rows]
+
+
 def design_problems(monkeypatch, runs):
     """The design problem of every window the closed loops of runs hand to
     synthesize above its data bound: the problems that reach the solver
     when the expansion certificate declines nothing, so solver-Infeasible
     windows included."""
-    target = maxdet.SolverOptions().strict_margin
     return [synthesis.build_design_problem(w).problem
             for w in synthesized_windows(monkeypatch, runs)
-            if synthesis.presolve_decline(w, target) != synthesis.DATA_BOUND]
+            if synthesis.presolve_decline(w, TARGET) != synthesis.DATA_BOUND]
 
 
 def test_solver_trace(tmp_path, monkeypatch):
@@ -259,10 +307,36 @@ def test_solver_trace_keeps_every_solve(tmp_path):
     assert two == one + one[1:]
 
 
+def test_constant_maxdet_is_optimal_at_phase_one_point(tmp_path):
+    # no x moves a constant problem, num_vars = 0 or all-zero coefficients
+    # (which used to raise ValueError and SolverBreakdown): one that phase
+    # I finds Feasible is Optimal at phase I's x, with a zero KKT residual,
+    # no Newton system, and its phase-II row
+    path = tmp_path / "trace.csv"
+    opts = maxdet.SolverOptions(trace_path=str(path))
+    det = np.diag([2.0, 3.0])
+    problems = [
+        maxdet.SdpProblem(0, [maxdet.AffineMatFn(det, np.zeros((0, 2, 2)))],
+                          det_block=0),
+        maxdet.SdpProblem(2, [maxdet.AffineMatFn(det, np.zeros((2, 2, 2))),
+                              scalar_block(1.0, 0.0, 0.0)], det_block=0)]
+    for problem in problems:
+        sol, calls = recorded(maxdet.solve_maxdet, problem, opts)
+        assert (sol.status, sol.iterations, sol.kkt_residual) == \
+            (maxdet.OPTIMAL, 0, 0.0)
+        assert np.array_equal(sol.x, np.zeros(problem.num_vars))
+        assert [name for name, _, _ in calls
+                if name in ("inv", "solve1")] == []
+    rows = trace_rows(path)[1:]
+    assert [row[:4] for row in rows] == [
+        ["I", "0", maxdet.FEASIBLE, "2.0"], ["II", "0", maxdet.OPTIMAL, "2.0"],
+        ["I", "0", maxdet.FEASIBLE, "1.0"], ["II", "0", maxdet.OPTIMAL, "1.0"]]
+    assert [float(rows[i][4]) for i in (1, 3)] == \
+        pytest.approx([np.log(6.0)] * 2, rel=1e-14)
+
+
 def test_infeasible_reported_from_maxdet():
-    det = maxdet.AffineMatFn(np.array([[0.0]]), np.array([[[1.0]]]))
-    hi = maxdet.AffineMatFn(np.array([[0.0]]), np.array([[[-1.0]]]))
-    p = maxdet.SdpProblem(1, [det, hi], det_block=0)
+    p = dataclasses.replace(empty_interior_problem(), det_block=0)
     assert maxdet.solve_maxdet(p).status == maxdet.INFEASIBLE
 
 
@@ -343,64 +417,115 @@ def test_stacked_barrier_phase2():
     assert_terms_match(barrier, blocks, x, np.zeros(x.size))
 
 
+def budget_sweep(solve, problem, target=TARGET):
+    """solve(problem), after checking it under every Newton budget up to
+    the n steps its verdict took: a smaller budget cuts the same path short,
+    MaxIter, at a phase-I point short of the target (so the stop fired at
+    the first point that reached it); n reaches the verdict's point, and
+    n + 1 the verdict bit for bit, since a last stage that ends on its
+    decrement test, not on a step, needs budget for that test."""
+    sol = solve(problem, maxdet.SolverOptions(strict_margin=target))
+    assert sol.status != maxdet.MAXITER and sol.iterations > 0
+    for budget in range(1, sol.iterations + 2):
+        cut = solve(problem, maxdet.SolverOptions(strict_margin=target,
+                                                  max_newton=budget))
+        assert np.array_equal(cut.min_margins,
+                              maxdet.check_point(problem, cut.x))
+        if budget > sol.iterations:
+            assert (cut.status, cut.x.tobytes(), cut.kkt_residual) == \
+                (sol.status, sol.x.tobytes(), sol.kkt_residual)
+        elif budget == sol.iterations:
+            assert cut.status in (sol.status, maxdet.MAXITER)
+            assert cut.x.tobytes() == sol.x.tobytes()
+        else:
+            assert (cut.status, cut.iterations) == (maxdet.MAXITER, budget)
+            if solve is maxdet.solve_feasibility:
+                assert np.min(cut.min_margins) < target
+    return sol
+
+
 def test_newton_stage_converges_at_float_noise():
-    # phi(x) = 1e3 x - 1e12 log x has its minimum 1e9 where |phi| is about
-    # 2e13, so steps stop decreasing it representably while the Newton
-    # decrement is still far above the tolerance
-    barrier = maxdet._Barrier(np.zeros((1, 1)), np.ones((1, 1, 1)),
-                              np.array([1e3]))
-    barrier.weights = np.array([1e12])
-    x, _, steps, decrement, converged, stopped = maxdet._newton(
-        barrier, np.array([0.5e9]), 500, 1e-8)
-    assert converged and not stopped and steps < 500
-    assert decrement > 1e-7
-    assert abs(x[0] - 1e9) <= 1e-6 * 1e9
+    # maximize log(1 + x) subject to x < 1e6: at mu = 1e6 the centre x is
+    # within 1e-5 of 1e6 - 1, where the steps stop decreasing the objective
+    # representably while the Newton decrement is still above NEWTON_TOL;
+    # the last stage has converged, so the answer is Optimal, and the
+    # reported KKT residual shows the stall
+    p = maxdet.SdpProblem(1, [scalar_block(1.0, 1.0),
+                              scalar_block(1e6, -1.0)], det_block=0)
+    sol = maxdet.solve_maxdet(p)
+    assert sol.status == maxdet.OPTIMAL
+    assert sol.iterations < maxdet.SolverOptions().max_newton
+    assert sol.kkt_residual > 10.0 * maxdet.NEWTON_TOL
+    assert abs(sol.x[0] - (1e6 - 1.0)) <= 1e-5
 
 
-def test_maxdet_status_follows_last_stage(monkeypatch):
-    # Optimal when the path finished and its last stage converged, whatever
-    # decrement that stage reports
-    newton = maxdet._newton
-    for converged, status in [(True, maxdet.OPTIMAL),
-                              (False, maxdet.MAXITER)]:
-        def reporting_newton(*a, c=converged, **k):
-            x, point, steps, _, _, stopped = newton(*a, **k)
-            return x, point, steps, 1e-3, c, stopped
-
-        monkeypatch.setattr(maxdet, "_newton", reporting_newton)
-        sol = maxdet.solve_maxdet(one_var_det_problem())
-        assert sol.status == status
-        assert sol.kkt_residual == 1e-3
+def test_maxdet_status_follows_last_stage():
+    # Optimal exactly when the path ran its last stage to convergence: a
+    # budget that stops phase I or phase II anywhere short of that is
+    # MaxIter, and the full budget returns the optimum, its residual within
+    # NEWTON_TOL
+    for problem, x in [(one_var_det_problem(), [1.5]),
+                       (design_problem(), None)]:
+        sol = budget_sweep(maxdet.solve_maxdet, problem)
+        assert sol.status == maxdet.OPTIMAL
+        assert sol.kkt_residual <= maxdet.NEWTON_TOL
+        if x is not None:
+            assert np.allclose(sol.x, x, atol=1e-5)
 
 
-def test_phase1_is_feasible_when_its_stop_fires(monkeypatch):
-    # the stop test gives the verdict: a path it stops is Feasible, even at
-    # a point whose check_point margins fall short of the target, and
-    # min_margins still holds check_point's margins there
-    monkeypatch.setattr(maxdet, "_margin_reached", lambda z, f, target: True)
-    p = empty_interior_problem()
-    sol = maxdet.solve_feasibility(p)
-    assert sol.status == maxdet.FEASIBLE and sol.iterations == 1
-    assert np.array_equal(sol.min_margins, maxdet.check_point(p, sol.x))
-    assert np.min(sol.min_margins) < maxdet.SolverOptions().strict_margin
+def test_phase1_is_feasible_when_its_stop_fires():
+    # Feasible exactly when the stop fired: at the first accepted point
+    # whose margins all reach the target, and the margins reported are
+    # check_point's there
+    for problem, target in [(one_var_det_problem(), TARGET),
+                            (band_problem(0.6), 0.5),
+                            (design_problem(), TARGET)]:
+        sol = budget_sweep(maxdet.solve_feasibility, problem, target)
+        assert sol.status == maxdet.FEASIBLE
+        assert np.min(sol.min_margins) >= target
 
 
 def test_phase1_is_infeasible_only_when_its_last_stage_converged(
         monkeypatch):
-    # a path that passes MU_MAX below the target is Infeasible if its last
-    # stage converged, and undecided (MaxIter) if it did not, however few
-    # steps it took
-    newton = maxdet._newton
-    for converged, status in [(True, maxdet.INFEASIBLE),
-                              (False, maxdet.MAXITER)]:
-        def reporting_newton(*a, c=converged, **k):
-            x, point, steps, residual, _, stopped = newton(*a, **k)
-            return x, point, steps, residual, c, stopped
+    # Infeasible exactly when the path ran to MU_MAX, read at each solve,
+    # and centred its last stage there below the target: every budget
+    # short of that is MaxIter, and the least margin at the returned x is
+    # that of the centre at MU_MAX, 1/MU_MAX below sup t = -1/2
+    sol = budget_sweep(maxdet.solve_feasibility, gap_problem())
+    monkeypatch.setattr(maxdet, "MU_MAX", 1e10)
+    longer = maxdet.solve_feasibility(gap_problem())
+    for sol, mu_max in ((sol, 1e6), (longer, 1e10)):
+        assert sol.status == maxdet.INFEASIBLE
+        assert (-0.5 - np.min(sol.min_margins)) * mu_max == \
+            pytest.approx(1.0, rel=1e-2)
 
-        monkeypatch.setattr(maxdet, "_newton", reporting_newton)
-        sol = maxdet.solve_feasibility(empty_interior_problem())
-        assert sol.status == status
-        assert sol.iterations < maxdet.SolverOptions().max_newton
+
+def test_intermediate_stages_end_at_the_centering_tolerance(tmp_path,
+                                                            monkeypatch):
+    # the Newton steps of each phase, read from the trace: phase I runs
+    # every mu of the grid, 100, 1e3, ..., 1e6, centred to 0.1 / sqrt(mu),
+    # phase II every other one, 100, 1e4, 1e6, centred to 0.25 / sqrt(mu),
+    # and both centre the last one to NEWTON_TOL. Each tolerance moves only
+    # its own phase's steps
+    problems = {"design": design_problem(), "one var": one_var_det_problem()}
+    steps = {name: phase_steps(p, tmp_path) for name, p in problems.items()}
+    steps["empty"] = phase_steps(empty_interior_problem(), tmp_path,
+                                 maxdet.solve_feasibility)
+    steps["gap"] = phase_steps(gap_problem(), tmp_path,
+                               maxdet.solve_feasibility)
+    assert steps == {
+        "design": [("I", 4, maxdet.FEASIBLE), ("II", 20, maxdet.OPTIMAL)],
+        "one var": [("I", 1, maxdet.FEASIBLE), ("II", 4, maxdet.OPTIMAL)],
+        "empty": [("I", 22, maxdet.INFEASIBLE)],
+        "gap": [("I", 23, maxdet.INFEASIBLE)]}
+    monkeypatch.setattr(maxdet, "PHASE2_CENTERING_TOL", 0.1)
+    assert phase_steps(problems["design"], tmp_path) == \
+        [("I", 4, maxdet.FEASIBLE), ("II", 21, maxdet.OPTIMAL)]
+    monkeypatch.undo()
+    monkeypatch.setattr(maxdet, "CENTERING_TOL", 0.25)
+    assert phase_steps(gap_problem(), tmp_path, maxdet.solve_feasibility) \
+        == [("I", 21, maxdet.INFEASIBLE)]
+    assert phase_steps(problems["design"], tmp_path) == steps["design"]
 
 
 def test_no_maxiter_below_cap_on_canonical_designs(monkeypatch):
@@ -422,51 +547,6 @@ def test_no_maxiter_below_cap_on_canonical_designs(monkeypatch):
     assert sum(s.status == maxdet.OPTIMAL for s in sols) > 0
     assert [(s.iterations, s.kkt_residual) for s in sols
             if s.status == maxdet.MAXITER and s.iterations < cap] == []
-
-
-def recording_stages(monkeypatch):
-    """Replace maxdet._newton by a wrapper that records each stage's
-    (mu, tol, decrement, converged, stopped); mu is read from the barrier
-    weights, whose least entry is 1 / mu in both phases."""
-    newton = maxdet._newton
-    stages = []
-
-    def recording_newton(barrier, x, max_steps, tol, *args):
-        out = newton(barrier, x, max_steps, tol, *args)
-        stages.append((1.0 / np.min(barrier.weights), tol, out[3], out[4],
-                       out[5]))
-        return out
-
-    monkeypatch.setattr(maxdet, "_newton", recording_newton)
-    return stages
-
-
-def test_intermediate_stages_end_at_the_centering_tolerance(monkeypatch):
-    # each phase runs its own stages to the end, phase I on an empty
-    # interior and phase II on a design problem: phase I every mu of the
-    # grid, 100, 1e3, ..., 1e6, centred to 0.1 / sqrt(mu), phase II every
-    # other one, 100, 1e4, 1e6, centred to 0.25 / sqrt(mu); both end on the
-    # same last stage, centred to NEWTON_TOL
-    stages = recording_stages(monkeypatch)
-    paths = {"I": ([1e2, 1e3, 1e4, 1e5, 1e6], 0.1),
-             "II": ([1e2, 1e4, 1e6], 0.25)}
-    sol = maxdet.solve_feasibility(empty_interior_problem())
-    assert sol.status == maxdet.INFEASIBLE
-    got = {"I": stages[:]}
-    del stages[:]
-    sol = maxdet.solve_maxdet(design_problem())
-    assert sol.status == maxdet.OPTIMAL
-    got["II"] = stages[-len(paths["II"][0]):]
-    assert len(stages) > len(got["II"])  # phase I ran before
-    for phase, (mus, centering) in paths.items():
-        path = got[phase]
-        assert len(path) == len(mus)
-        assert np.allclose([mu for mu, *_ in path], mus, rtol=1e-12, atol=0)
-        assert [tol for _, tol, *_ in path] == \
-            [centering / np.sqrt(mu) for mu in mus[:-1]] + [maxdet.NEWTON_TOL]
-        for _, tol, decrement, converged, stopped in path:
-            assert converged and not stopped and decrement <= tol
-    assert sol.kkt_residual == got["II"][-1][2] <= maxdet.NEWTON_TOL
 
 
 def fully_centred(monkeypatch, solve, problem):
@@ -528,280 +608,190 @@ def test_loose_centring_keeps_verdicts_and_solutions(monkeypatch):
 
 
 def test_early_stop_matches_min_of_check_point():
-    # the phase-I early stop factors the phase-I matrix at z = (x, t),
-    # shifted to (x, target); it must decide what the minimum margin decides
-    # whatever t the point carries
-    p = design_problem()
-    m = p.num_vars
-    barrier = maxdet._phase1_barrier(p, 1.0)
-    x0 = maxdet.solve_feasibility(
-        p, maxdet.SolverOptions(strict_margin=0.05)).x
-    rng = np.random.default_rng(7)
-    targets = [-1.0, 0.0, 1e-6, 0.01, 0.05]
-    points = [x0 + s * rng.standard_normal(m)
-              for s in (0.0, 1e-3, 1e-2, 1e-1, 1.0) for _ in range(8)]
-    # only the last block, the bound varsigma > 0, falls short
-    last = x0.copy()
-    last[0] = -0.01
-    margins = maxdet.check_point(p, last)
-    assert np.all(margins[:-1] >= 1e-6) and margins[-1] < 1e-6
-    points.append(last)
-    decided = set()
-    for x in points:
-        for target in targets:
-            ref = float(np.min(maxdet.check_point(p, x))) >= target
-            for t in (-1.0, 0.0, 0.5):
-                z = np.append(x, t)
-                assert reached_in_stage(
-                    z, barrier._matrix(z), target) == ref
-            decided.add(ref)
-    assert decided == {True, False}
-    # a block whose margin is NaN never reaches the target, first or last
-    nan_block = maxdet.AffineMatFn(np.array([[1.0]]), np.zeros((m, 1, 1)))
-    nan_block.constant[0, 0] = np.nan  # as if its entries had overflowed
-    for blocks in ([nan_block] + p.constraints, p.constraints + [nan_block]):
-        q = maxdet.SdpProblem(m, blocks)
-        assert np.isnan(maxdet.check_point(q, x0)).any()
-        ref = float(np.min(maxdet.check_point(q, x0))) >= -1.0
-        z = np.append(x0, 0.0)
-        assert reached_in_stage(
-            z, maxdet._phase1_barrier(q, 1.0)._matrix(z), -1.0) == ref
-        assert ref is False
+    # sup t = c: phase I is Feasible exactly when c exceeds the target, at
+    # a point whose every margin reaches it, and otherwise Infeasible at the
+    # centre x = c; for c on either side of three targets
+    for c, target in [(0.3, 0.5), (0.6, 0.5), (0.1, 0.25), (0.4, 0.25),
+                      (0.5e-6, 1e-6), (2e-6, 1e-6)]:
+        p = band_problem(c)
+        sol = maxdet.solve_feasibility(
+            p, maxdet.SolverOptions(strict_margin=target))
+        assert np.array_equal(sol.min_margins, maxdet.check_point(p, sol.x))
+        if c > target:
+            assert sol.status == maxdet.FEASIBLE
+            assert np.min(sol.min_margins) >= target
+        else:
+            assert sol.status == maxdet.INFEASIBLE
+            assert abs(sol.x[0] - c) <= 1e-9 * c
 
 
 def test_early_stop_decides_as_check_point_on_a_canonical_run(monkeypatch):
-    # every early-stop test of a closed-loop run answers what the minimum
-    # over check_point's margins answers, and a solve whose stop fired is
-    # Feasible
+    # every phase-I verdict of a closed-loop run follows check_point's
+    # margins, and the stop fires at the first accepted point whose margins
+    # reach the target, checked for each point of every Feasible path
     name, plant, cfg = next(s for s in verification.canonical_scenarios()
                             if s[0] == "time-np12-s1")
     feasibility = maxdet.solve_feasibility
-    reached = maxdet._margin_reached
-    solves = []  # [problem, answers, status] per phase-I solve
+    solves = []
 
     def recording_feasibility(problem, opts=None):
-        solves.append([problem, [], None])
-        sol = feasibility(problem, opts)
-        solves[-1][2] = sol.status
-        return sol
-
-    def checked_reached(z, f, target):
-        answer = reached(z, f, target)
-        problem, answers, _ = solves[-1]
-        assert answer == (
-            float(np.min(maxdet.check_point(problem, z[:-1]))) >= target)
-        answers.append(answer)
-        return answer
+        solves.append((problem, feasibility(problem, opts)))
+        return solves[-1][1]
 
     monkeypatch.setattr(maxdet, "solve_feasibility", recording_feasibility)
-    monkeypatch.setattr(maxdet, "_margin_reached", checked_reached)
     hybrid.run(plant, cfg)
-    answers = [a for _, ans, _ in solves for a in ans]
-    assert set(answers) == {True, False}
-    for _, ans, status in solves:
-        # the stop ends the solve, so only its last test can fire
-        assert True not in ans[:-1]
-        if ans and ans[-1]:
-            assert status == maxdet.FEASIBLE
+    monkeypatch.undo()
+    assert {sol.status for _, sol in solves} == {maxdet.FEASIBLE}
+    for problem, sol in solves:
+        ref = budget_sweep(maxdet.solve_feasibility, problem)
+        assert (ref.status, ref.x.tobytes()) == (sol.status, sol.x.tobytes())
 
 
-def counting(monkeypatch, owner, name):
-    """Replace owner.name by a wrapper that counts its calls."""
-    fn = getattr(owner, name)
+LAPACK_CALLS = ("cholesky_lo", "inv", "solve1", "eigvalsh_lo")
+
+
+def lapack_recorder(**replace):
+    """(stand-in for maxdet._lapack, calls): each call goes to the gufunc,
+    its result through replace[name](args, result) where given, and
+    (name, args, result) to calls, in call order."""
     calls = []
 
-    def counted(*args):
-        calls.append(1)
-        return fn(*args)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
-
-
-def lapack_recorder():
-    """A stand-in for the LAPACK gufunc module maxdet calls, recording each
-    cholesky_lo, inv, solve1 and eigvalsh_lo call as (arguments, result);
-    numpy.linalg's own calls bypass it. Returns (stand-in, {name: calls})."""
-    calls = {name: [] for name in ("cholesky_lo", "inv", "solve1",
-                                   "eigvalsh_lo")}
-
-    def recorder(name):
-        fn = getattr(maxdet._lapack, name)
+    def wrapped(name):
+        fn = getattr(linalg._lapack, name)
 
         def call(*args):
             out = fn(*args)
-            calls[name].append((args, out))
+            if name in replace:
+                out = replace[name](args, out)
+            calls.append((name, args, out))
             return out
         return call
 
     return types.SimpleNamespace(
-        **{name: recorder(name) for name in calls}), calls
+        **{name: wrapped(name) for name in LAPACK_CALLS}), calls
 
 
-def ridge_recorder():
-    """A stand-in for maxdet._chol that records a copy of each matrix
-    `_newton` itself tests, which is the ridged Hessian; the line search's
-    calls, made from `_Barrier.point`, are not recorded. Returns
-    (stand-in, recorded matrices)."""
-    chol = maxdet._chol
-    ridged = []
+def recorded(solve, problem, opts=None, **replace):
+    """(solve(problem, opts), calls), see lapack_recorder."""
+    lapack, calls = lapack_recorder(**replace)
+    with mock.patch.object(maxdet, "_lapack", lapack):
+        return solve(problem, opts), calls
 
-    def call(m):
-        if sys._getframe(1).f_code is maxdet._newton.__code__:
-            ridged.append(m.copy())
-        return chol(m)
-    return call, ridged
+
+def first_call(fn):
+    """A replace entry that applies fn to the first call only."""
+    seen = []
+
+    def replace(args, out):
+        seen.append(1)
+        return fn(args, out) if len(seen) == 1 else out
+    return replace
+
+
+def ridged(h):
+    """h plus the solver's ridge, 1e-12 times h's mean diagonal entry."""
+    return h + 1e-12 * float(np.trace(h)) / len(h) * np.eye(len(h))
+
+
+def ridges(calls):
+    """How many recorded Newton systems went to the ridge, each checked: a
+    system is the solve1 of (H, -g) right after the inverse that builds H,
+    and goes to the ridge where -g.d is not positive and is NaN or g is not
+    zero; then the next two calls factor ridged(H) and solve it for -g, bit
+    for bit as numpy does, and otherwise nothing factors ridged(H)."""
+    count = 0
+    for i, (name, args, d) in enumerate(calls):
+        if name != "solve1" or i == 0 or calls[i - 1][0] != "inv":
+            continue
+        h, rhs = args
+        decrement = float(rhs @ d)
+        after = calls[i + 1:i + 3]
+        factors_ridged = bool(after) and after[0][0] == "cholesky_lo" and \
+            after[0][1][0].tobytes() == ridged(h).tobytes()
+        if not decrement > 0.0 and (np.isnan(decrement) or np.any(rhs)):
+            count += 1
+            assert factors_ridged
+            (name, (m, b), out) = after[1]
+            assert (name, m.tobytes(), b.tobytes()) == \
+                ("solve1", ridged(h).tobytes(), rhs.tobytes())
+            assert out.tobytes() == np.linalg.solve(m, b).tobytes()
+        else:
+            assert not factors_ridged
+    return count
 
 
 def test_newton_factors_each_point_once(monkeypatch):
-    # phi(x) = x - log x from x = 0.9: every Newton step is a full step, so
-    # a stage of s steps builds and factors its start and each accepted
-    # point only
-    builds = counting(monkeypatch, maxdet._Barrier, "_matrix")
-    chols = counting(monkeypatch, maxdet, "_chol")
-    barrier = maxdet._Barrier(np.zeros((1, 1)), np.ones((1, 1, 1)),
-                              np.array([1.0]))
-    x, _, steps, _, converged, _ = maxdet._newton(
-        barrier, np.array([0.9]), 500, 1e-8)
-    assert converged and steps >= 3
-    assert abs(x[0] - 1.0) <= 1e-12
-    assert len(builds) == len(chols) == steps + 1
-
-    # paths of stages x - log(x) / mu on the grid mu = 1, 1.1, ..., 1.7,
-    # read at call time: phase I's stages, every mu of the grid, and phase
-    # II's, every other mu and the last, whose minima 1 / mu lie a full
-    # Newton step apart; a stage starts from the previous stage's factored
-    # point, so a path builds and factors its start and each accepted point
-    # once
-    monkeypatch.setattr(maxdet, "MU_INIT", 1.0)
-    monkeypatch.setattr(maxdet, "MU_FACTOR", 1.1)
-    monkeypatch.setattr(maxdet, "MU_MAX", 1.7)
-    grid = 1.1 ** np.arange(6)
-    for stride, centering, want in [
-            (1, maxdet.CENTERING_TOL, grid),
-            (2, maxdet.PHASE2_CENTERING_TOL, grid[[0, 2, 4, 5]])]:
-        stages = maxdet._stages(stride, centering)
-        assert np.allclose([mu for mu, _ in stages], want, rtol=1e-12)
-        assert [tol for _, tol in stages] == \
-            [centering / np.sqrt(mu) for mu, _ in stages[:-1]] + \
-            [maxdet.NEWTON_TOL]
-        mus = []
-
-        def weights(mu):
-            # _path sets the weights once per stage
-            mus.append(mu)
-            return np.array([1.0 / mu])
-
-        del builds[:], chols[:]
-        z, total, _, finished, _ = maxdet._path(
-            barrier, np.array([0.9]), weights, stages, 500)
-        assert finished and mus == [mu for mu, _ in stages]
-        assert abs(z[0] - 1.0 / mus[-1]) <= 1e-7
-        assert len(builds) == len(chols) == total + 1
-
-    # phase I's stop factors each accepted point once more, shifted to the
-    # target: one more Cholesky per accepted point, and no matrix build
-    del builds[:], chols[:]
-    stops = counting(monkeypatch, maxdet, "_margin_reached")
-    sol = maxdet.solve_feasibility(one_var_det_problem())
-    assert sol.status == maxdet.FEASIBLE and sol.iterations >= 1
-    assert len(stops) == sol.iterations
-    assert len(chols) == len(builds) + len(stops)
+    # every Newton point is built and factored once: the line search's
+    # F(x) and its factor feed the next Newton step, and a new stage starts
+    # from the previous stage's, so no matrix reaches Cholesky twice in a
+    # solve, and each Newton system is one LU solve of a Hessian built from
+    # one inverse. On the default grid and on mu = 1, 1.1, ..., 1.7, read
+    # at call time, whose stages start a full Newton step from their centre
+    problems = [(maxdet.solve_maxdet, one_var_det_problem()),
+                (maxdet.solve_maxdet, design_problem()),
+                (maxdet.solve_feasibility, gap_problem())]
+    for grid in [(), (("MU_INIT", 1.0), ("MU_FACTOR", 1.1),
+                      ("MU_MAX", 1.7))]:
+        with monkeypatch.context() as m:
+            for name, mu in grid:
+                m.setattr(maxdet, name, mu)
+            for solve, problem in problems:
+                sol, calls = recorded(solve, problem)
+                assert sol.status in (maxdet.OPTIMAL, maxdet.INFEASIBLE)
+                names = [name for name, _, _ in calls]
+                factored = [args[0].tobytes() for name, args, _ in calls
+                            if name == "cholesky_lo"]
+                assert len(set(factored)) == len(factored) > 0
+                assert ridges(calls) == 0
+                assert names.count("solve1") == names.count("inv") > 0
 
 
-def log_barrier(scale, lin):
-    """phi(x) = lin.x - scale * log x_0 over x_0 > 0; the other variables
-    enter no block."""
-    coeffs = np.zeros((len(lin), 1, 1))
-    coeffs[0, 0, 0] = 1.0
-    barrier = maxdet._Barrier(np.zeros((1, 1)), coeffs, np.asarray(lin))
-    barrier.weights = np.array([scale])
-    return barrier
+def test_design_solve_makes_only_the_lapack_calls_it_needs(monkeypatch):
+    # the k = 4 design window of a canonical time-triggered run: each
+    # Newton system is one LU solve of a Hessian built from the inverse of
+    # an F(x) just factored, Cholesky runs only on the F(x) whose diagonal
+    # is positive, never on a Hessian, and on none twice, and no call goes
+    # through numpy.linalg's wrappers
+    name, plant, cfg = next(s for s in verification.canonical_scenarios()
+                            if s[0] == "time-np8-s0")
+    problems = []
+
+    def first_problem(problem, opts=None):
+        problems.append(problem)
+        raise maxdet.SolverBreakdown("recorded")
+
+    monkeypatch.setattr(maxdet, "solve_maxdet", first_problem)
+    hybrid.run(plant, cfg)
+    monkeypatch.undo()
+
+    def wrapper(*args):
+        raise AssertionError("a call through numpy.linalg's wrappers")
+
+    with monkeypatch.context() as m:
+        for fn in ("inv", "solve", "cholesky"):
+            m.setattr(np.linalg, fn, wrapper)
+        sol, calls = recorded(maxdet.solve_maxdet, problems[0])
+    assert sol.status == maxdet.OPTIMAL
+    factored = [args[0] for name, args, _ in calls if name == "cholesky_lo"]
+    inverted = [args[0] for name, args, _ in calls if name == "inv"]
+    hessians = [args[0] for name, args, _ in calls if name == "solve1"]
+    assert ridges(calls) == 0 and len(hessians) == len(inverted) > 0
+    assert all(any(f is m for m in factored) for f in inverted)
+    assert all(np.all(m.diagonal() > 0.0) for m in factored)
+    assert {m.shape for m in factored}.isdisjoint({h.shape for h in hessians})
+    assert len({m.tobytes() for m in factored}) == len(factored)
 
 
-@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6, 1e12])
-def test_newton_steps_are_scale_invariant(scale):
-    # phi(x) = x - s log x has its minimum at x = s with Hessian 1/s there;
-    # Newton's method on it is scale-invariant, so every s takes the steps
-    # of s = 1
-    x, _, steps, _, converged, _ = maxdet._newton(
-        log_barrier(scale, [1.0]), np.array([1.3 * scale]), 500, 1e-8)
-    assert converged and steps <= 10
-    assert abs(x[0] - scale) <= 1e-6 * scale
-
-
-@pytest.mark.parametrize("scale", [1.0, 1e12])
-def test_newton_retries_a_singular_hessian(scale):
-    # x_1 enters no block, so the Hessian's second row and column are zero
-    # and Cholesky fails; the retry with a ridge relative to the Hessian's
-    # own scale still takes full Newton steps in x_0
-    barrier = log_barrier(scale, [1.0, 0.0])
-    z = np.array([1.3 * scale, 0.0])
-    hess = barrier.terms(barrier.point(z))[2]
-    assert np.all(hess[1] == 0.0) and np.all(hess[:, 1] == 0.0)
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.cholesky(hess)
-    x, _, steps, _, converged, _ = maxdet._newton(barrier, z, 500, 1e-8)
-    assert converged and steps <= 10
-    assert abs(x[0] - scale) <= 1e-6 * scale and x[1] == 0.0
-
-
-def test_newton_retries_a_hessian_that_gives_no_descent(monkeypatch):
-    # an invertible indefinite Hessian whose LU step d = -H^-1 g has
-    # g.d > 0 points uphill: the step is not taken, the Hessian is retried
-    # with its ridge, Cholesky rejects the ridged matrix, and the solve
-    # breaks down
-    barrier = log_barrier(1.0, [1.0, 0.0])
-    grad = np.array([1.0, 0.0])
-    hess = np.diag([-1.0, 2.0])
-    assert grad @ np.linalg.solve(hess, grad) < 0.0
-    monkeypatch.setattr(maxdet._Barrier, "terms",
-                        lambda self, point: (point[0], grad, hess))
-    points = counting(monkeypatch, maxdet._Barrier, "point")
-    lapack, calls = lapack_recorder()
-    monkeypatch.setattr(maxdet, "_lapack", lapack)
-    chol, ridged = ridge_recorder()
-    monkeypatch.setattr(maxdet, "_chol", chol)
-    with pytest.raises(maxdet.SolverBreakdown, match="singular"):
-        maxdet._newton(barrier, np.array([1.3, 0.0]), 500, 1e-8)
-    # only the start was evaluated, after one LU solve of the Newton
-    # system; the ridged Hessian's negative diagonal entry rejects it
-    # without a LAPACK call, so potrf saw only the start's F
-    assert len(points) == 1
-    assert len(calls["cholesky_lo"]) == len(calls["solve1"]) == 1
-    ridge = 1e-12 * np.trace(hess) / 2
-    assert len(ridged) == 1
-    assert np.array_equal(ridged[0], hess + ridge * np.eye(2))
-
-
-def test_newton_sends_a_singular_hessian_to_the_ridge_at_a_zero_gradient(
-        monkeypatch):
-    # LU fails on this Hessian, so the decrement is NaN although the
-    # gradient is zero: the step still goes to the ridge, which is zero
-    # for a traceless Hessian, Cholesky rejects it, and the solve breaks
-    # down
-    barrier = log_barrier(1.0, [1.0, 0.0, 0.0])
-    grad = np.zeros(3)
-    hess = np.diag([1.0, -1.0, 0.0])
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(hess, -grad)
-    monkeypatch.setattr(maxdet._Barrier, "terms",
-                        lambda self, point: (point[0], grad, hess))
-    with pytest.raises(maxdet.SolverBreakdown, match="singular"):
-        maxdet._newton(barrier, np.array([1.3, 0.0, 0.0]), 500, 1e-8)
-
-
-def boundary_maxdet_problem():
-    """Maximize log(1 + x0) subject to [[1, x0], [x0, 1]] > 0: the optimum
-    sits on the boundary x0 = 1, so full Newton steps overshoot to trial
-    points whose diagonal is positive but which are not positive definite;
-    x1 enters no block, so every Hessian is singular."""
+def boundary_maxdet_problem(scale=1.0):
+    """Maximize log(1 + x0) subject to [[1, x0], [x0, 1]] > 0 in the
+    variable scale * x0: the optimum sits on the boundary x0 = scale, so
+    full Newton steps overshoot to trial points whose diagonal is positive
+    but which are not positive definite; x1 enters no block, so every
+    Hessian is singular."""
     box = np.zeros((2, 2, 2))
     box[0] = [[0.0, 1.0], [1.0, 0.0]]
-    gain = np.zeros((2, 1, 1))
-    gain[0] = 1.0
-    return maxdet.SdpProblem(2, [maxdet.AffineMatFn(np.eye(1), gain),
-                                 maxdet.AffineMatFn(np.eye(2), box)],
+    return maxdet.SdpProblem(2, [scalar_block(1.0, 1.0 / scale, 0.0),
+                                 maxdet.AffineMatFn(np.eye(2), box / scale)],
                              det_block=0)
 
 
@@ -817,19 +807,116 @@ def test_failed_lapack_calls_of_a_solve_emit_no_warning(monkeypatch,
         warnings.simplefilter("error", RuntimeWarning)
         sol = maxdet.solve_maxdet(boundary_maxdet_problem(), opts)
     assert sol.status == maxdet.OPTIMAL and abs(sol.x[0] - 1.0) < 1e-5
-    failed_chol = [m for (m,), l in calls["cholesky_lo"]
-                   if np.all(m.diagonal() > 0.0) and np.isnan(l[-1, -1])]
+    failed_chol = [m for name, (m, *_), l in calls if name == "cholesky_lo"
+                   and np.all(m.diagonal() > 0.0) and np.isnan(l[-1, -1])]
     assert len(failed_chol) > 0
-    assert any(np.isnan(d).all() for _, d in calls["solve1"])
+    assert any(np.isnan(d).all() for name, _, d in calls if name == "solve1")
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e12])
+def test_newton_retries_a_singular_hessian(scale):
+    # every Hessian is singular, so each LU solve fails and each Newton
+    # step goes to the ridge; the ridge is relative to the Hessian's own
+    # scale, so the solve takes the steps of scale 1 to the optimum x0 =
+    # scale, where a fixed ridge would swamp a Hessian of order 1/scale^2
+    sol, calls = recorded(maxdet.solve_maxdet,
+                          boundary_maxdet_problem(scale))
+    assert sol.status == maxdet.OPTIMAL
+    assert abs(sol.x[0] - scale) <= 1e-5 * scale and sol.x[1] == 0.0
+    assert sol.iterations == maxdet.solve_maxdet(
+        boundary_maxdet_problem()).iterations
+    assert ridges(calls) == [name for name, _, _ in calls].count("inv") > 0
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6, 1e12])
+def test_newton_steps_are_scale_invariant(scale, tmp_path):
+    # the optimum x = 1.5 scale; Newton's method is invariant under the
+    # change of variable, so every scale takes the steps of scale 1 in
+    # each phase, and the same KKT residual to rounding
+    problem = one_var_det_problem(scale)
+    sol = maxdet.solve_maxdet(problem)
+    ref = maxdet.solve_maxdet(one_var_det_problem())
+    assert sol.status == maxdet.OPTIMAL
+    assert abs(sol.x[0] - 1.5 * scale) <= 1e-6 * scale
+    assert phase_steps(problem, tmp_path) == \
+        phase_steps(one_var_det_problem(), tmp_path)
+    assert sol.kkt_residual == pytest.approx(ref.kkt_residual, rel=1e-3)
+
+
+def test_newton_retries_a_hessian_that_gives_no_descent(monkeypatch):
+    # an LU step that points uphill, or nowhere at a non-zero gradient, is
+    # not taken: the Hessian is retried with its ridge, and the solve still
+    # reaches the optimum
+    for direction in (lambda args, d: -d, lambda args, d: 0.0 * d):
+        sol, calls = recorded(maxdet.solve_maxdet, one_var_det_problem(),
+                              solve1=first_call(direction))
+        assert sol.status == maxdet.OPTIMAL and abs(sol.x[0] - 1.5) < 1e-3
+        assert ridges(calls) == 1
+    # where Cholesky rejects the ridged Hessian, the solve breaks down
+    # after that one LU solve and that one factorization of a Hessian
+    lapack, calls = lapack_recorder(
+        solve1=first_call(lambda args, d: -d),
+        cholesky_lo=lambda args, l: np.full_like(l, np.nan)
+        if calls and calls[-1][0] == "solve1" else l)
+    monkeypatch.setattr(maxdet, "_lapack", lapack)
+    with pytest.raises(maxdet.SolverBreakdown, match="singular"):
+        maxdet.solve_maxdet(one_var_det_problem())
+    assert [name for name, _, _ in calls][-2:] == ["solve1", "cholesky_lo"]
+    h = calls[-2][1][0]
+    assert calls[-1][1][0].tobytes() == ridged(h).tobytes()
+
+
+def symmetric_problem(free):
+    """Maximize log det diag(1 + x0, 1 - x0), with free more variables
+    that enter no block: at x = 0 every gradient is zero bit for bit."""
+    coeffs = np.zeros((1 + free, 2, 2))
+    coeffs[0] = np.diag([1.0, -1.0])
+    return maxdet.SdpProblem(1 + free, [maxdet.AffineMatFn(np.eye(2), coeffs)],
+                             det_block=0)
+
+
+def test_newton_sends_a_singular_hessian_to_the_ridge_at_a_zero_gradient():
+    # phase I is Feasible at x = 0, the optimum, where the gradient is
+    # zero: a zero step is no reason for the ridge, but a failed LU solve
+    # (NaN, the Hessian singular in the free variable) is; either way each
+    # of phase II's three stages has converged without a step
+    for free, ridge_count in [(0, 0), (1, 3)]:
+        sol, calls = recorded(maxdet.solve_maxdet, symmetric_problem(free))
+        assert (sol.status, sol.iterations, sol.kkt_residual) == \
+            (maxdet.OPTIMAL, 0, 0.0)
+        assert np.array_equal(sol.x, np.zeros(1 + free))
+        assert ridges(calls) == ridge_count
+        assert [name for name, _, _ in calls].count("inv") == 3
 
 
 def test_newton_zero_hessian_breaks_down():
-    # no variable enters the block: the Hessian is zero and no ridge
-    # relative to it makes the Newton system solvable
-    barrier = maxdet._Barrier(np.eye(1), np.zeros((1, 1, 1)),
-                              np.array([1.0]))
-    with pytest.raises(maxdet.SolverBreakdown, match="singular"):
-        maxdet._newton(barrier, np.array([0.0]), 500, 1e-8)
+    # an inverse of zero makes the Hessian zero: no ridge relative to it
+    # makes the Newton system solvable, and the ridged Hessian's zero
+    # diagonal rejects it without a LAPACK call
+    lapack, calls = lapack_recorder(inv=lambda args, f: 0.0 * f)
+    with mock.patch.object(maxdet, "_lapack", lapack), \
+            pytest.raises(maxdet.SolverBreakdown, match="singular"):
+        maxdet.solve_maxdet(one_var_det_problem())
+    assert [name for name, _, _ in calls][-2:] == ["inv", "solve1"]
+    assert np.isnan(calls[-1][2]).all()
+
+
+def test_newton_from_a_nan_point_breaks_down():
+    # F(x) is NaN at a NaN point, so it is outside the barrier's domain
+    # rather than a point with a NaN value; a block whose margin is NaN, as
+    # if its entries had overflowed, first or last, never reaches a target:
+    # phase I cannot start
+    p = one_var_det_problem()
+    barrier, _ = maxdet._phase2_barrier(p, 0.0)
+    assert barrier.point(np.array([1.5])) is not None
+    assert barrier.point(np.array([np.nan])) is None
+    nan_block = scalar_block(1.0, 0.0)
+    nan_block.constant[0, 0] = np.nan
+    for blocks in ([nan_block] + p.constraints, p.constraints + [nan_block]):
+        q = maxdet.SdpProblem(1, blocks)
+        assert np.isnan(maxdet.check_point(q, [0.0])).any()
+        with pytest.raises(maxdet.SolverBreakdown, match="left the barrier"):
+            maxdet.solve_feasibility(q)
 
 
 @pytest.mark.parametrize("pos", [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1),
@@ -845,31 +932,35 @@ def test_chol_rejects_a_nan_entry(pos):
     assert maxdet._logdet(lambda x: m, np.zeros(1)) is None
 
 
-def test_newton_from_a_nan_point_breaks_down():
-    # F(x) is NaN at a NaN start, so the start is outside the barrier's
-    # domain rather than a point with a NaN value
-    barrier = log_barrier(1.0, [1.0])
-    assert barrier.point(np.array([np.nan])) is None
-    with pytest.raises(maxdet.SolverBreakdown, match="left the barrier"):
-        maxdet._newton(barrier, np.array([np.nan]), 500, 1e-8)
-
-
-def lapack_chol(m):
-    """LAPACK's answer on m: its factor, or None where potrf fails or its
-    factor's last diagonal entry is NaN."""
+def assert_chol_is_lapacks(m):
+    """_chol(m), under the error state a solve gives it, is LAPACK's factor
+    bit for bit, and None exactly where potrf fails or leaves NaN in the
+    factor; potrf is called only on a matrix whose diagonal is positive."""
     try:
-        l = np.linalg.cholesky(m)
+        ref = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
-        return None
-    return None if np.isnan(l[-1, -1]) else l
+        ref = None
+    lapack, calls = lapack_recorder()
+    with mock.patch.object(maxdet, "_lapack", lapack), \
+            np.errstate(invalid="ignore"):
+        l = maxdet._chol(m)
+    assert len(calls) == int(np.all(m.diagonal() > 0.0))
+    if ref is None or np.isnan(ref[-1, -1]):
+        assert l is None
+    else:
+        assert l.tobytes() == ref.tobytes()
 
 
-def gram_matrix(rng, n, scale):
+def gram_matrix(rng, n, scale, nan_off):
     """A symmetric matrix with a positive diagonal, definite or not: a Gram
-    matrix less a random share of its smallest diagonal entry."""
+    matrix less a random share of its smallest diagonal entry, with a NaN
+    entry and its mirror off the diagonal if nan_off."""
     a = rng.standard_normal((n, n))
     m = a @ a.T
     m -= rng.uniform(0.0, 1.0) * np.min(m.diagonal()) * np.eye(n)
+    if nan_off and n > 1:
+        i, k = rng.choice(n, 2, replace=False)
+        m[i, k] = m[k, i] = np.nan
     return scale * m
 
 
@@ -883,17 +974,10 @@ def test_chol_decides_a_non_positive_diagonal_without_lapack(
     # or NaN m_jj makes it fail or leaves NaN in the factor: _chol answers
     # None without calling it
     rng = np.random.default_rng(seed)
-    m = gram_matrix(rng, n, scale)
+    m = gram_matrix(rng, n, scale, nan_off)
     j = rng.integers(n)
     m[j, j] = bad
-    if nan_off and n > 1:
-        i, k = rng.choice(n, 2, replace=False)
-        m[i, k] = m[k, i] = np.nan
-    assert lapack_chol(m) is None
-    lapack, calls = lapack_recorder()
-    with mock.patch.object(maxdet, "_lapack", lapack):
-        assert maxdet._chol(m) is None
-    assert calls["cholesky_lo"] == []
+    assert_chol_is_lapacks(m)
 
 
 @settings(max_examples=80, deadline=None)
@@ -902,71 +986,9 @@ def test_chol_decides_a_non_positive_diagonal_without_lapack(
 def test_chol_with_a_positive_diagonal_is_lapacks(n, seed, scale, nan_off):
     # with a positive diagonal _chol returns LAPACK's factor bit for bit,
     # and None exactly where LAPACK fails or leaves NaN in the factor
-    rng = np.random.default_rng(seed)
-    m = gram_matrix(rng, n, scale)
-    if nan_off and n > 1:
-        i, k = rng.choice(n, 2, replace=False)
-        m[i, k] = m[k, i] = np.nan
+    m = gram_matrix(np.random.default_rng(seed), n, scale, nan_off)
     assert np.all(m.diagonal() > 0.0)
-    ref = lapack_chol(m)
-    lapack, calls = lapack_recorder()
-    with mock.patch.object(maxdet, "_lapack", lapack):
-        l = chol_in_stage(m)
-    assert len(calls["cholesky_lo"]) == 1
-    assert (l is None) == (ref is None)
-    if l is not None:
-        assert l.tobytes() == ref.tobytes()
-
-
-def test_design_solve_makes_only_the_lapack_calls_it_needs(monkeypatch):
-    # the k = 4 design window of a canonical time-triggered run: each
-    # Newton system is one LU solve, and Cholesky runs only on the F(x)
-    # whose diagonal _chol could not decide, never on a Hessian
-    name, plant, cfg = next(s for s in verification.canonical_scenarios()
-                            if s[0] == "time-np8-s0")
-    solve = maxdet.solve_maxdet
-    problems = []
-
-    def first_problem(problem, opts=None):
-        problems.append(problem)
-        raise maxdet.SolverBreakdown("recorded")
-
-    monkeypatch.setattr(maxdet, "solve_maxdet", first_problem)
-    hybrid.run(plant, cfg)
-    monkeypatch.undo()
-
-    public = {fn: counting(monkeypatch, np.linalg, fn)
-              for fn in ("inv", "solve", "cholesky")}
-    lapack, calls = lapack_recorder()
-    hessians, chol_calls = [], []
-    chol = maxdet._chol
-    terms = maxdet._Barrier.terms
-
-    def recording_terms(self, point):
-        out = terms(self, point)
-        hessians.append(out[2])
-        return out
-
-    def recording_chol(m):
-        chol_calls.append(bool(np.all(m.diagonal() > 0.0)))
-        return chol(m)
-
-    monkeypatch.setattr(maxdet._Barrier, "terms", recording_terms)
-    monkeypatch.setattr(maxdet, "_chol", recording_chol)
-    monkeypatch.setattr(maxdet, "_lapack", lapack)
-    sol = solve(problems[0])
-    assert sol.status == maxdet.OPTIMAL
-    assert len(hessians) > 0 and len(calls["solve1"]) == len(hessians)
-    assert all(args[0] is h for (args, _), h in zip(calls["solve1"],
-                                                    hessians))
-    assert len(calls["inv"]) == len(hessians)
-    # the diagonal rule decides some factorizations outright
-    assert 0 < chol_calls.count(False) < len(chol_calls)
-    assert len(calls["cholesky_lo"]) == chol_calls.count(True)
-    assert not any(args[0] is h for args, _ in calls["cholesky_lo"]
-                   for h in hessians)
-    # and no call goes through numpy.linalg's wrappers
-    assert public == {"inv": [], "solve": [], "cholesky": []}
+    assert_chol_is_lapacks(m)
 
 
 KINDS = ("definite", "indefinite", "singular", "nan")
@@ -998,22 +1020,15 @@ def symmetric_matrix(rng, n, kind, scale):
     return scale * m
 
 
-matrices = (st.integers(1, 15), st.integers(0, 10 ** 6),
-            st.sampled_from(KINDS), st.sampled_from([1e-12, 1.0, 1e12]))
-
-
 @settings(max_examples=150, deadline=None)
-@given(*matrices)
+@given(st.integers(1, 15), st.integers(0, 10 ** 6), st.sampled_from(KINDS),
+       st.sampled_from([1e-12, 1.0, 1e12]))
 def test_chol_is_numpys_cholesky(n, seed, kind, scale):
     # _chol answers None exactly where numpy.linalg.cholesky raises or
     # leaves NaN in the factor, and otherwise returns its factor bit for
     # bit
-    m = symmetric_matrix(np.random.default_rng(seed), n, kind, scale)
-    ref = lapack_chol(m)
-    l = chol_in_stage(m)
-    assert (l is None) == (ref is None)
-    if l is not None:
-        assert l.tobytes() == ref.tobytes()
+    assert_chol_is_lapacks(
+        symmetric_matrix(np.random.default_rng(seed), n, kind, scale))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1033,59 +1048,26 @@ def test_barrier_terms_invert_f_as_numpy_does(n, seed, scale):
     lapack, calls = lapack_recorder()
     with mock.patch.object(maxdet, "_lapack", lapack):
         barrier.terms(point)
-    [(args, inv)] = calls["inv"]
-    assert args[0] is point[1]
+    [(name, args, inv)] = calls
+    assert name == "inv" and args[0] is point[1]
     assert inv.tobytes() == np.linalg.inv(point[1]).tobytes()
 
 
-@settings(max_examples=150, deadline=None)
-@given(*matrices, st.booleans())
-# a NaN Hessian whose ridged copy potrf factors without failing, leaving
-# NaN in the factor, and whose ridged LU is singular
-@example(n=11, seed=474, kind="nan", scale=1e12, zero_grad=False)
-def test_newton_lu_solve_is_numpys(n, seed, kind, scale, zero_grad):
-    # the Newton direction is numpy.linalg.solve's bit for bit, and all
-    # NaN where it raises; a failed solve, a NaN decrement or a step that
-    # is not a descent direction at a non-zero gradient goes to the ridge,
-    # which breaks down where Cholesky rejects the ridged Hessian or leaves
-    # NaN in its factor
-    rng = np.random.default_rng(seed)
-    hess = symmetric_matrix(rng, n, kind, scale)
-    grad = np.zeros(n) if zero_grad else rng.standard_normal(n)
-    try:
-        ref = np.linalg.solve(hess, -grad)
-    except np.linalg.LinAlgError:
-        ref = None
-    ridged = hess + 1e-12 * float(np.trace(hess)) / n * np.eye(n)
-    ridge_fails = lapack_chol(ridged) is None
-
-    lapack, calls = lapack_recorder()
-    chol, ridge_tests = ridge_recorder()
-
-    x0 = 1.3 * np.eye(n)[0]
-    with mock.patch.object(maxdet._Barrier, "terms",
-                           lambda self, point: (point[0], grad, hess)), \
-            mock.patch.object(maxdet, "_lapack", lapack), \
-            mock.patch.object(maxdet, "_chol", chol):
-        try:
-            maxdet._newton(log_barrier(1.0, np.eye(n)[0]), x0, 1, 1e-8)
-            broke = False
-        except maxdet.SolverBreakdown:
-            broke = True
-    (_, d), *ridge_solves = calls["solve1"]
-    if ref is None:
-        assert np.all(np.isnan(d))
-    else:
-        assert d.tobytes() == ref.tobytes()
-    decrement = float(-grad @ d)
-    retried = not decrement > 0.0 and (np.isnan(decrement) or np.any(grad))
-    assert retried or ref is not None
-    assert len(ridge_tests) == int(retried)
-    if retried:
-        assert ridge_tests[0].tobytes() == ridged.tobytes()
-    assert broke == (retried and ridge_fails)
-    # a ridged Hessian that factors is solved by LU, as numpy.linalg.solve
-    # solves it
-    assert len(ridge_solves) == int(retried and not broke)
-    for _, d in ridge_solves:
-        assert d.tobytes() == np.linalg.solve(ridged, -grad).tobytes()
+def test_newton_lu_solve_is_numpys():
+    # every Newton direction of a solve is numpy.linalg.solve's bit for
+    # bit, and all NaN where it raises; on a design problem, whose
+    # Hessians are definite, and on the boundary problem, whose Hessians
+    # are singular and go to the ridge
+    for problem in (design_problem(), boundary_maxdet_problem()):
+        sol, calls = recorded(maxdet.solve_maxdet, problem)
+        assert sol.status == maxdet.OPTIMAL
+        systems = [(args, d) for name, args, d in calls if name == "solve1"]
+        assert systems
+        for (h, rhs), d in systems:
+            try:
+                ref = np.linalg.solve(h, rhs)
+            except np.linalg.LinAlgError:
+                assert np.isnan(d).all()
+            else:
+                assert d.tobytes() == ref.tobytes()
+        ridges(calls)

@@ -139,6 +139,19 @@ def test_default_rates_dominate(switching_run):
         monitor.thm_diagnostics(traj, lam_c, lam_d, plant, 0.1)
 
 
+def test_thm_diagnostics_rejects_a_nan_rate(switching_run):
+    # lambda_d >= lambda_c is false for a nan lambda_d, which used to give
+    # a report whose every thm4_lhs was nan; an infinite lambda_d, which
+    # default_rates can return, is still a rate
+    plant, cfg, traj = switching_run
+    lam_c, _ = monitor.default_rates(traj, plant, cfg.c_sigma)
+    for lam_d in (np.nan, 0.5 * lam_c):
+        with pytest.raises(linalg.InvalidInput, match="lambda_d >= lambda_c"):
+            monitor.thm_diagnostics(traj, lam_c, lam_d, plant, cfg.c_sigma)
+    rep = monitor.thm_diagnostics(traj, lam_c, np.inf, plant, cfg.c_sigma)
+    assert np.all(rep.thm4_lhs == np.inf)
+
+
 def test_default_rates_compute_no_databased_factor(switching_run,
                                                    monkeypatch):
     # the rates read only exact factors, so the walk behind them never
