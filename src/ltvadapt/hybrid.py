@@ -150,11 +150,12 @@ _FLOAT_MAX = float(np.finfo(float).max)
 def state_norm(x):
     """Euclidean norm of x; a finite x whose squares could overflow is
     scaled by max|x| first, so that its norm is finite too. A non-finite
-    x has a non-finite norm."""
+    x has a non-finite norm. sqrt(x @ x) is what np.linalg.norm computes
+    for a float vector, without its wrapper."""
     m = float(np.abs(x).max())
     if math.sqrt(_FLOAT_MAX / x.size) < m < np.inf:
         return m * float(np.linalg.norm(x / m))
-    return float(np.linalg.norm(x))
+    return math.sqrt(x @ x)
 
 
 def _lyapunov(bundle, x):

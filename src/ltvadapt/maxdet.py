@@ -25,10 +25,13 @@ as well; a start at 1000 or later costs phase II more steps than it
 saves. Both grids are read from MU_INIT, MU_FACTOR and MU_MAX at each
 solve.
 
-Both phases stack their blocks into one block-diagonal affine map, built
-once per solve, with one barrier weight per row: phase I adds the margin
-variable t as a -t I column over every block and its cap t < t_cap as one
-more 1x1 block, phase II a copy of the determinant block. One path routine
+An SdpProblem stacks its blocks into one block-diagonal affine map once,
+at construction; `check_point` builds that map at x with one einsum (and
+one more for the 1x1 blocks) and reads each block's lambda_min from its
+diagonal view. Each phase extends the map, with one barrier weight per
+row: phase I adds the margin variable t as a -t I column over every block
+and its cap t < t_cap as one more 1x1 block, phase II a copy of the
+determinant block. One path routine
 runs either phase's stages: a stage only changes the weights and the
 tolerance, and one Newton routine minimizes every stage. The last stage,
 mu = MU_MAX, has converged when its Newton decrement reaches NEWTON_TOL or
@@ -72,9 +75,9 @@ more than LAPACK does on matrices of 15 rows. A gufunc that fails returns
 its output filled with NaN instead of raising: a NaN factor's last
 diagonal entry rejects the matrix, a NaN Newton decrement sends the step
 to the ridge, as LinAlgError did, and a NaN margin reaches no target. A
-failed call also sets the floating-point invalid flag, so `_newton` runs
-each stage inside one errstate(invalid="ignore"), and `_logdet` inside
-its own.
+failed call also sets the floating-point invalid flag, so `_path` runs
+all its stages inside one errstate(invalid="ignore"), and `_logdet`
+inside its own.
 
 Phase I stops after any accepted step at z = (x, t) once every block's own
 lambda_min reaches the interior target, the textbook phase-I rule (Boyd &
@@ -93,7 +96,9 @@ read from the SdpSolution that phase returns: phase I's row from
 
 The verdicts are the contract the tests check, through the public
 functions and the trace: phase I's as above, so that every budget short
-of a verdict's steps is MaxIter; `solve_maxdet` returns phase I's solution
+of a verdict's steps is MaxIter and a budget of exactly those steps gives
+the verdict, since each stage tests its Newton decrement before its
+budget; `solve_maxdet` returns phase I's solution
 unless it is Feasible, and is then Optimal exactly when phase II's last
 stage converged, with that stage's Newton decrement as `kkt_residual` (a
 constant problem, which no path moves, is Optimal at phase I's point with
@@ -106,7 +111,7 @@ failed or uphill solve1 and so drive the ridge rule.
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -169,22 +174,53 @@ class AffineMatFn:
         return self.constant + np.einsum("i,iab->ab", x, self.coeffs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SdpProblem:
+    """Every block of `constraints` positive definite over num_vars
+    variables, and the log det of block det_block to maximize.
+
+    The blocks are read once, at construction, into the derived, read-only
+    fields: the block-diagonal map F(x) = constant + sum_k x_k coeffs[k],
+    block i on rows offsets[i]:offsets[i + 1], and the 1x1 blocks on their
+    own, unit_constant + unit_coeffs @ x, which `check_point` sums as each
+    1x1 block's own f(x) does.
+    """
+
     num_vars: int
     constraints: list
     det_block: int | None = None
+    constant: np.ndarray = field(init=False, repr=False, compare=False)
+    coeffs: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: tuple = field(init=False, repr=False, compare=False)
+    unit_constant: np.ndarray = field(init=False, repr=False, compare=False)
+    unit_coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.num_vars = linalg.as_count(self.num_vars, "num_vars", least=0)
-        for f in self.constraints:
-            if f.coeffs.shape[0] != self.num_vars:
+        num_vars = linalg.as_count(self.num_vars, "num_vars", least=0)
+        constraints = list(self.constraints)
+        for f in constraints:
+            if f.coeffs.shape[0] != num_vars:
                 raise linalg.InvalidInput("constraint/variable count mismatch")
-        if self.det_block is not None:
-            self.det_block = linalg.as_count(self.det_block, "det_block",
-                                             least=0)
-            if self.det_block >= len(self.constraints):
+        det_block = self.det_block
+        if det_block is not None:
+            det_block = linalg.as_count(det_block, "det_block", least=0)
+            if det_block >= len(constraints):
                 raise linalg.InvalidInput("det_block index out of range")
+        constant, coeffs, offsets = _block_diag(constraints, num_vars)
+        units = [f for f in constraints if f.dim == 1]
+        unit_constant = np.array([f.constant[0, 0] for f in units])
+        unit_coeffs = np.zeros((len(units), num_vars))
+        for row, f in zip(unit_coeffs, units):
+            row[:] = f.coeffs[:, 0, 0]
+        for a in (constant, coeffs, unit_constant, unit_coeffs):
+            a.flags.writeable = False
+        for name, value in (("num_vars", num_vars),
+                            ("constraints", constraints),
+                            ("det_block", det_block), ("constant", constant),
+                            ("coeffs", coeffs), ("offsets", offsets),
+                            ("unit_constant", unit_constant),
+                            ("unit_coeffs", unit_coeffs)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -219,10 +255,18 @@ def check_point(problem, x):
         raise linalg.InvalidInput("decision vector has wrong length")
     if not np.isfinite(x).all():
         raise linalg.InvalidInput("decision vector has non-finite entries")
-    out = []
-    for f in problem.constraints:
-        out.append(float(_lapack.eigvalsh_lo(f(x))[0]))
-    return np.array(out)
+    # einsum builds a block of two or more rows, alone or in the stack, by
+    # adding x_k C_k for one k at a time, so each such block of F(x) is
+    # its f(x) bit for bit. A 1x1 block's own f(x) is a dot product over x,
+    # summed in another order, so its margin, the one entry, which LAPACK
+    # returns as it is, is summed as that product
+    f = problem.constant + np.einsum("i,iab->ab", x, problem.coeffs)
+    units = iter((problem.unit_constant + np.einsum(
+        "i,ki->k", x, problem.unit_coeffs)).tolist())
+    o = problem.offsets
+    return np.array([next(units) if b - a == 1
+                     else float(_lapack.eigvalsh_lo(f[a:b, a:b])[0])
+                     for a, b in zip(o, o[1:])])
 
 
 def _chol(m):
@@ -248,7 +292,7 @@ def _logdet(fn, x):
 
 def _constant(problem):
     """Whether no constraint depends on x, num_vars = 0 included."""
-    return not any(np.any(f.coeffs) for f in problem.constraints)
+    return not np.any(problem.coeffs)
 
 
 def _write_trace(path, phase, sol, logdet=None):
@@ -263,18 +307,20 @@ def _write_trace(path, phase, sol, logdet=None):
                          float(np.min(sol.min_margins)), logdet))
 
 
-def _block_diag(fns):
-    """Constant and coefficient stack of the blocks placed on one diagonal."""
-    dim = sum(f.dim for f in fns)
-    constant = np.zeros((dim, dim))
-    coeffs = np.zeros((fns[0].coeffs.shape[0], dim, dim))
-    pos = 0
+def _block_diag(fns, num_vars):
+    """Constant and coefficient stack of the blocks, functions of num_vars
+    variables, placed on one diagonal, and the row offsets of the blocks
+    there, ending with the stack's size."""
+    offsets = [0]
     for f in fns:
-        s = slice(pos, pos + f.dim)
-        constant[s, s] = f.constant
-        coeffs[:, s, s] = f.coeffs
-        pos += f.dim
-    return constant, coeffs
+        offsets.append(offsets[-1] + f.dim)
+    dim = offsets[-1]
+    constant = np.zeros((dim, dim))
+    coeffs = np.zeros((num_vars, dim, dim))
+    for f, a, b in zip(fns, offsets, offsets[1:]):
+        constant[a:b, a:b] = f.constant
+        coeffs[:, a:b, a:b] = f.coeffs
+    return constant, coeffs, tuple(offsets)
 
 
 class _Barrier:
@@ -324,22 +370,38 @@ class _Barrier:
         return value, grad, hess
 
 
+def _extended(problem, constant, coeffs, vars_added=0):
+    """The problem's stacked map with one more block after its own on the
+    diagonal, constant + sum_k x_k coeffs[k] over the problem's variables,
+    and vars_added more variables, their coefficients left zero."""
+    m, dim = problem.coeffs.shape[:2]
+    size = dim + len(constant)
+    out = np.zeros((size, size))
+    out[:dim, :dim] = problem.constant
+    out[dim:, dim:] = constant
+    stack = np.zeros((m + vars_added, size, size))
+    stack[:m, :dim, :dim] = problem.coeffs
+    stack[:m, dim:, dim:] = coeffs
+    return out, stack
+
+
 def _phase1_barrier(problem, t_cap):
     """-t plus the barrier of every F_i(x) - t I > 0 and of t_cap - t > 0
     over z = (x, t); all blocks, the cap included, share the -t I column."""
     m = problem.num_vars
-    cap = AffineMatFn(np.array([[t_cap]]), np.zeros((m, 1, 1)))
-    constant, coeffs = _block_diag(problem.constraints + [cap])
-    coeffs = np.concatenate([coeffs, -np.eye(len(constant))[None]])
+    constant, coeffs = _extended(problem, np.array([[t_cap]]),
+                                 np.zeros((m, 1, 1)), vars_added=1)
+    coeffs[m] = -np.eye(len(constant))
     return _Barrier(constant, coeffs, lin=-np.eye(m + 1)[m])
 
 
 def _phase2_barrier(problem, shift):
     """Barrier of every F_i(x) - shift I > 0 plus an unshifted copy of the
     det block at the end of the stack; returns it with that copy's rows."""
-    det_fn = problem.constraints[problem.det_block]
-    constant, coeffs = _block_diag(problem.constraints + [det_fn])
-    det_rows = np.arange(len(constant)) >= len(constant) - det_fn.dim
+    a, b = problem.offsets[problem.det_block:problem.det_block + 2]
+    constant, coeffs = _extended(problem, problem.constant[a:b, a:b],
+                                 problem.coeffs[:, a:b, a:b])
+    det_rows = np.arange(len(constant)) >= len(constant) - (b - a)
     barrier = _Barrier(constant - shift * np.diag(~det_rows), coeffs,
                        np.zeros(problem.num_vars))
     return barrier, det_rows
@@ -349,12 +411,14 @@ def _newton(barrier, x, max_steps, tol, early_stop=None, point=None):
     """Damped Newton on the barrier from x.
 
     Returns (x, point, steps, decrement, converged, stopped) with point =
-    barrier.point(x) at the returned x. The stage converges when the Newton
-    decrement reaches tol or when the accepted decrease is at float-noise
-    level, so that no further progress is representable; `_path` passes
-    NEWTON_TOL for its last stage and the looser tolerance of `_stages`,
-    for a point it uses only as a warm start, for every other. It stops, and
-    reports stopped, when early_stop(x, point) holds after an accepted step.
+    barrier.point(x) at the returned x, after at most max_steps steps, 0
+    included: each point's decrement is tested before the budget. The
+    stage converges when the Newton decrement reaches tol or when the
+    accepted decrease is at float-noise level, so that no further progress
+    is representable; `_path` passes NEWTON_TOL for its last stage and the
+    looser tolerance of `_stages`, for a point it uses only as a warm
+    start, for every other. It stops, and reports stopped, when
+    early_stop(x, point) holds after an accepted step.
     F, its factor and the value at an accepted point come from the line
     search, so every point is factored once; a point passed in, the previous
     stage's at the same x, lends its F and factor, and only its value is
@@ -363,49 +427,49 @@ def _newton(barrier, x, max_steps, tol, early_stop=None, point=None):
     NaN, whatever the gradient) or the step is not a descent direction at a
     non-zero gradient: 1e-12 * trace(H) / n is added to the Hessian's
     diagonal, and SolverBreakdown is raised if `_chol` rejects the ridged
-    Hessian (a zero, indefinite or NaN one); otherwise LU solves it.
+    Hessian (a zero, indefinite or NaN one); otherwise LU solves it. It
+    runs inside `_path`'s error state, which ignores the invalid flag that
+    a failed gufunc call sets.
     """
-    # a failed gufunc call (a rejected factor, a singular LU solve) sets
-    # the invalid flag; one context covers every call of the stage
-    with np.errstate(invalid="ignore"):
-        steps = 0
-        residual = np.inf
-        point = barrier.point(x, None if point is None else point[1:])
-        if point is None:
-            raise SolverBreakdown("iterate left the barrier domain")
-        while steps < max_steps:
-            val, grad, hess = barrier.terms(point)
-            # a singular Hessian's LU solve comes back filled with NaN
+    steps = 0
+    point = barrier.point(x, None if point is None else point[1:])
+    if point is None:
+        raise SolverBreakdown("iterate left the barrier domain")
+    while True:
+        val, grad, hess = barrier.terms(point)
+        # a singular Hessian's LU solve comes back filled with NaN
+        d = _lapack.solve1(hess, -grad)
+        decrement = float(-grad @ d)
+        if not decrement > 0.0 and (math.isnan(decrement) or np.any(grad)):
+            hess = hess + 1e-12 * float(np.trace(hess)) / len(x) * \
+                np.eye(len(x))
+            if _chol(hess) is None:
+                raise SolverBreakdown("singular Newton system")
             d = _lapack.solve1(hess, -grad)
             decrement = float(-grad @ d)
-            if not decrement > 0.0 and (math.isnan(decrement) or np.any(grad)):
-                hess = hess + 1e-12 * float(np.trace(hess)) / len(x) * \
-                    np.eye(len(x))
-                if _chol(hess) is None:
-                    raise SolverBreakdown("singular Newton system")
-                d = _lapack.solve1(hess, -grad)
-                decrement = float(-grad @ d)
-            residual = math.sqrt(max(decrement, 0.0))
-            if residual <= tol:
-                return x, point, steps, residual, True, False
-            alpha = 1.0
-            gd = -decrement
-            while alpha > 1e-14:
-                trial = x + alpha * d
-                trial_point = barrier.point(trial)
-                if trial_point is not None and \
-                        trial_point[0] <= val + 1e-4 * alpha * gd:
-                    break
-                alpha *= 0.5
-            if alpha <= 1e-14:
+        residual = math.sqrt(max(decrement, 0.0))
+        if residual <= tol:
+            return x, point, steps, residual, True, False
+        if steps >= max_steps:
+            return x, point, steps, residual, False, False
+        alpha = 1.0
+        gd = -decrement
+        while alpha > 1e-14:
+            trial = x + alpha * d
+            trial_point = barrier.point(trial)
+            if trial_point is not None and \
+                    trial_point[0] <= val + 1e-4 * alpha * gd:
                 break
-            x, point = trial, trial_point
-            steps += 1
-            if early_stop is not None and early_stop(x, point):
-                return x, point, steps, residual, False, True
-            if val - point[0] <= _NOISE * (1.0 + abs(val)):
-                return x, point, steps, residual, True, False
-        return x, point, steps, residual, False, False
+            alpha *= 0.5
+        if alpha <= 1e-14:
+            break
+        x, point = trial, trial_point
+        steps += 1
+        if early_stop is not None and early_stop(x, point):
+            return x, point, steps, residual, False, True
+        if val - point[0] <= _NOISE * (1.0 + abs(val)):
+            return x, point, steps, residual, True, False
+    return x, point, steps, residual, False, False
 
 
 def _margin_reached(z, f, target):
@@ -441,25 +505,30 @@ def _path(barrier, z, weights, stages, budget, reached=None):
     used only as the next stage's start, so its tol need only put it in or
     near Newton's quadratic region for mu times the self-concordant stage
     objective (module docstring). A stage ends early, and the path stops,
-    at an accepted point where reached(z, point) holds. Returns (z, the
-    Newton steps taken, the last stage's Newton decrement, whether the path
-    ran its last stage and that stage converged, whether it stopped).
+    at an accepted point where reached(z, point) holds. A stage tests its
+    Newton decrement before it checks the budget, and a stage that starts
+    with no budget left still runs that test at its start point, so a
+    verdict needs no more budget than the steps it took; the path ends at
+    a stage that is left unconverged with its budget spent. Returns (z,
+    the Newton steps taken, the last stage's Newton decrement, whether the
+    path ran its last stage and that stage converged, whether it stopped).
     """
     total = 0
     residual = np.inf
     converged = stopped = False
     point = None
     run = 0
-    for mu, tol in stages:
-        if total >= budget:
-            break
-        barrier.weights = weights(mu)
-        z, point, steps, residual, converged, stopped = _newton(
-            barrier, z, budget - total, tol, reached, point)
-        total += steps
-        run += 1
-        if stopped:
-            break
+    # a failed gufunc call (a rejected factor, a singular LU solve) sets
+    # the invalid flag; one context covers every call of the path
+    with np.errstate(invalid="ignore"):
+        for mu, tol in stages:
+            barrier.weights = weights(mu)
+            z, point, steps, residual, converged, stopped = _newton(
+                barrier, z, budget - total, tol, reached, point)
+            total += steps
+            run += 1
+            if stopped or not converged and total >= budget:
+                break
     return z, total, residual, run == len(stages) and converged, stopped
 
 

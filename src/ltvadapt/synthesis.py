@@ -17,6 +17,7 @@ M = X Xhat^+ (both derived in `synthesize`). Every other window goes to
 `maxdet.solve_maxdet`.
 """
 
+import functools
 import logging
 from dataclasses import dataclass, replace
 
@@ -106,6 +107,15 @@ def fallback_bundle(w):
     )
 
 
+@functools.cache
+def _upper_pairs(nx):
+    """Row and column indices (r, c) of the strict upper triangle of an
+    nx x nx matrix, in row-major order; read-only, built once per nx."""
+    r, c = np.triu_indices(nx, 1)
+    r.flags.writeable = c.flags.writeable = False
+    return r, c
+
+
 def _symmetry_nullspace(xhat):
     """Basis Y_i of matrices with Xhat @ Y_i symmetric.
 
@@ -117,7 +127,7 @@ def _symmetry_nullspace(xhat):
     identity basis when nx = 1 leaves nothing to constrain.
     """
     nx, t = xhat.shape
-    r, c = np.triu_indices(nx, 1)
+    r, c = _upper_pairs(nx)
     if not r.size:
         return np.eye(t * nx).reshape(-1, t, nx)
     rows = np.arange(r.size)
@@ -131,15 +141,17 @@ def _symmetry_nullspace(xhat):
     return vt[rank:].reshape(-1, t, nx)
 
 
+@functools.cache
 def _svec_basis(nx):
     """Symmetric basis E_ij = e_i e_j^T + e_j e_i^T (E_ii has a single 1
     at (i, i)) for i <= j, in row-major upper-triangle order; shape
-    (nx (nx + 1) / 2, nx, nx)."""
+    (nx (nx + 1) / 2, nx, nx), read-only, built once per nx."""
     i, j = np.triu_indices(nx)
     rows = np.arange(i.size)
     basis = np.zeros((i.size, nx, nx))
     basis[rows, i, j] = 1.0
     basis[rows, j, i] = 1.0
+    basis.flags.writeable = False
     return basis
 
 

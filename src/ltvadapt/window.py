@@ -1,10 +1,17 @@
 """Sliding window of input/state data used for controller synthesis."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
+
+
+def _check_finite(a):
+    """Raise InvalidInput unless every entry of the float array a is
+    finite."""
+    if not np.isfinite(a).all():
+        raise linalg.InvalidInput("window contains non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -13,14 +20,19 @@ class DataWindow:
 
     Columns of Xhat are the states x(kappa-T) .. x(kappa-1), U holds the
     matching inputs, and X the successor states x(kappa-T+1) .. x(kappa).
+    The window owns its data, one read-only array [Xhat; U; X], and the
+    three fields are its row blocks.
     """
 
     kappa: int
     Xhat: np.ndarray
     X: np.ndarray
     U: np.ndarray
+    _data: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        """Check the blocks and copy them into the window's data; a caller
+        that changes its arrays afterwards leaves the window as it was."""
         blocks = []
         for b in (self.Xhat, self.X, self.U):
             m = np.asarray(b, dtype=float)
@@ -33,12 +45,18 @@ class DataWindow:
         xhat, x, u = blocks
         if x.shape != xhat.shape or u.shape[1] != xhat.shape[1]:
             raise linalg.InvalidInput("window blocks have mismatched shapes")
+        data = np.concatenate((xhat, u, x))
         # one finiteness test over all three blocks
-        if not np.isfinite(np.concatenate(blocks, axis=None)).all():
-            raise linalg.InvalidInput("window contains non-finite entries")
-        object.__setattr__(self, "Xhat", xhat)
-        object.__setattr__(self, "X", x)
-        object.__setattr__(self, "U", u)
+        _check_finite(data)
+        self._keep(data, len(xhat), len(u))
+
+    def _keep(self, data, nx, nu):
+        """Store data = [Xhat; U; X], read-only, and its row blocks."""
+        data.flags.writeable = False
+        object.__setattr__(self, "_data", data)
+        object.__setattr__(self, "Xhat", data[:nx])
+        object.__setattr__(self, "U", data[nx:nx + nu])
+        object.__setattr__(self, "X", data[nx + nu:])
 
     @property
     def nx(self):
@@ -66,25 +84,28 @@ class DataWindow:
     def push(self, x_prev, u_prev, x_next):
         """Append one sample (x(k), u(k), x(k+1)), dropping the oldest.
 
-        Only the sample's lengths are checked here; the constructor checks
-        the new window, the sample with it, for finiteness.
+        Only the sample is checked: its lengths, then its finiteness, with
+        the constructor's message. The T - 1 columns kept were checked when
+        they entered, and the window's data is read-only, so the new
+        window's data is the last T - 1 columns of this one's and the
+        sample, without the constructor's check of every column.
         """
         cols = []
         for v, n, name in ((x_prev, self.nx, "x_prev"),
                            (u_prev, self.nu, "u_prev"),
                            (x_next, self.nx, "x_next")):
-            col = np.asarray(v, dtype=float).reshape(-1, 1)
+            col = np.asarray(v, dtype=float).reshape(-1)
             if len(col) != n:
                 raise linalg.InvalidInput(
                     f"{name} has length {len(col)}, expected {n}")
             cols.append(col)
-        x_prev, u_prev, x_next = cols
-        return DataWindow(
-            kappa=self.kappa + 1,
-            Xhat=np.concatenate([self.Xhat[:, 1:], x_prev], axis=1),
-            X=np.concatenate([self.X[:, 1:], x_next], axis=1),
-            U=np.concatenate([self.U[:, 1:], u_prev], axis=1),
-        )
+        sample = np.concatenate(cols)
+        _check_finite(sample)
+        w = object.__new__(DataWindow)
+        object.__setattr__(w, "kappa", self.kappa + 1)
+        w._keep(np.concatenate((self._data[:, 1:], sample[:, None]), axis=1),
+                self.nx, self.nu)
+        return w
 
     def z_matrix(self):
         """Stacked regressor Z = [Xhat; U]."""

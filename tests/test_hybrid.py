@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -320,3 +322,35 @@ def test_trajectory_csv(tmp_path, event_run):
     assert lines[0] == ("k,j,x_1,x_2,u_1,u_2,V,sigma_a1,a1,explore,"
                         "synth_feasible")
     assert len(lines) == len(traj.records) + 1
+
+
+def _norm_before(x):
+    """state_norm as np.linalg.norm computed it in both branches."""
+    m = float(np.abs(x).max())
+    if math.sqrt(hybrid._FLOAT_MAX / x.size) < m < np.inf:
+        return m * float(np.linalg.norm(x / m))
+    return float(np.linalg.norm(x))
+
+
+def test_state_norm_is_numpys_norm_bit_for_bit():
+    # the unscaled branch computes sqrt(x @ x) itself, as np.linalg.norm
+    # does for a float vector: the same float for random vectors, signed
+    # zeros, subnormals, entries from 1e154 (whose squares overflow) to
+    # 1e308, infinities and NaN. An infinite entry next to a huge finite
+    # one overflows the product in both, so the floating-point flags are
+    # ignored here
+    rng = np.random.default_rng(7)
+    specials = [0.0, -0.0, 5e-324, -2.5e-310, 1e-160, 1e154, -3e200,
+                1e308, np.finfo(float).max, np.inf, -np.inf, np.nan]
+    vectors = [rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300)
+               for n in rng.integers(1, 7, 300)]
+    vectors += [rng.choice(specials, n) for n in rng.integers(1, 7, 300)]
+    vectors += [np.where(rng.random(n) < 0.5, rng.choice(specials, n),
+                         rng.standard_normal(n))
+                for n in rng.integers(1, 7, 300)]
+    vectors += [np.array([v]) for v in specials] + [np.zeros(4), -np.zeros(3)]
+    for x in vectors:
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, ref = hybrid.state_norm(x), _norm_before(x)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(ref).tobytes(), x

@@ -2,7 +2,8 @@
 optimum has a closed form, the margins and KKT residual at the returned
 point, per-phase Newton-step counts read from the solver trace, and the
 calls made through maxdet._lapack, the one internal a test replaces.
-Kernel tests compare _chol and _Barrier with numpy references directly."""
+Kernel tests compare _chol, _Barrier and SdpProblem's stacked map with
+numpy and per-block references directly."""
 
 import csv
 import dataclasses
@@ -183,10 +184,132 @@ def test_maxdet_margins_respect_floor():
 
 
 def test_maxdet_requires_det_block():
-    p = one_var_det_problem()
-    p.det_block = None
+    p = maxdet.SdpProblem(1, one_var_det_problem().constraints,
+                          det_block=None)
     with pytest.raises(linalg.InvalidInput):
         maxdet.solve_maxdet(p)
+
+
+def test_sdp_problem_is_frozen():
+    # the stacked map is derived from the fields at construction, so
+    # neither the fields nor the map can be changed afterwards
+    p = one_var_det_problem()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.det_block = None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.constant = np.zeros_like(p.constant)
+    for stack in (p.constant, p.coeffs):
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0] = 1.0
+
+
+def block_diag_reference(blocks, num_vars):
+    """(constant, coeffs, offsets) of the blocks placed on one diagonal,
+    entry by entry, zero elsewhere."""
+    offsets = np.cumsum([0] + [f.dim for f in blocks])
+    constant = np.zeros((offsets[-1], offsets[-1]))
+    coeffs = np.zeros((num_vars, offsets[-1], offsets[-1]))
+    for f, pos in zip(blocks, offsets):
+        for a in range(f.dim):
+            for b in range(f.dim):
+                constant[pos + a, pos + b] = f.constant[a, b]
+                coeffs[:, pos + a, pos + b] = f.coeffs[:, a, b]
+    return constant, coeffs, tuple(int(o) for o in offsets)
+
+
+def assert_stacked_map(problem, xs):
+    """The problem's map is its blocks on one diagonal, read-only, and
+    check_point at each x of xs is each block's own lambda_min, computed
+    from f(x) by the gufunc, bit for bit (NaN included; an eigenvalue call
+    that fails on a NaN block sets the invalid flag, here ignored)."""
+    constant, coeffs, offsets = block_diag_reference(problem.constraints,
+                                                     problem.num_vars)
+    assert problem.constant.tobytes() == constant.tobytes()
+    assert problem.coeffs.tobytes() == coeffs.tobytes()
+    assert problem.coeffs.shape == coeffs.shape
+    assert problem.offsets == offsets
+    assert not problem.constant.flags.writeable
+    assert not problem.coeffs.flags.writeable
+    for x in xs:
+        with np.errstate(invalid="ignore"):
+            ref = np.array([float(linalg._lapack.eigvalsh_lo(f(x))[0])
+                            for f in problem.constraints])
+            got = maxdet.check_point(problem, x)
+        assert got.tobytes() == ref.tobytes()
+
+
+def random_blocks(rng, num_vars, count):
+    """count random symmetric blocks of sizes 1 to 3 in num_vars
+    variables."""
+    blocks = []
+    for size in rng.integers(1, 4, count):
+        c = rng.standard_normal((num_vars, size, size))
+        blocks.append(maxdet.AffineMatFn(
+            np.eye(size) + 0.1 * rng.standard_normal((size, size)),
+            c * 10.0 ** rng.integers(-3, 4)))
+    return blocks
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("nan_at", [None, "first", "last"])
+def test_stacked_map_is_the_blocks_on_one_diagonal(seed, nan_at):
+    # random problems with blocks of sizes 1 to 3, one with a NaN entry
+    # placed first or last where nan_at says: its margin is NaN or
+    # whatever the gufunc makes of it, and the other blocks' are untouched
+    rng = np.random.default_rng(seed)
+    num_vars = int(rng.integers(0, 4))
+    blocks = random_blocks(rng, num_vars, int(rng.integers(1, 5)))
+    if nan_at is not None:
+        nan_block = random_blocks(rng, num_vars, 1)[0]
+        i = rng.integers(nan_block.dim, size=2)
+        nan_block.constant[i[0], i[1]] = np.nan
+        blocks = [nan_block] + blocks if nan_at == "first" else \
+            blocks + [nan_block]
+    problem = maxdet.SdpProblem(num_vars, blocks)
+    xs = [np.zeros(num_vars)] + \
+        [rng.standard_normal(num_vars) * 10.0 ** e for e in (-2, 0, 2)]
+    assert_stacked_map(problem, xs)
+    if nan_at is not None:
+        with np.errstate(invalid="ignore"):
+            margins = maxdet.check_point(problem, xs[1])
+        assert np.isfinite(np.delete(margins, 0 if nan_at == "first"
+                                     else -1)).all()
+
+
+def test_unit_block_margins_are_their_entries():
+    # check_point reads a 1x1 block's margin from its entry, as LAPACK
+    # returns it: signed zeros, subnormals, infinities and NaN included
+    specials = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf,
+                np.nan, -np.nan]
+    blocks = [scalar_block(1.0, 2.0, -1.0) for _ in specials]
+    for f, value in zip(blocks, specials):
+        f.constant[0, 0] = value
+    problem = maxdet.SdpProblem(2, blocks + random_blocks(
+        np.random.default_rng(3), 2, 2))
+    assert_stacked_map(problem, [np.zeros(2), np.array([0.5, -1.5]),
+                                 np.array([1e-300, 3.0])])
+
+
+def test_stacked_map_of_every_canonical_design_problem(monkeypatch):
+    # every design problem the 16 canonical runs solve, at x = 0, at the
+    # solution and at random points around it
+    problems = []
+    solve = maxdet.solve_maxdet
+
+    def recording(problem, opts=None):
+        problems.append(problem)
+        return solve(problem, opts)
+
+    monkeypatch.setattr(maxdet, "solve_maxdet", recording)
+    for _, plant, cfg in verification.canonical_scenarios():
+        hybrid.run(plant, cfg)
+    monkeypatch.undo()
+    assert len(problems) == 85
+    rng = np.random.default_rng(0)
+    for p in problems:
+        x = solve(p).x
+        assert_stacked_map(p, [np.zeros(p.num_vars), x,
+                               x + 1e-3 * rng.standard_normal(x.size)])
 
 
 def trace_rows(path):
@@ -419,11 +542,11 @@ def test_stacked_barrier_phase2():
 
 def budget_sweep(solve, problem, target=TARGET):
     """solve(problem), after checking it under every Newton budget up to
-    the n steps its verdict took: a smaller budget cuts the same path short,
-    MaxIter, at a phase-I point short of the target (so the stop fired at
-    the first point that reached it); n reaches the verdict's point, and
-    n + 1 the verdict bit for bit, since a last stage that ends on its
-    decrement test, not on a step, needs budget for that test."""
+    one past the n steps its verdict took: a smaller budget cuts the same
+    path short, MaxIter, at a phase-I point short of the target (so the
+    stop fired at the first point that reached it); n and n + 1 give the
+    verdict bit for bit, since each stage tests its Newton decrement before
+    its budget, a stage left with no budget included."""
     sol = solve(problem, maxdet.SolverOptions(strict_margin=target))
     assert sol.status != maxdet.MAXITER and sol.iterations > 0
     for budget in range(1, sol.iterations + 2):
@@ -431,12 +554,11 @@ def budget_sweep(solve, problem, target=TARGET):
                                                   max_newton=budget))
         assert np.array_equal(cut.min_margins,
                               maxdet.check_point(problem, cut.x))
-        if budget > sol.iterations:
-            assert (cut.status, cut.x.tobytes(), cut.kkt_residual) == \
-                (sol.status, sol.x.tobytes(), sol.kkt_residual)
-        elif budget == sol.iterations:
-            assert cut.status in (sol.status, maxdet.MAXITER)
-            assert cut.x.tobytes() == sol.x.tobytes()
+        if budget >= sol.iterations:
+            assert (cut.status, cut.iterations, cut.x.tobytes(),
+                    cut.min_margins.tobytes(), cut.kkt_residual) == \
+                (sol.status, sol.iterations, sol.x.tobytes(),
+                 sol.min_margins.tobytes(), sol.kkt_residual)
         else:
             assert (cut.status, cut.iterations) == (maxdet.MAXITER, budget)
             if solve is maxdet.solve_feasibility:

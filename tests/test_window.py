@@ -78,15 +78,24 @@ def test_consistency_residual_predicts_by_plant_step():
 
 
 def test_push_rejects_bad_samples():
+    # push checks only the sample, lengths first, with the messages the
+    # constructor's check used to give
     w = DataWindow.empty(2, 1, 3)
-    with pytest.raises(linalg.InvalidInput):
-        w.push([1.0, 2.0, 3.0], [0.5], [1.0, 1.0])  # x(k) too long
-    with pytest.raises(linalg.InvalidInput):
-        w.push([1.0, 2.0], [0.5, 0.5], [1.0, 1.0])  # u(k) too long
-    with pytest.raises(linalg.InvalidInput):
-        w.push([1.0, 2.0], [0.5], [np.nan, 1.0])
-    with pytest.raises(linalg.InvalidInput):
-        w.push([1.0, 2.0], [np.inf], [1.0, 1.0])
+    for sample, message in [
+            (([1.0, 2.0, 3.0], [0.5], [1.0, 1.0]),
+             "x_prev has length 3, expected 2"),
+            (([1.0, 2.0], [0.5, 0.5], [1.0, 1.0]),
+             "u_prev has length 2, expected 1"),
+            (([1.0, 2.0], [0.5], [1.0]), "x_next has length 1, expected 2"),
+            (([np.nan], [0.5], [1.0, 1.0]), "x_prev has length 1"),
+            (([1.0, 2.0], [0.5], [np.nan, 1.0]),
+             "window contains non-finite entries"),
+            (([1.0, 2.0], [np.inf], [1.0, 1.0]),
+             "window contains non-finite entries"),
+            (([-np.inf, 2.0], [0.5], [1.0, 1.0]),
+             "window contains non-finite entries")]:
+        with pytest.raises(linalg.InvalidInput, match=message):
+            w.push(*sample)
 
 
 def test_window_shape_validation():
@@ -96,21 +105,44 @@ def test_window_shape_validation():
 
 
 def test_pushed_window_equals_the_constructed_one():
-    # push builds through the constructor, so the window it returns is
+    # push checks only the sample and keeps the T - 1 columns already
+    # checked, yet the window it returns after T, T + 1 or more pushes is
     # the one the constructor gives for the last T samples, byte for byte
     rng = np.random.default_rng(4)
-    samples = [(rng.standard_normal(2), rng.standard_normal(1),
-                rng.standard_normal(2)) for _ in range(5)]
-    w = DataWindow.empty(2, 1, 3)
-    for x_prev, u_prev, x_next in samples:
-        w = w.push(x_prev, u_prev, x_next)
-    xs, us, xns = zip(*samples[-3:])
-    built = DataWindow(5, np.column_stack(xs), np.column_stack(xns),
-                       np.column_stack(us))
-    assert built.kappa == w.kappa
-    for a, b in ((built.Xhat, w.Xhat), (built.X, w.X), (built.U, w.U)):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
+    for pushes in (3, 4, 5):
+        samples = [(rng.standard_normal(2), rng.standard_normal(1),
+                    rng.standard_normal(2)) for _ in range(pushes)]
+        w = DataWindow.empty(2, 1, 3)
+        for x_prev, u_prev, x_next in samples:
+            w = w.push(x_prev, u_prev, x_next)
+        xs, us, xns = zip(*samples[-3:])
+        built = DataWindow(pushes, np.column_stack(xs), np.column_stack(xns),
+                           np.column_stack(us))
+        assert built.kappa == w.kappa
+        for a, b in ((built.Xhat, w.Xhat), (built.X, w.X), (built.U, w.U)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+            assert not a.flags.writeable and not b.flags.writeable
+
+
+def test_window_blocks_are_read_only_copies():
+    # the window owns its blocks: writing to one raises, and changing the
+    # arrays it was built or pushed from leaves it as it was
+    xhat, x, u = np.ones((2, 3)), np.full((2, 3), 2.0), np.zeros((1, 3))
+    w = DataWindow(kappa=3, Xhat=xhat, X=x, U=u)
+    sample = [np.array([5.0, 6.0]), np.array([7.0]), np.array([8.0, 9.0])]
+    pushed = w.push(*sample)
+    for block in (w.Xhat, w.X, w.U, pushed.Xhat, pushed.X, pushed.U):
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 1.0
+    for a in [xhat, x, u] + sample:
+        a[...] = np.nan
+    assert np.array_equal(w.Xhat, np.ones((2, 3)))
+    assert np.array_equal(w.X, np.full((2, 3), 2.0))
+    assert np.array_equal(w.U, np.zeros((1, 3)))
+    assert np.array_equal(pushed.Xhat, [[1.0, 1.0, 5.0], [1.0, 1.0, 6.0]])
+    assert np.array_equal(pushed.U, [[0.0, 0.0, 7.0]])
+    assert np.array_equal(pushed.X, [[2.0, 2.0, 8.0], [2.0, 2.0, 9.0]])
 
 
 def test_window_reads_a_1d_block_as_one_row():
