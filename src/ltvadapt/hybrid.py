@@ -7,9 +7,14 @@ after T open-loop steps and, in time mode, the design at the end of the
 T re-excitation steps after each n_p-periodic tick; in event mode also
 when the certified decrease fails), makes that one design call and
 adopts a feasible result as an episode jump, applies an exploration
-input or the feedback K x, records itself and advances the plant and the
-data window. A jump at step k is folded into that step's record and
-marked by tau = 0, and a record marks an exploration input by `explore`.
+input or the feedback K x, records itself and advances the plant. The
+step loop does not advance the data window: a design at step k builds its
+window from the records, pushing onto the last window built the samples
+(x(i), u(i), x(i+1)) since that window's kappa, at most T of them. The
+records keep each state and applied input, so the window holds the floats
+that pushing every step would have. A jump at step k is folded into that
+step's record and marked by tau = 0, and a record marks an exploration
+input by `explore`.
 A trajectory is its records: each carries the bundle in force at its
 step, and the episodes, the initial bundle and the start of the
 monitored segment are read from them. The module writes no file; `cli`
@@ -181,6 +186,21 @@ def _record(k, j, x, u, bundle, v, c_sigma, explore=False,
     )
 
 
+def _design_window(w, records, x):
+    """The window ending at the current step k = len(records), whose state
+    is x: w, the last window built, advanced by the samples (x(i), u(i),
+    x(i+1)) read from the records since its kappa. A window T or more steps
+    old is replaced by a zero window at kappa k - T, so that at most T
+    samples are pushed and the result holds only samples of the run."""
+    k = len(records)
+    if k - w.kappa >= w.width:
+        w = DataWindow.empty(w.nx, w.nu, w.width, kappa=k - w.width)
+    successors = [r.x for r in records[w.kappa + 1:]] + [x]
+    for r, x_next in zip(records[w.kappa:], successors):
+        w = w.push(r.x, r.u, x_next)
+    return w
+
+
 def run(plant, cfg):
     """Simulate one scenario and return its trajectory."""
     t_width = cfg.validate(plant)
@@ -188,7 +208,7 @@ def run(plant, cfg):
     rng = np.random.default_rng(cfg.seed)
     x = (np.ones(plant.nx) if cfg.x0 is None
          else linalg.as_vector(cfg.x0, plant.nx))
-    w = DataWindow.empty(plant.nx, plant.nu, t_width)
+    w = DataWindow.empty(plant.nx, plant.nu, t_width)  # the last one built
     traj = Trajectory()
     bundle = None
     j = 0
@@ -216,6 +236,7 @@ def run(plant, cfg):
         synth_feasible = None
         if due:
             held = bundle
+            w = _design_window(w, traj.records, x)
             cand = synthesis.synthesize(w, eps_F=cfg.eps_F, opts=opts)
             synth_feasible = cand is not None
             if cand is not None:
@@ -240,22 +261,20 @@ def run(plant, cfg):
         else:
             u = bundle.K @ x
 
-        # 4. record, then step the plant and the data window; a step that
-        # overflows yields a non-finite state, which ends the run Diverged
+        # 4. record, then step the plant; a step that overflows yields a
+        # non-finite state, which ends the run Diverged. sqrt(x @ x) decides
+        # as state_norm does: below the bound both are that value, and where
+        # state_norm scales x both are above it or NaN, which fails too
         traj.records.append(_record(k, j, x, u, bundle, v, cfg.c_sigma,
                                     explore, synth_feasible))
-        x_prev = x
         with np.errstate(over="ignore", invalid="ignore"):
             x = plant.step(k, x, u)
             v = _lyapunov(bundle, x)
+            diverged = not math.sqrt(x @ x) <= DIVERGENCE_NORM
         k += 1
-        # a NaN norm fails the comparison
-        if not state_norm(x) <= DIVERGENCE_NORM:
+        if diverged:
             traj.status = DIVERGED
             break
-        # after the divergence check: the window is not read after a
-        # break, and a non-finite state would be rejected as a sample
-        w = w.push(x_prev, u, x)
 
     # a diverged last state may hold a nan or inf, which has no V
     v = v if np.isfinite(x).all() else None

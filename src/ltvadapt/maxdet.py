@@ -66,6 +66,25 @@ ridge is 1e-12 times the Hessian's mean diagonal, a floor relative to its own
 scale, so that iterates of any magnitude keep full Newton steps; a ridged
 Hessian that fails Cholesky is a SolverBreakdown.
 
+The line search tests a trial z + alpha d on the scalar rows first, and
+one whose value there is not positive is rejected without building F. A
+scalar row is a row of a 1x1 block of the problem, or phase I's cap row,
+whose coefficient column has at most two non-zeros, each s = +-1; its
+entry of F is c + s_i z_i + s_j z_j, or just c for an all-zero column.
+`_scalar_rows_positive` sums it in Python floats as c + (s_i (z_i + alpha
+d_i) + s_j (z_j + alpha d_j)), and that is the entry `_matrix` builds, bit
+for bit: the trial's entries round as numpy's z + alpha * d does; a
+product with +-1 is exact; a zero coefficient times a finite entry is a
+zero that adds nothing (times a NaN or infinite one it makes F's entry
+NaN, which F's own test rejects as well); a sum of two exact terms rounds
+once, in whatever order or with whatever FMA the matrix-vector product
+takes them; and `_matrix` adds the constant last. So a skipped trial is
+one whose diagonal `_chol` rejects, and every accepted step is the one the
+full test gives. A coefficient other than +-1, or a third term, could
+round otherwise, so such a row is left to F. The rows are read from the
+offsets of the 1x1 blocks, not found by scanning every row of the map,
+which would cost more than it saves.
+
 The Newton step, its ridge retry included, and `check_point` call numpy's
 LAPACK gufuncs (`numpy.linalg._umath_linalg`, imported once in `linalg`:
 cholesky_lo, inv, solve1 and eigvalsh_lo) directly. They are the calls
@@ -323,6 +342,41 @@ def _block_diag(fns, num_vars):
     return constant, coeffs, tuple(offsets)
 
 
+def _unit_rows(problem):
+    """Rows of the problem's stacked map that are 1x1 blocks."""
+    o = problem.offsets
+    return [a for a, b in zip(o, o[1:]) if b - a == 1]
+
+
+def _scalar_rows(constant, flat, units):
+    """(c, ((k, s), ...)) of each row r of units, 1x1 blocks of the map
+    constant + x @ flat, whose coefficient column has at most two
+    non-zeros, each s = +-1: its entry is c + sum s x_k (module docstring).
+    """
+    n = len(constant)
+    rows = []
+    for r in units:
+        col = flat[:, r * (n + 1)]
+        ks = np.flatnonzero(col)
+        if len(ks) <= 2 and np.all(np.abs(col[ks]) == 1.0):
+            rows.append((float(constant[r, r]),
+                         tuple((int(k), float(col[k])) for k in ks)))
+    return rows
+
+
+def _scalar_rows_positive(rows, x, d, alpha):
+    """Whether each scalar row (c, terms) is positive at x + alpha d, given
+    x and d as lists of floats; summed so that each value is its entry of
+    F(x + alpha d) bit for bit (module docstring)."""
+    for c, terms in rows:
+        v = 0.0
+        for k, s in terms:
+            v += s * (x[k] + alpha * d[k])
+        if not c + v > 0.0:
+            return False
+    return True
+
+
 class _Barrier:
     """phi(x) = lin.x - sum_j w_j logdet F_j(x) over block-diagonal F(x).
 
@@ -330,15 +384,17 @@ class _Barrier:
     its diagonal, and `weights` has one entry per row of F, equal within a
     block. With F = L L^T the barrier is -2 sum_i w_i log L_ii; with
     P_k = F^-1 C_k the gradient is lin_k - tr(W P_k) and the Hessian
-    tr(W P_k P_l), W = diag(weights).
+    tr(W P_k P_l), W = diag(weights). units, rows of F that are 1x1 blocks,
+    give the scalar rows the line search tests first (module docstring).
     """
 
-    def __init__(self, constant, coeffs, lin):
+    def __init__(self, constant, coeffs, lin, units=()):
         self.constant = constant
         self.coeffs = coeffs
         self.flat = coeffs.reshape(len(coeffs), -1)
         self.lin = lin
         self.weights = np.ones(len(constant))
+        self.scalar_rows = _scalar_rows(constant, self.flat, units)
 
     def _matrix(self, x):
         return self.constant + (x @ self.flat).reshape(self.constant.shape)
@@ -392,7 +448,8 @@ def _phase1_barrier(problem, t_cap):
     constant, coeffs = _extended(problem, np.array([[t_cap]]),
                                  np.zeros((m, 1, 1)), vars_added=1)
     coeffs[m] = -np.eye(len(constant))
-    return _Barrier(constant, coeffs, lin=-np.eye(m + 1)[m])
+    return _Barrier(constant, coeffs, lin=-np.eye(m + 1)[m],
+                    units=_unit_rows(problem) + [len(constant) - 1])
 
 
 def _phase2_barrier(problem, shift):
@@ -403,7 +460,7 @@ def _phase2_barrier(problem, shift):
                                  problem.coeffs[:, a:b, a:b])
     det_rows = np.arange(len(constant)) >= len(constant) - (b - a)
     barrier = _Barrier(constant - shift * np.diag(~det_rows), coeffs,
-                       np.zeros(problem.num_vars))
+                       np.zeros(problem.num_vars), units=_unit_rows(problem))
     return barrier, det_rows
 
 
@@ -454,7 +511,12 @@ def _newton(barrier, x, max_steps, tol, early_stop=None, point=None):
             return x, point, steps, residual, False, False
         alpha = 1.0
         gd = -decrement
+        xs, ds = x.tolist(), d.tolist()
         while alpha > 1e-14:
+            # a non-positive scalar row rejects the trial without F
+            if not _scalar_rows_positive(barrier.scalar_rows, xs, ds, alpha):
+                alpha *= 0.5
+                continue
             trial = x + alpha * d
             trial_point = barrier.point(trial)
             if trial_point is not None and \

@@ -1,4 +1,9 @@
-"""Sliding window of input/state data used for controller synthesis."""
+"""Sliding window of input/state data used for controller synthesis.
+
+`hybrid.run` builds a window only at a design, not at every step: it
+pushes onto the last window built the samples its records hold since
+that window's kappa, at most T of them, so `push` runs at design time.
+"""
 
 from dataclasses import dataclass, field
 
@@ -71,11 +76,12 @@ class DataWindow:
         return self.Xhat.shape[1]
 
     @classmethod
-    def empty(cls, nx, nu, width):
+    def empty(cls, nx, nu, width, kappa=0):
+        """All-zero window of width columns ending at step kappa."""
         nx, nu, width = (linalg.as_count(n, "window " + what) for n, what in
                          ((nx, "nx"), (nu, "nu"), (width, "width")))
         return cls(
-            kappa=0,
+            kappa=kappa,
             Xhat=np.zeros((nx, width)),
             X=np.zeros((nx, width)),
             U=np.zeros((nu, width)),

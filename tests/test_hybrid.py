@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ltvadapt import cli, hybrid, linalg, plants, verification
+from ltvadapt import (cli, hybrid, linalg, plants, synthesis, verification,
+                      window)
 
 
 def run_switching(mode="event", seed=53, horizon=100, **kw):
@@ -354,3 +355,52 @@ def test_state_norm_is_numpys_norm_bit_for_bit():
             got, ref = hybrid.state_norm(x), _norm_before(x)
         assert type(got) is float
         assert np.float64(got).tobytes() == np.float64(ref).tobytes(), x
+
+
+DESIGN_WINDOW_RUNS = ["switching-event", "sinusoidal-p10", "sinusoidal-p40",
+                      "vanishing", "time-np8-s0", "time-np16-s2",
+                      "switching-fixed-mild", "switching-fixed-strong"]
+
+
+@pytest.mark.parametrize("name", DESIGN_WINDOW_RUNS)
+def test_design_window_is_built_from_the_records(monkeypatch, name):
+    # each window a design reads is, bit for bit, the one that pushing
+    # every step of the run's records builds, and a design pushes at most
+    # T samples onto the last window built, none after the last design
+    _, plant, cfg = next(s for s in verification.canonical_scenarios()
+                         if s[0] == name)
+    t_width = cfg.validate(plant)
+    push = window.DataWindow.push
+    pushes = []
+    designs = []  # (window, pushes since the previous design)
+
+    def counting(self, *sample):
+        pushes.append(1)
+        return push(self, *sample)
+
+    def recording(w, *args, **kwargs):
+        designs.append((w, len(pushes)))
+        pushes.clear()
+        return synthesize(w, *args, **kwargs)
+
+    synthesize = synthesis.synthesize
+    with monkeypatch.context() as m:
+        m.setattr(window.DataWindow, "push", counting)
+        m.setattr(synthesis, "synthesize", recording)
+        traj = hybrid.run(plant, cfg)
+    assert designs and not pushes
+    assert all(n <= t_width for _, n in designs)
+    assert [w.kappa for w, _ in designs] == \
+        [r.k for r in traj.records if r.synth_feasible is not None]
+
+    # up to the last design: a diverged run's last state may not be finite
+    last = designs[-1][0].kappa
+    w = window.DataWindow.empty(plant.nx, plant.nu, t_width)
+    stepped = {}
+    for r, nxt in zip(traj.records[:last], traj.records[1:]):
+        w = w.push(r.x, r.u, nxt.x)
+        stepped[w.kappa] = w
+    for w, _ in designs:
+        ref = stepped[w.kappa]
+        for got, want in ((w.Xhat, ref.Xhat), (w.U, ref.U), (w.X, ref.X)):
+            assert got.tobytes() == want.tobytes()

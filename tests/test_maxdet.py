@@ -540,6 +540,69 @@ def test_stacked_barrier_phase2():
     assert_terms_match(barrier, blocks, x, np.zeros(x.size))
 
 
+def merged_pair(problem, i):
+    """problem with its 1x1 blocks i and i + 1 merged into one diagonal 2x2
+    block: the same stacked map, with no 1x1 block on those rows."""
+    blocks = list(problem.constraints)
+    a, b = blocks[i], blocks[i + 1]
+    pair = maxdet.AffineMatFn(
+        np.diag([a.constant[0, 0], b.constant[0, 0]]),
+        np.stack([np.diag(c) for c in zip(a.coeffs[:, 0, 0],
+                                          b.coeffs[:, 0, 0])]))
+    det = problem.det_block
+    return maxdet.SdpProblem(problem.num_vars,
+                             blocks[:i] + [pair] + blocks[i + 2:],
+                             det if det < i else det - 1)
+
+
+def open_det_block():
+    """[[x0, x2 / 2], [x2 / 2, x1]], singular at x = 0, so phase I runs."""
+    coeffs = np.zeros((3, 2, 2))
+    coeffs[0, 0, 0] = coeffs[1, 1, 1] = 1.0
+    coeffs[2, 0, 1] = coeffs[2, 1, 0] = 0.5
+    return maxdet.AffineMatFn(np.zeros((2, 2)), coeffs)
+
+
+def scalar_row_cases():
+    """(name, problem, i): problems whose 1x1 blocks i and i + 1 can be
+    merged, each with a row that the line search may test on its own or
+    must build F for."""
+    design = design_problem()
+    bound = np.zeros(design.num_vars)
+    bound[0] = -1.0  # varsigma < 1e3, after the 1x1 block varsigma > 0
+    rows = {
+        "constant and two unit terms": [scalar_block(0.5, 0.0, -1.0, 0.0),
+                                        scalar_block(0.02, -1.0, 1.0, 0.0)],
+        "coefficient 3": [scalar_block(0.05, -3.0, 0.0, 0.0),
+                          scalar_block(0.5, 0.0, -1.0, 0.0)],
+        "three unit terms": [scalar_block(0.5, 0.0, -1.0, 0.0),
+                             scalar_block(0.05, -1.0, -1.0, 1.0)],
+        "all-zero column": [scalar_block(1.0, 0.0, 0.0, 0.0),
+                            scalar_block(0.02, -1.0, 0.0, 0.0),
+                            scalar_block(0.75, 0.0, -1.0, 0.0)],
+    }
+    return [("exploration-window design", maxdet.SdpProblem(
+        design.num_vars, design.constraints + [scalar_block(1e3, *bound)],
+        design.det_block), len(design.constraints) - 1)] + [
+        (name, maxdet.SdpProblem(3, [open_det_block()] + blocks, 0), 1)
+        for name, blocks in rows.items()]
+
+
+@pytest.mark.parametrize("name, problem, i", scalar_row_cases())
+def test_scalar_rows_decide_trials_as_f_does(name, problem, i):
+    # a 1x1 row that the line search evaluates on its own rejects exactly
+    # the trials whose F(z) fails the diagonal test: the solves of both
+    # forms of one stacked map agree bit for bit
+    merged = merged_pair(problem, i)
+    for solve in (maxdet.solve_feasibility, maxdet.solve_maxdet):
+        ref, got = solve(merged), solve(problem)
+        assert got.status == ref.status and got.status in (
+            maxdet.FEASIBLE, maxdet.OPTIMAL), name
+        assert got.iterations == ref.iterations > 0
+        assert got.x.tobytes() == ref.x.tobytes()
+        assert repr(got.kkt_residual) == repr(ref.kkt_residual)
+
+
 def budget_sweep(solve, problem, target=TARGET):
     """solve(problem), after checking it under every Newton budget up to
     one past the n steps its verdict took: a smaller budget cuts the same

@@ -10,6 +10,7 @@ def test_empty_window():
     assert w.nx == 2 and w.nu == 1 and w.width == 4
     assert w.kappa == 0
     assert not w.Xhat.any()
+    assert DataWindow.empty(2, 1, 4, kappa=7).kappa == 7
     # each dimension is a count: a whole float is its int; 2.5, 0, True
     # and 10**400 fail
     w2 = DataWindow.empty(2.0, 1, 4.0)
