@@ -128,8 +128,7 @@ class ScenarioConfig:
         self.seed = linalg.as_count(self.seed, "seed", least=0)
         if self.mode == TIME_TRIGGERED:
             self.n_p = linalg.as_count(self.n_p, "n_p")
-        if not 0.0 < self.eps_F < 1.0:
-            raise linalg.InvalidInput("eps_F must lie in (0, 1)")
+        synthesis.check_eps_F(self.eps_F)
         if not 0.0 < self.c_sigma <= 1.0:
             raise linalg.InvalidInput("c_sigma must lie in (0, 1]")
 

@@ -26,12 +26,13 @@ saves. Both grids are read from MU_INIT, MU_FACTOR and MU_MAX at each
 solve.
 
 An SdpProblem stacks its blocks into one block-diagonal affine map once,
-at construction; `check_point` builds that map at x with one einsum (and
-one more for the 1x1 blocks) and reads each block's lambda_min from its
-diagonal view. Each phase extends the map, with one barrier weight per
-row: phase I adds the margin variable t as a -t I column over every block
-and its cap t < t_cap as one more 1x1 block, phase II a copy of the
-determinant block. One path routine
+at construction, and the solver reads the problem only through that map:
+`check_point` builds it at x with one einsum and reads each block's
+lambda_min from its diagonal view, a 1x1 block's as its one entry, and
+the trace takes the det block's log det from the same F(x). Each phase
+extends the map, with one barrier weight per row: phase I adds the margin
+variable t as a -t I column over every block and its cap t < t_cap as one
+more 1x1 block, phase II a copy of the determinant block. One path routine
 runs either phase's stages: a stage only changes the weights and the
 tolerance, and one Newton routine minimizes every stage. The last stage,
 mu = MU_MAX, has converged when its Newton decrement reaches NEWTON_TOL or
@@ -195,14 +196,14 @@ class AffineMatFn:
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """Every block of `constraints` positive definite over num_vars
-    variables, and the log det of block det_block to maximize.
+    """Every block of `constraints`, a non-empty list, positive definite
+    over num_vars variables, and the log det of block det_block to
+    maximize.
 
     The blocks are read once, at construction, into the derived, read-only
     fields: the block-diagonal map F(x) = constant + sum_k x_k coeffs[k],
-    block i on rows offsets[i]:offsets[i + 1], and the 1x1 blocks on their
-    own, unit_constant + unit_coeffs @ x, which `check_point` sums as each
-    1x1 block's own f(x) does.
+    block i on rows offsets[i]:offsets[i + 1]. The solver reads the problem
+    only through them.
     """
 
     num_vars: int
@@ -211,12 +212,12 @@ class SdpProblem:
     constant: np.ndarray = field(init=False, repr=False, compare=False)
     coeffs: np.ndarray = field(init=False, repr=False, compare=False)
     offsets: tuple = field(init=False, repr=False, compare=False)
-    unit_constant: np.ndarray = field(init=False, repr=False, compare=False)
-    unit_coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         num_vars = linalg.as_count(self.num_vars, "num_vars", least=0)
         constraints = list(self.constraints)
+        if not constraints:
+            raise linalg.InvalidInput("constraints must be non-empty")
         for f in constraints:
             if f.coeffs.shape[0] != num_vars:
                 raise linalg.InvalidInput("constraint/variable count mismatch")
@@ -226,19 +227,12 @@ class SdpProblem:
             if det_block >= len(constraints):
                 raise linalg.InvalidInput("det_block index out of range")
         constant, coeffs, offsets = _block_diag(constraints, num_vars)
-        units = [f for f in constraints if f.dim == 1]
-        unit_constant = np.array([f.constant[0, 0] for f in units])
-        unit_coeffs = np.zeros((len(units), num_vars))
-        for row, f in zip(unit_coeffs, units):
-            row[:] = f.coeffs[:, 0, 0]
-        for a in (constant, coeffs, unit_constant, unit_coeffs):
+        for a in (constant, coeffs):
             a.flags.writeable = False
         for name, value in (("num_vars", num_vars),
                             ("constraints", constraints),
                             ("det_block", det_block), ("constant", constant),
-                            ("coeffs", coeffs), ("offsets", offsets),
-                            ("unit_constant", unit_constant),
-                            ("unit_coeffs", unit_coeffs)):
+                            ("coeffs", coeffs), ("offsets", offsets)):
             object.__setattr__(self, name, value)
 
 
@@ -265,26 +259,26 @@ class SolverOptions:
         self.max_newton = linalg.as_count(self.max_newton, "max_newton")
 
 
-def check_point(problem, x):
-    """Per-constraint lambda_min at x; NaN for a block whose eigenvalue call
-    fails. A non-finite x raises InvalidInput: LAPACK can return finite
-    eigenvalues for a matrix with a NaN entry."""
+def _map_at(problem, x):
+    """F(x), the problem's stacked map at x, built with one einsum. A
+    non-finite x raises InvalidInput: LAPACK can return finite eigenvalues
+    for a matrix with a NaN entry."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != problem.num_vars:
         raise linalg.InvalidInput("decision vector has wrong length")
     if not np.isfinite(x).all():
         raise linalg.InvalidInput("decision vector has non-finite entries")
-    # einsum builds a block of two or more rows, alone or in the stack, by
-    # adding x_k C_k for one k at a time, so each such block of F(x) is
-    # its f(x) bit for bit. A 1x1 block's own f(x) is a dot product over x,
-    # summed in another order, so its margin, the one entry, which LAPACK
-    # returns as it is, is summed as that product
-    f = problem.constant + np.einsum("i,iab->ab", x, problem.coeffs)
-    units = iter((problem.unit_constant + np.einsum(
-        "i,ki->k", x, problem.unit_coeffs)).tolist())
+    return problem.constant + np.einsum("i,iab->ab", x, problem.coeffs)
+
+
+def check_point(problem, x):
+    """Per-constraint lambda_min at x, read from F(x): a 1x1 block's is its
+    entry, as LAPACK would return it; NaN for a block whose eigenvalue call
+    fails. A wrong-length or non-finite x raises InvalidInput."""
+    f = _map_at(problem, x)
     o = problem.offsets
-    return np.array([next(units) if b - a == 1
-                     else float(_lapack.eigvalsh_lo(f[a:b, a:b])[0])
+    return np.array([f[a, a] if b - a == 1
+                     else _lapack.eigvalsh_lo(f[a:b, a:b])[0]
                      for a, b in zip(o, o[1:])])
 
 
@@ -302,10 +296,10 @@ def _chol(m):
     return None if math.isnan(l[-1, -1]) else l
 
 
-def _logdet(fn, x):
-    """log det fn(x), or None where fn(x) is not positive definite."""
+def _logdet(m):
+    """log det m, or None where m is not positive definite."""
     with np.errstate(invalid="ignore"):
-        l = _chol(fn(x))
+        l = _chol(m)
     return None if l is None else 2.0 * float(np.sum(np.log(np.diag(l))))
 
 
@@ -604,8 +598,6 @@ def solve_feasibility(problem, opts=None):
     feasible at x = 0, or constant, is decided there without a path.
     """
     opts = opts or SolverOptions()
-    if not problem.constraints:
-        raise linalg.InvalidInput("constraints must be non-empty")
     target = opts.strict_margin
 
     m = problem.num_vars
@@ -667,7 +659,8 @@ def solve_maxdet(problem, opts=None):
                       iterations=phase1.iterations + total,
                       kkt_residual=residual)
     if opts.trace_path is not None:
-        logdet = _logdet(problem.constraints[problem.det_block], x)
+        a, b = problem.offsets[problem.det_block:problem.det_block + 2]
+        logdet = _logdet(_map_at(problem, x)[a:b, a:b])
         _write_trace(opts.trace_path, "II", sol,
                      np.nan if logdet is None else logdet)
     return sol

@@ -30,6 +30,14 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_EPS_F = 0.1
 
+
+def check_eps_F(eps_F):
+    """Raise InvalidInput unless the inflation budget eps_F lies in (0, 1),
+    the package's one rule for it."""
+    if not 0.0 < eps_F < 1.0:
+        raise linalg.InvalidInput("eps_F must lie in (0, 1)")
+
+
 # statuses logged when a window is declined before any solve: by the data
 # bound, and by the expansion certificate
 DATA_BOUND = "DataBound"
@@ -227,8 +235,7 @@ def build_design_problem(w):
 
 def extract_bundle(w, design, solution, eps_F=DEFAULT_EPS_F):
     """Gain and certificate from a solved design problem."""
-    if not 0.0 < eps_F < 1.0:
-        raise linalg.InvalidInput("eps_F must lie in (0, 1)")
+    check_eps_F(eps_F)
     varsigma, y, h = design.unpack(solution.x)
     p = linalg.symmetrize(w.Xhat @ y)
     s = linalg.pd_inverse(p)
@@ -314,6 +321,7 @@ def presolve_decline(w, target):
 
 def synthesize(w, eps_F=DEFAULT_EPS_F, opts=None):
     """Attempt a design from window w; None when no feasible design exists.
+    An eps_F outside (0, 1) raises InvalidInput before any test or solve.
 
     Two tests decline a window without building or solving the design
     problem, because they prove that no design on it can reach phase I's
@@ -380,6 +388,7 @@ def synthesize(w, eps_F=DEFAULT_EPS_F, opts=None):
     right-hand side is not positive and the test cannot pass; where M or
     the right-hand side overflowed, it is not tried.
     """
+    check_eps_F(eps_F)
     opts = opts or maxdet.SolverOptions()
     status = presolve_decline(w, opts.strict_margin)
     if status is not None:

@@ -36,8 +36,11 @@ class DataWindow:
     _data: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """Check the blocks and copy them into the window's data; a caller
-        that changes its arrays afterwards leaves the window as it was."""
+        """Check kappa and the blocks and copy the blocks into the window's
+        data; a caller that changes its arrays afterwards leaves the window
+        as it was."""
+        object.__setattr__(self, "kappa", linalg.as_count(
+            self.kappa, "window kappa", least=0))
         blocks = []
         for b in (self.Xhat, self.X, self.U):
             m = np.asarray(b, dtype=float)
@@ -114,8 +117,9 @@ class DataWindow:
         return w
 
     def z_matrix(self):
-        """Stacked regressor Z = [Xhat; U]."""
-        return np.vstack([self.Xhat, self.U])
+        """Stacked regressor Z = [Xhat; U], a read-only view of the
+        window's data."""
+        return self._data[:self.nx + self.nu]
 
     def consistency_residual(self, plant):
         """Spectral norm of X minus the plant's one-step predictions.

@@ -127,6 +127,14 @@ def test_sdp_problem_checks_its_counts():
     assert maxdet.solve_maxdet(whole).x.tobytes() == sol.x.tobytes()
 
 
+def test_sdp_problem_rejects_no_constraints():
+    # an empty problem used to build, and check_point returned [] for it;
+    # only solve_feasibility rejected it, at solve time
+    for num_vars in (0, 2):
+        with pytest.raises(linalg.InvalidInput, match="non-empty"):
+            maxdet.SdpProblem(num_vars, [])
+
+
 def test_constant_feasibility_exact_rule():
     opts = maxdet.SolverOptions()
     good = maxdet.AffineMatFn(np.eye(2), np.zeros((0, 2, 2)))
@@ -217,11 +225,15 @@ def block_diag_reference(blocks, num_vars):
     return constant, coeffs, tuple(int(o) for o in offsets)
 
 
-def assert_stacked_map(problem, xs):
+def assert_stacked_map(problem, xs, units_from_map=False):
     """The problem's map is its blocks on one diagonal, read-only, and
     check_point at each x of xs is each block's own lambda_min, computed
     from f(x) by the gufunc, bit for bit (NaN included; an eigenvalue call
-    that fails on a NaN block sets the invalid flag, here ignored)."""
+    that fails on a NaN block sets the invalid flag, here ignored). With
+    units_from_map, a 1x1 block's reference is instead its entry of the
+    reference map at x: where its coefficient column has more than one
+    non-zero, f(x)'s dot product over x may round otherwise in the last
+    bit than the map's sum of x_k C_k."""
     constant, coeffs, offsets = block_diag_reference(problem.constraints,
                                                      problem.num_vars)
     assert problem.constant.tobytes() == constant.tobytes()
@@ -231,9 +243,12 @@ def assert_stacked_map(problem, xs):
     assert not problem.constant.flags.writeable
     assert not problem.coeffs.flags.writeable
     for x in xs:
+        ref_map = constant + np.einsum("i,iab->ab", x, coeffs)
         with np.errstate(invalid="ignore"):
-            ref = np.array([float(linalg._lapack.eigvalsh_lo(f(x))[0])
-                            for f in problem.constraints])
+            ref = np.array([
+                ref_map[a, a] if units_from_map and f.dim == 1
+                else float(linalg._lapack.eigvalsh_lo(f(x))[0])
+                for f, a in zip(problem.constraints, offsets)])
             got = maxdet.check_point(problem, x)
         assert got.tobytes() == ref.tobytes()
 
@@ -268,7 +283,7 @@ def test_stacked_map_is_the_blocks_on_one_diagonal(seed, nan_at):
     problem = maxdet.SdpProblem(num_vars, blocks)
     xs = [np.zeros(num_vars)] + \
         [rng.standard_normal(num_vars) * 10.0 ** e for e in (-2, 0, 2)]
-    assert_stacked_map(problem, xs)
+    assert_stacked_map(problem, xs, units_from_map=True)
     if nan_at is not None:
         with np.errstate(invalid="ignore"):
             margins = maxdet.check_point(problem, xs[1])
@@ -1114,7 +1129,7 @@ def test_chol_rejects_a_nan_entry(pos):
     assert maxdet._chol(m) is not None
     m[pos] = m[pos[::-1]] = np.nan
     assert maxdet._chol(m) is None
-    assert maxdet._logdet(lambda x: m, np.zeros(1)) is None
+    assert maxdet._logdet(m) is None
 
 
 def assert_chol_is_lapacks(m):

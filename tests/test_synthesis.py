@@ -57,6 +57,19 @@ def test_eps_F_trades_rate_for_margin():
     assert loose.a1 < tight.a1
 
 
+@pytest.mark.parametrize("eps_F", [0.0, 1.0, 2.0, -0.1, float("nan")])
+def test_synthesize_checks_eps_F_before_any_work(monkeypatch, eps_F):
+    # an eps_F outside (0, 1) used to pass silently on a declined window
+    # and fail only after the solve on a solvable one
+    def no_solve(*args, **kwargs):
+        raise AssertionError("synthesize solved before checking eps_F")
+
+    monkeypatch.setattr(maxdet, "solve_maxdet", no_solve)
+    for w in (DataWindow.empty(2, 2, 4), exploration_window()):
+        with pytest.raises(linalg.InvalidInput, match="eps_F"):
+            synthesis.synthesize(w, eps_F=eps_F)
+
+
 def scaled_window(w, c):
     """The window of the same plant with every sample scaled by c."""
     return DataWindow(kappa=w.kappa, Xhat=c * w.Xhat, X=c * w.X, U=c * w.U)

@@ -21,6 +21,21 @@ def test_empty_window():
             DataWindow.empty(*dims)
 
 
+def test_window_kappa_is_a_step_count():
+    # a fractional, negative, bool or text kappa used to be kept, and
+    # consistency_residual then evaluated the plant at fractional steps
+    blocks = {"Xhat": np.ones((1, 2)), "X": np.ones((1, 2)),
+              "U": np.ones((1, 2))}
+    for bad in (2.5, True, -1, "3"):
+        with pytest.raises(linalg.InvalidInput, match="window kappa"):
+            DataWindow(kappa=bad, **blocks)
+        with pytest.raises(linalg.InvalidInput, match="window kappa"):
+            DataWindow.empty(1, 1, 2, kappa=bad)
+    w = DataWindow(kappa=7.0, **blocks)
+    assert w.kappa == 7 and type(w.kappa) is int
+    assert type(w.push([1.0], [1.0], [1.0]).kappa) is int
+
+
 def test_push_replays_samples():
     w = DataWindow.empty(1, 1, 2)
     w = w.push([1.0], [0.5], [2.0])
@@ -38,6 +53,10 @@ def test_z_matrix_and_rank():
     w = DataWindow(kappa=2, Xhat=np.array([[1.0, 0.0]]),
                    X=np.array([[0.5, 0.5]]), U=np.array([[0.0, 1.0]]))
     assert np.array_equal(w.z_matrix(), [[1.0, 0.0], [0.0, 1.0]])
+    # a read-only view of the window's data, not a copy
+    z = w.z_matrix()
+    assert np.shares_memory(z, w.Xhat) and np.shares_memory(z, w.U)
+    assert not z.flags.writeable
 
 
 def test_consistency_residual_scalar_lti():
